@@ -299,10 +299,10 @@ func (a *Auditor) Run(ctx context.Context, counts *Counts) (*Report, error) {
 }
 
 // runWithLadder is Run with a precomputed subset-ε ladder, as maintained
-// incrementally by a streaming monitor: the ladder replaces the
-// EpsilonSubsetsCounts recompute (the only part of an audit that scales
-// with the lattice), and everything else — the full-space ε, intervals,
-// reversals, repair — still derives from counts. The ladder must have
+// incrementally by a streaming monitor: the ladder takes ε out of the
+// lattice walk (which then runs only for the requested metrics, if
+// any), and everything else — the full-space ε, intervals, reversals,
+// repair — still derives from counts. The ladder must have
 // been measured over the same counts and estimator alpha; Monitor.Audit
 // guarantees that before calling. The report records
 // LadderSourceIncremental.
@@ -376,27 +376,67 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 	}
 	rep.SubsetBound = JSONFloat(core.SubsetBound(full))
 
-	if cfg.subsets {
-		// The subset ladder shares marginalization work along the lattice
-		// (each subset's counts derived from a one-attribute-larger
-		// parent) instead of re-aggregating the full table 2^p times —
-		// unless the caller already maintains the ladder incrementally,
-		// in which case it arrives precomputed.
-		subs := ladder
-		if subs == nil {
-			subs, err = core.EpsilonSubsetsCounts(counts, cfg.alpha)
-			if err != nil {
-				return nil, err
-			}
+	// Each requested metric gets the full ε treatment: value + witness on
+	// the full intersection, the subset ladder, and whatever uncertainty
+	// the options request. The ladder walk, the bootstrap and the
+	// posterior engine each run once over [ε] + cfg.metrics: every
+	// lattice node, replicate table and posterior draw is built once and
+	// scored by every metric, so with K metrics and B replicates a report
+	// pays B draws plus (K+1)·B evaluations rather than (K+1)·B draws.
+	metrics := append([]core.Metric{core.DFEpsilon}, cfg.metrics...)
+	for _, m := range cfg.metrics {
+		res, err := m.Eval(fullCPT)
+		if err != nil {
+			return nil, fmt.Errorf("fairness: metric %s: %w", m.Key(), err)
 		}
-		core.SortSubsetsByEpsilon(subs)
-		for _, s := range subs {
+		rep.Metrics = append(rep.Metrics, MetricReport{
+			Key:           m.Key(),
+			Description:   m.Describe(),
+			HigherIsWorse: m.HigherIsWorse(),
+			Value:         JSONFloat(res.Value),
+			Finite:        res.Finite,
+			Witness:       witnessLabels(space, outcomes, res.Witness),
+		})
+	}
+
+	if cfg.subsets {
+		// The ladder walk shares marginalization work along the lattice
+		// (each subset's counts derived from a one-attribute-larger
+		// parent) instead of re-aggregating the full table 2^p times.
+		// When the caller already maintains ε's ladder incrementally it
+		// arrives precomputed and only the other metrics walk.
+		var ladders [][]core.SubsetMetric
+		walked := metrics
+		if ladder != nil {
+			ladders = [][]core.SubsetMetric{subsetMetrics(ladder)}
+			walked = cfg.metrics
+		}
+		rest, err := core.MetricSubsetsCounts(walked, counts, cfg.alpha)
+		if err != nil {
+			return nil, err
+		}
+		ladders = append(ladders, rest...)
+		for j, subs := range ladders {
+			core.SortSubsetsByMetricValue(metrics[j], subs)
+		}
+		for _, s := range ladders[0] {
 			rep.Ladder = append(rep.Ladder, LadderRow{
 				Attrs:   s.Attrs,
-				Epsilon: JSONFloat(s.Result.Epsilon),
+				Epsilon: JSONFloat(s.Result.Value),
 				Finite:  s.Result.Finite,
 				Witness: witnessLabels(s.Space, outcomes, s.Result.Witness),
 			})
+		}
+		for j, subs := range ladders[1:] {
+			mr := &rep.Metrics[j]
+			for _, s := range subs {
+				mr.Ladder = append(mr.Ladder, MetricLadderRow{
+					Attrs:   s.Attrs,
+					Value:   JSONFloat(s.Result.Value),
+					Finite:  s.Result.Finite,
+					Witness: witnessLabels(s.Space, outcomes, s.Result.Witness),
+				})
+			}
 		}
 	} else {
 		rep.Ladder = append(rep.Ladder, LadderRow{
@@ -408,7 +448,7 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 	}
 
 	if cfg.bootstrapB > 0 {
-		iv, err := resample.EpsilonBootstrap(ctx, counts, cfg.alpha,
+		ivs, err := resample.MetricBootstrap(ctx, metrics, counts, cfg.alpha,
 			cfg.bootstrapB, cfg.bootstrapLevel, rng.New(cfg.seed), cfg.workers)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -416,12 +456,9 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 			}
 			return nil, fmt.Errorf("fairness: bootstrap: %w", err)
 		}
-		rep.Bootstrap = &BootstrapReport{
-			Replicates:    cfg.bootstrapB,
-			Level:         JSONFloat(iv.Level),
-			Lo:            JSONFloat(iv.Lo),
-			Hi:            JSONFloat(iv.Hi),
-			InfiniteShare: JSONFloat(iv.InfiniteShare),
+		rep.Bootstrap = bootstrapReport(cfg.bootstrapB, ivs[0])
+		for j, iv := range ivs[1:] {
+			rep.Metrics[j].Bootstrap = bootstrapReport(cfg.bootstrapB, iv)
 		}
 	}
 
@@ -430,7 +467,7 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 		if err != nil {
 			return nil, fmt.Errorf("fairness: credible: %w", err)
 		}
-		post, err := model.EpsilonCredible(ctx, cfg.credibleB,
+		posts, err := model.MetricCredible(ctx, metrics, cfg.credibleB,
 			cfg.credibleLevel, rng.New(cfg.seed), cfg.workers)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -438,96 +475,10 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 			}
 			return nil, fmt.Errorf("fairness: credible: %w", err)
 		}
-		rep.Credible = &CredibleReport{
-			Samples:    cfg.credibleB,
-			PriorAlpha: JSONFloat(cfg.credibleAlpha),
-			Level:      JSONFloat(post.Level),
-			Mean:       JSONFloat(post.Mean),
-			Median:     JSONFloat(post.Median),
-			Lo:         JSONFloat(post.Lo),
-			Hi:         JSONFloat(post.Hi),
-			Sup:        JSONFloat(post.Sup),
+		rep.Credible = credibleReport(cfg, posts[0])
+		for j, post := range posts[1:] {
+			rep.Metrics[j].Credible = credibleReport(cfg, post)
 		}
-	}
-
-	// Each requested metric gets the full ε treatment: value + witness on
-	// the full intersection, the subset ladder (lattice-shared marginals),
-	// and whatever uncertainty the options request. Every metric's engine
-	// is seeded with the same cfg.seed, so all metrics are measured over
-	// exactly the same resampled tables / posterior draws as ε.
-	for _, m := range cfg.metrics {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := m.Eval(fullCPT)
-		if err != nil {
-			return nil, fmt.Errorf("fairness: metric %s: %w", m.Key(), err)
-		}
-		mr := MetricReport{
-			Key:           m.Key(),
-			Description:   m.Describe(),
-			HigherIsWorse: m.HigherIsWorse(),
-			Value:         JSONFloat(res.Value),
-			Finite:        res.Finite,
-			Witness:       witnessLabels(space, outcomes, res.Witness),
-		}
-		if cfg.subsets {
-			subs, err := core.MetricSubsetsCounts(m, counts, cfg.alpha)
-			if err != nil {
-				return nil, fmt.Errorf("fairness: metric %s: %w", m.Key(), err)
-			}
-			core.SortSubsetsByMetricValue(m, subs)
-			for _, s := range subs {
-				mr.Ladder = append(mr.Ladder, MetricLadderRow{
-					Attrs:   s.Attrs,
-					Value:   JSONFloat(s.Result.Value),
-					Finite:  s.Result.Finite,
-					Witness: witnessLabels(s.Space, outcomes, s.Result.Witness),
-				})
-			}
-		}
-		if cfg.bootstrapB > 0 {
-			iv, err := resample.MetricBootstrap(ctx, m, counts, cfg.alpha,
-				cfg.bootstrapB, cfg.bootstrapLevel, rng.New(cfg.seed), cfg.workers)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				return nil, fmt.Errorf("fairness: metric %s bootstrap: %w", m.Key(), err)
-			}
-			mr.Bootstrap = &BootstrapReport{
-				Replicates:    cfg.bootstrapB,
-				Level:         JSONFloat(iv.Level),
-				Lo:            JSONFloat(iv.Lo),
-				Hi:            JSONFloat(iv.Hi),
-				InfiniteShare: JSONFloat(iv.InfiniteShare),
-			}
-		}
-		if cfg.credibleB > 0 {
-			model, err := bayes.NewDirichletMultinomial(counts, cfg.credibleAlpha)
-			if err != nil {
-				return nil, fmt.Errorf("fairness: metric %s credible: %w", m.Key(), err)
-			}
-			post, err := model.MetricCredible(ctx, m, cfg.credibleB,
-				cfg.credibleLevel, rng.New(cfg.seed), cfg.workers)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				return nil, fmt.Errorf("fairness: metric %s credible: %w", m.Key(), err)
-			}
-			mr.Credible = &CredibleReport{
-				Samples:    cfg.credibleB,
-				PriorAlpha: JSONFloat(cfg.credibleAlpha),
-				Level:      JSONFloat(post.Level),
-				Mean:       JSONFloat(post.Mean),
-				Median:     JSONFloat(post.Median),
-				Lo:         JSONFloat(post.Lo),
-				Hi:         JSONFloat(post.Hi),
-				Sup:        JSONFloat(post.Sup),
-			}
-		}
-		rep.Metrics = append(rep.Metrics, mr)
 	}
 
 	if cfg.simpson && space.NumAttrs() == 2 {
@@ -599,6 +550,44 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 	}
 
 	return rep, nil
+}
+
+// subsetMetrics restates an ε ladder in the generic metric form.
+func subsetMetrics(subs []core.SubsetEpsilon) []core.SubsetMetric {
+	out := make([]core.SubsetMetric, len(subs))
+	for i, s := range subs {
+		out[i] = core.SubsetMetric{
+			Attrs:  s.Attrs,
+			Result: core.MetricResult{Value: s.Result.Epsilon, Witness: s.Result.Witness, Finite: s.Result.Finite},
+			Space:  s.Space,
+		}
+	}
+	return out
+}
+
+// bootstrapReport is the report section of one bootstrap interval.
+func bootstrapReport(replicates int, iv resample.Interval) *BootstrapReport {
+	return &BootstrapReport{
+		Replicates:    replicates,
+		Level:         JSONFloat(iv.Level),
+		Lo:            JSONFloat(iv.Lo),
+		Hi:            JSONFloat(iv.Hi),
+		InfiniteShare: JSONFloat(iv.InfiniteShare),
+	}
+}
+
+// credibleReport is the report section of one posterior summary.
+func credibleReport(cfg auditConfig, post bayes.EpsilonPosterior) *CredibleReport {
+	return &CredibleReport{
+		Samples:    cfg.credibleB,
+		PriorAlpha: JSONFloat(cfg.credibleAlpha),
+		Level:      JSONFloat(post.Level),
+		Mean:       JSONFloat(post.Mean),
+		Median:     JSONFloat(post.Median),
+		Lo:         JSONFloat(post.Lo),
+		Hi:         JSONFloat(post.Hi),
+		Sup:        JSONFloat(post.Sup),
+	}
 }
 
 // jsonFloats converts a float64 slice to the schema's JSONFloat form.

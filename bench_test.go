@@ -339,11 +339,9 @@ func BenchmarkRepair(b *testing.B) {
 
 // BenchmarkEpsilonBootstrap is the headline engine benchmark: a 100k-
 // observation contingency table over the 16-group census space,
-// bootstrapped with B=200 replicates. "engine" is the parallel O(cells)
-// multinomial path; "serial-alias" is the retained pre-engine baseline
-// that redraws all 100k observations per replicate from an alias table.
-// The engine's allocations stay O(1) per replicate (worker-pool scratch
-// only), which ReportAllocs makes visible.
+// bootstrapped with B=200 replicates on the parallel O(cells)
+// multinomial engine. The engine's allocations stay O(1) per replicate
+// (worker-pool scratch only), which ReportAllocs makes visible.
 func BenchmarkEpsilonBootstrap(b *testing.B) {
 	space := census.Space()
 	counts := core.MustCounts(space, census.IncomeValues)
@@ -376,15 +374,6 @@ func BenchmarkEpsilonBootstrap(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := resample.EpsilonBootstrap(context.Background(), counts, 1, replicates, 0.95, rr, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("serial-alias", func(b *testing.B) {
-		rr := rng.New(8)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := resample.EpsilonBootstrapSerialAlias(counts, 1, replicates, 0.95, rr); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -809,8 +798,10 @@ func BenchmarkAuditor(b *testing.B) {
 // BenchmarkMetricAudit measures the marginal cost of each pluggable
 // metric on the census-scale audit: the baseline ladder-only audit plus
 // one metric section (value, witness and subset ladder) per registry
-// key. scripts/bench_metrics.sh tracks this as BENCH_metrics.json
-// across PRs.
+// key. "report" is the full report shape a dashboard pulls: four metric
+// sections with ladders, 50 bootstrap replicates and 50 posterior
+// samples, all drawn once and scored by ε and every metric.
+// scripts/bench_metrics.sh tracks this as BENCH_metrics.json across PRs.
 func BenchmarkMetricAudit(b *testing.B) {
 	train, _, err := census.Generate(census.DefaultConfig())
 	if err != nil {
@@ -820,10 +811,24 @@ func BenchmarkMetricAudit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	type audit struct {
+		name string
+		keys []string
+		opts []fairness.Option
+	}
+	var audits []audit
 	for _, key := range fairness.MetricKeys() {
-		b.Run(key, func(b *testing.B) {
-			auditor, err := fairness.NewAuditor(counts.Space(), counts.Outcomes(),
-				fairness.WithMetrics(key), fairness.WithSeed(1))
+		audits = append(audits, audit{name: key, keys: []string{key}})
+	}
+	audits = append(audits, audit{
+		name: "report",
+		keys: []string{"worst_gap", "worst_ratio", "alpha_if", "demographic_parity"},
+		opts: []fairness.Option{fairness.WithBootstrap(50, 0.95), fairness.WithCredible(50, 1, 0.95)},
+	})
+	for _, a := range audits {
+		b.Run(a.name, func(b *testing.B) {
+			opts := append([]fairness.Option{fairness.WithMetrics(a.keys...), fairness.WithSeed(1)}, a.opts...)
+			auditor, err := fairness.NewAuditor(counts.Space(), counts.Outcomes(), opts...)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -834,7 +839,7 @@ func BenchmarkMetricAudit(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(rep.Metrics) != 1 {
+				if len(rep.Metrics) != len(a.keys) {
 					b.Fatal("metric section missing")
 				}
 			}

@@ -12,8 +12,10 @@
 // Posterior draws run on the same parallel engine as the bootstrap
 // (internal/par): sample i always uses RNG substream (seed, i) and lands
 // in slot i, so summaries are bit-identical regardless of GOMAXPROCS, and
-// EpsilonCredible reuses one pooled CPT buffer per worker instead of
-// materializing every sampled θ.
+// MetricCredible reuses one pooled CPT buffer per worker instead of
+// materializing every sampled θ. ε and every other requested metric
+// share one draw per sample: K metrics over n samples cost n draws plus
+// K·n evaluations.
 package bayes
 
 import (
@@ -162,23 +164,33 @@ type EpsilonPosterior struct {
 // claiming samples and the call returns ctx.Err() promptly instead of a
 // summary.
 func (m *DirichletMultinomial) EpsilonCredible(ctx context.Context, n int, level float64, r *rng.RNG, workers int) (EpsilonPosterior, error) {
-	return m.MetricCredible(ctx, core.DFEpsilon, n, level, r, workers)
+	posts, err := m.MetricCredible(ctx, []core.Metric{core.DFEpsilon}, n, level, r, workers)
+	if err != nil {
+		return EpsilonPosterior{}, err
+	}
+	return posts[0], nil
 }
 
-// MetricCredible is EpsilonCredible generalized to any core.Metric: the
-// same pooled-buffer posterior sampler and RNG substream discipline,
-// with the metric's Eval replacing ε on each sampled θ. Sup is the
-// most-unfair value over the samples under the metric's orientation —
-// the framework reading of Definition 3.1 generalized (for ε it equals
-// the supremum, reproducing EpsilonCredible bit for bit). Every metric
-// summarized with an identically-seeded RNG sees exactly the same
-// posterior draws.
-func (m *DirichletMultinomial) MetricCredible(ctx context.Context, metric core.Metric, n int, level float64, r *rng.RNG, workers int) (EpsilonPosterior, error) {
+// MetricCredible is EpsilonCredible for any number of core.Metric values
+// at once: each posterior sample θ is drawn once into the worker's
+// pooled CPT, then every metric's Eval scores it, so n samples cost n
+// draws plus len(metrics)·n evaluations. It returns one summary per
+// metric, in the order of metrics; an Eval error from any metric fails
+// the whole call. Sup is the most-unfair value over the samples under
+// each metric's orientation — the framework reading of Definition 3.1
+// generalized (for ε it is the supremum). Every summary is independent
+// of GOMAXPROCS, workers and the other metrics requested alongside it,
+// and equals the summary a one-metric call with an identically-seeded
+// RNG returns.
+func (m *DirichletMultinomial) MetricCredible(ctx context.Context, metrics []core.Metric, n int, level float64, r *rng.RNG, workers int) ([]EpsilonPosterior, error) {
+	if len(metrics) == 0 {
+		return nil, fmt.Errorf("bayes: no metrics to summarize")
+	}
 	if !(level > 0 && level < 1) {
-		return EpsilonPosterior{}, fmt.Errorf("bayes: credible level %v outside (0,1)", level)
+		return nil, fmt.Errorf("bayes: credible level %v outside (0,1)", level)
 	}
 	if n <= 0 {
-		return EpsilonPosterior{}, fmt.Errorf("bayes: need n > 0 samples, got %d", n)
+		return nil, fmt.Errorf("bayes: need n > 0 samples, got %d", n)
 	}
 	space := m.counts.Space()
 	outcomes := m.counts.Outcomes()
@@ -191,7 +203,8 @@ func (m *DirichletMultinomial) MetricCredible(ctx context.Context, metric core.M
 		probs []float64
 		cpt   *core.CPT
 	}
-	eps := make([]float64, n)
+	// vals[j*n+i] is metric j's value on sample i.
+	vals := make([]float64, len(metrics)*n)
 	err := par.DoCtx(ctx, workers, n, func() *scratch {
 		return &scratch{
 			rng:   rng.New(0),
@@ -203,38 +216,47 @@ func (m *DirichletMultinomial) MetricCredible(ctx context.Context, metric core.M
 		if err := sampleInto(s.cpt, s.rng, s.probs, alphaPost, groupTotals); err != nil {
 			return err
 		}
-		res, err := metric.Eval(s.cpt)
-		if err != nil {
-			return err
+		for j, metric := range metrics {
+			res, err := metric.Eval(s.cpt)
+			if err != nil {
+				return fmt.Errorf("bayes: metric %s: %w", metric.Key(), err)
+			}
+			vals[j*n+i] = res.Value
 		}
-		eps[i] = res.Value
 		return nil
 	})
 	if err != nil {
 		if ctx.Err() != nil {
-			return EpsilonPosterior{}, ctx.Err()
+			return nil, ctx.Err()
 		}
-		return EpsilonPosterior{}, err
+		return nil, err
 	}
 
-	sum := 0.0
-	sup := eps[0]
-	for _, e := range eps {
-		sum += e
-		if core.MetricWorse(metric, e, sup) {
-			sup = e
+	out := make([]EpsilonPosterior, len(metrics))
+	for j, metric := range metrics {
+		// Capped so that appending to one summary's Samples cannot
+		// overwrite the next metric's values.
+		samples := vals[j*n : (j+1)*n : (j+1)*n]
+		sum := 0.0
+		sup := samples[0]
+		for _, v := range samples {
+			sum += v
+			if core.MetricWorse(metric, v, sup) {
+				sup = v
+			}
+		}
+		sort.Float64s(samples)
+		out[j] = EpsilonPosterior{
+			Mean:    sum / float64(n),
+			Median:  quantileSorted(samples, 0.5),
+			Lo:      quantileSorted(samples, (1-level)/2),
+			Hi:      quantileSorted(samples, 1-(1-level)/2),
+			Level:   level,
+			Samples: samples,
+			Sup:     sup,
 		}
 	}
-	sort.Float64s(eps)
-	return EpsilonPosterior{
-		Mean:    sum / float64(len(eps)),
-		Median:  quantileSorted(eps, 0.5),
-		Lo:      quantileSorted(eps, (1-level)/2),
-		Hi:      quantileSorted(eps, 1-(1-level)/2),
-		Level:   level,
-		Samples: eps,
-		Sup:     sup,
-	}, nil
+	return out, nil
 }
 
 // quantileSorted returns the q-quantile of sorted values by linear

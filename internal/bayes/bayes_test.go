@@ -2,11 +2,14 @@ package bayes
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fairmetrics"
 	"repro/internal/rng"
 )
 
@@ -277,5 +280,105 @@ func TestEpsilonCredibleCtxCanceled(t *testing.T) {
 	}
 	if a.Lo != b.Lo || a.Hi != b.Hi || a.Mean != b.Mean {
 		t.Errorf("ctx variant diverged")
+	}
+}
+
+// fusedMetrics is ε plus the five counts metrics of internal/fairmetrics.
+func fusedMetrics() []core.Metric {
+	return []core.Metric{
+		core.DFEpsilon,
+		fairmetrics.WorstGap{},
+		fairmetrics.WorstRatio{},
+		fairmetrics.AlphaIntersectional{Alpha: 0.5},
+		fairmetrics.SubgroupParity{},
+		fairmetrics.DemographicParity{},
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func samePosterior(a, b EpsilonPosterior) bool {
+	if !sameBits(a.Mean, b.Mean) || !sameBits(a.Median, b.Median) || !sameBits(a.Sup, b.Sup) ||
+		!sameBits(a.Lo, b.Lo) || !sameBits(a.Hi, b.Hi) || len(a.Samples) != len(b.Samples) {
+		return false
+	}
+	for i := range a.Samples {
+		if !sameBits(a.Samples[i], b.Samples[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMetricCredibleFusedMatchesSingle: one fused call over ε and every
+// counts metric returns, for each metric, exactly the posterior summary a
+// one-metric call returns, at every worker count — on a sparse table
+// with an unobserved group and single-observation cells.
+func TestMetricCredibleFusedMatchesSingle(t *testing.T) {
+	s := core.MustSpace(core.Attr{Name: "g", Values: []string{"a", "b", "c", "d"}})
+	c := core.MustCounts(s, []string{"no", "yes"})
+	c.MustAdd(0, 1, 1)
+	c.MustAdd(1, 0, 1)
+	c.MustAdd(1, 1, 1)
+	c.MustAdd(2, 0, 2)
+	m, err := NewDirichletMultinomial(c, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := fusedMetrics()
+	for _, workers := range []int{1, 2, 7} {
+		fused, err := m.MetricCredible(context.Background(), ms, 120, 0.9, rng.New(23), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fused) != len(ms) {
+			t.Fatalf("workers=%d: got %d summaries for %d metrics", workers, len(fused), len(ms))
+		}
+		for j, metric := range ms {
+			single, err := m.MetricCredible(context.Background(), []core.Metric{metric}, 120, 0.9, rng.New(23), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePosterior(fused[j], single[0]) {
+				t.Fatalf("workers=%d %s: fused summary %+v differs from single-metric %+v", workers, metric.Key(), fused[j], single[0])
+			}
+		}
+	}
+}
+
+var errBroken = errors.New("broken metric")
+
+// brokenMetric is ε that fails with a non-degenerate error on every Eval
+// after its first ok calls.
+type brokenMetric struct {
+	core.Metric
+	ok    int64
+	calls *atomic.Int64
+}
+
+func (m brokenMetric) Key() string { return "broken" }
+
+func (m brokenMetric) Eval(c *core.CPT) (core.MetricResult, error) {
+	if m.calls.Add(1) > m.ok {
+		return core.MetricResult{}, errBroken
+	}
+	return m.Metric.Eval(c)
+}
+
+// TestMetricCredibleFailsOnAnyMetricError: an Eval error from any one
+// metric of a fused call fails the call.
+func TestMetricCredibleFailsOnAnyMetricError(t *testing.T) {
+	m, _ := NewDirichletMultinomial(demoCounts(t), 1)
+	for pos := 0; pos <= len(fusedMetrics()); pos++ {
+		ms := fusedMetrics()
+		broken := brokenMetric{Metric: core.DFEpsilon, ok: 1, calls: new(atomic.Int64)}
+		ms = append(ms[:pos], append([]core.Metric{broken}, ms[pos:]...)...)
+		_, err := m.MetricCredible(context.Background(), ms, 50, 0.9, rng.New(3), 2)
+		if !errors.Is(err, errBroken) {
+			t.Fatalf("broken metric at position %d: err = %v, want errBroken", pos, err)
+		}
+	}
+	if _, err := m.MetricCredible(context.Background(), nil, 50, 0.9, rng.New(3), 0); err == nil {
+		t.Error("empty metric list accepted")
 	}
 }

@@ -169,35 +169,20 @@ func EpsilonSubsetsCPT(c *CPT) ([]SubsetEpsilon, error) {
 // EpsilonSubsetsCounts computes empirical ε (Eq. 6) for every nonempty
 // subset of the protected attributes by aggregating counts, the
 // computation behind the paper's Table 2. If alpha > 0 the smoothed
-// estimator (Eq. 7) is used instead.
-//
-// Marginal tables are shared along the subset lattice: each subset's
-// counts are derived by dropping a single attribute from an
-// already-computed parent marginal (one attribute larger) instead of
-// re-aggregating the full table, so the total work is Σ over subsets of
-// the *parent* table size rather than 2^p × the full table size.
+// estimator (Eq. 7) is used instead. It is MetricSubsetsCounts with ε
+// alone, so marginal tables are shared along the subset lattice.
 func EpsilonSubsetsCounts(c *Counts, alpha float64) ([]SubsetEpsilon, error) {
-	space := c.Space()
-	marg, err := latticeMarginals(c)
+	ladders, err := MetricSubsetsCounts([]Metric{DFEpsilon}, c, alpha)
 	if err != nil {
 		return nil, err
 	}
-	var out []SubsetEpsilon
-	for _, names := range space.SubsetNames() {
-		mask, err := subsetMask(space, names)
-		if err != nil {
-			return nil, err
+	out := make([]SubsetEpsilon, len(ladders[0]))
+	for i, s := range ladders[0] {
+		out[i] = SubsetEpsilon{
+			Attrs:  s.Attrs,
+			Result: EpsilonResult{Epsilon: s.Result.Value, Witness: s.Result.Witness, Finite: s.Result.Finite},
+			Space:  s.Space,
 		}
-		m := marg[mask]
-		cpt, err := marginalCPT(m, alpha)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Epsilon(cpt)
-		if err != nil {
-			return nil, fmt.Errorf("core: subset %v: %w", names, err)
-		}
-		out = append(out, SubsetEpsilon{Attrs: names, Result: r, Space: m.Space()})
 	}
 	return out, nil
 }

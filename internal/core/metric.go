@@ -130,20 +130,31 @@ type SubsetMetric struct {
 // Key renders the subset as a comma-joined attribute list.
 func (s SubsetMetric) Key() string { return strings.Join(s.Attrs, ",") }
 
-// MetricSubsetsCounts measures a metric for every nonempty subset of the
-// protected attributes by aggregating counts — the Table 2 ladder
-// generalized beyond ε. Marginal tables are shared along the subset
-// lattice exactly as in EpsilonSubsetsCounts (each subset's counts
-// derived from a one-attribute-larger parent), and alpha > 0 selects the
-// Eq. 7 smoothed estimator per subset.
-func MetricSubsetsCounts(m Metric, c *Counts, alpha float64) ([]SubsetMetric, error) {
+// MetricSubsetsCounts measures every metric for every nonempty subset
+// of the protected attributes by aggregating counts — the Table 2
+// ladder generalized beyond ε. It walks the subset lattice once:
+// marginal tables are shared along the lattice (each subset's counts
+// derived from a one-attribute-larger parent, see latticeMarginals),
+// each subset's CPT is built once under the selected estimator (alpha >
+// 0 selects the Eq. 7 smoothed one), and every metric is evaluated on
+// it. The result holds one ladder per metric, in the order of ms, each
+// listing the subsets in Space.SubsetNames order; with no metrics it is
+// empty and the lattice is not walked.
+func MetricSubsetsCounts(ms []Metric, c *Counts, alpha float64) ([][]SubsetMetric, error) {
+	if len(ms) == 0 {
+		return nil, nil
+	}
 	space := c.Space()
 	marg, err := latticeMarginals(c)
 	if err != nil {
 		return nil, err
 	}
-	var out []SubsetMetric
-	for _, names := range space.SubsetNames() {
+	subsets := space.SubsetNames()
+	out := make([][]SubsetMetric, len(ms))
+	for j := range out {
+		out[j] = make([]SubsetMetric, 0, len(subsets))
+	}
+	for _, names := range subsets {
 		mask, err := subsetMask(space, names)
 		if err != nil {
 			return nil, err
@@ -152,11 +163,13 @@ func MetricSubsetsCounts(m Metric, c *Counts, alpha float64) ([]SubsetMetric, er
 		if err != nil {
 			return nil, err
 		}
-		r, err := m.Eval(cpt)
-		if err != nil {
-			return nil, fmt.Errorf("core: subset %v: %w", names, err)
+		for j, m := range ms {
+			r, err := m.Eval(cpt)
+			if err != nil {
+				return nil, fmt.Errorf("core: subset %v: metric %s: %w", names, m.Key(), err)
+			}
+			out[j] = append(out[j], SubsetMetric{Attrs: names, Result: r, Space: marg[mask].Space()})
 		}
-		out = append(out, SubsetMetric{Attrs: names, Result: r, Space: marg[mask].Space()})
 	}
 	return out, nil
 }

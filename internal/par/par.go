@@ -38,6 +38,15 @@ func Workers(requested, n int) int {
 // results only to slot i and derive any randomness from i, never from the
 // executing worker or claim order.
 func Do[S any](workers, n int, newState func() S, task func(state S, i int)) {
+	run(workers, n, newState, func(s S, i int) bool {
+		task(s, i)
+		return true
+	})
+}
+
+// run is Do for tasks that can stop their worker: a worker whose task
+// returns false claims no further tasks.
+func run[S any](workers, n int, newState func() S, task func(state S, i int) bool) {
 	if n <= 0 {
 		return
 	}
@@ -45,7 +54,9 @@ func Do[S any](workers, n int, newState func() S, task func(state S, i int)) {
 	if w == 1 {
 		s := newState()
 		for i := 0; i < n; i++ {
-			task(s, i)
+			if !task(s, i) {
+				return
+			}
 		}
 		return
 	}
@@ -58,10 +69,9 @@ func Do[S any](workers, n int, newState func() S, task func(state S, i int)) {
 			s := newState()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n {
+				if i >= n || !task(s, i) {
 					return
 				}
-				task(s, i)
 			}
 		}()
 	}
@@ -89,12 +99,13 @@ func DoCtx[S any](ctx context.Context, workers, n int, newState func() S, task f
 	}
 	errs := make([]error, n)
 	done := ctx.Done()
-	Do(workers, n, newState, func(s S, i int) {
+	run(workers, n, newState, func(s S, i int) bool {
 		select {
 		case <-done:
-			errs[i] = ctx.Err()
+			return false
 		default:
 			errs[i] = task(s, i)
+			return true
 		}
 	})
 	if err := ctx.Err(); err != nil {

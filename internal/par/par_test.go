@@ -120,6 +120,22 @@ func TestDoCtxCancelMidRun(t *testing.T) {
 	}
 }
 
+// TestRunStopsWorkerOnFalse: a worker whose task returns false claims
+// nothing further, so a canceled DoCtx does not walk the remaining
+// indices.
+func TestRunStopsWorkerOnFalse(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		var ran atomic.Int32
+		run(workers, 1_000_000, func() struct{} { return struct{}{} }, func(_ struct{}, i int) bool {
+			ran.Add(1)
+			return false
+		})
+		if got := int(ran.Load()); got != workers {
+			t.Errorf("workers=%d: %d tasks ran, want one per worker", workers, got)
+		}
+	}
+}
+
 func TestDoCtxBackgroundRunsEveryTaskOnce(t *testing.T) {
 	hits := make([]int32, 500)
 	err := DoCtx(context.Background(), 4, len(hits), func() struct{} { return struct{}{} }, func(_ struct{}, i int) error {

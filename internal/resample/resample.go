@@ -1,8 +1,9 @@
 // Package resample provides frequentist uncertainty quantification for
-// measured ε via the bootstrap — the counterpart to internal/bayes's
-// posterior credible intervals. Small intersections make the plug-in ε
-// of Eq. 6 noisy (the sparsity problem the paper's Eq. 7 addresses);
-// bootstrap intervals make that noise visible.
+// measured ε and the other core.Metric values via the bootstrap — the
+// counterpart to internal/bayes's posterior credible intervals. Small
+// intersections make the plug-in ε of Eq. 6 noisy (the sparsity problem
+// the paper's Eq. 7 addresses); bootstrap intervals make that noise
+// visible.
 //
 // Replicates run on a parallel engine: each replicate is one
 // conditional-binomial multinomial draw over the (group, outcome) cells —
@@ -10,7 +11,9 @@
 // resampling — executed on a worker pool whose workers reuse a private
 // Counts/CPT buffer pair and a re-seedable RNG. Replicate r always uses
 // RNG substream (seed, r) and writes only slot r, so intervals are
-// bit-identical regardless of GOMAXPROCS.
+// bit-identical regardless of GOMAXPROCS. ε and every other requested
+// metric share one draw per replicate: K metrics over B replicates cost
+// B draws plus K·B evaluations.
 package resample
 
 import (
@@ -56,25 +59,31 @@ type Interval struct {
 // b, level, r) is deterministic and independent of both GOMAXPROCS and
 // workers.
 func EpsilonBootstrap(ctx context.Context, c *core.Counts, alpha float64, b int, level float64, r *rng.RNG, workers int) (Interval, error) {
-	return MetricBootstrap(ctx, core.DFEpsilon, c, alpha, b, level, r, workers)
-}
-
-// MetricBootstrap is EpsilonBootstrap generalized to any core.Metric:
-// the same pooled-buffer multinomial engine, RNG substream discipline
-// and percentile computation, with the metric's Eval replacing ε on each
-// replicate. A replicate whose table degenerates to fewer than two
-// supported groups scores the metric's WorstValue (for ε that is +Inf,
-// reproducing EpsilonBootstrap bit for bit); InfiniteShare counts the
-// non-finite replicates, which for bounded metrics is always 0.
-//
-// Determinism matches EpsilonBootstrap: for a given (metric, counts,
-// alpha, b, level, r) the interval is independent of GOMAXPROCS and
-// workers, and every metric bootstrapped with an identically-seeded RNG
-// sees exactly the same resampled tables.
-func MetricBootstrap(ctx context.Context, m core.Metric, c *core.Counts, alpha float64, b int, level float64, r *rng.RNG, workers int) (Interval, error) {
-	n, point, err := validateBootstrap(m, c, alpha, b, level)
+	ivs, err := MetricBootstrap(ctx, []core.Metric{core.DFEpsilon}, c, alpha, b, level, r, workers)
 	if err != nil {
 		return Interval{}, err
+	}
+	return ivs[0], nil
+}
+
+// MetricBootstrap is EpsilonBootstrap for any number of core.Metric
+// values at once: each replicate table is drawn and converted to a CPT
+// once, then every metric's Eval scores it, so B replicates cost B
+// multinomial draws plus len(ms)·B evaluations. It returns one interval
+// per metric, in the order of ms. A replicate whose table degenerates to
+// fewer than two supported groups scores each metric's WorstValue (for
+// ε that is +Inf); InfiniteShare counts a metric's non-finite
+// replicates, which for bounded metrics is always 0. Any other Eval
+// error from any metric fails the whole call.
+//
+// Determinism matches EpsilonBootstrap: for a given (counts, alpha, b,
+// level, r) every interval is independent of GOMAXPROCS, workers and
+// the other metrics requested alongside it, and equals the interval a
+// one-metric call with an identically-seeded RNG returns.
+func MetricBootstrap(ctx context.Context, ms []core.Metric, c *core.Counts, alpha float64, b int, level float64, r *rng.RNG, workers int) ([]Interval, error) {
+	n, points, err := validateBootstrap(ms, c, alpha, b, level)
+	if err != nil {
+		return nil, err
 	}
 
 	// The original cell counts are the multinomial weights. Cells() is a
@@ -93,7 +102,8 @@ func MetricBootstrap(ctx context.Context, m core.Metric, c *core.Counts, alpha f
 		cpt  *core.CPT
 		rng  *rng.RNG
 	}
-	reps := make([]float64, b)
+	// reps[j*b+i] is metric j's score on replicate i.
+	reps := make([]float64, len(ms)*b)
 	err = par.DoCtx(ctx, workers, b, func() *scratch {
 		return &scratch{
 			boot: core.MustCounts(space, outcomes),
@@ -114,157 +124,94 @@ func MetricBootstrap(ctx context.Context, m core.Metric, c *core.Counts, alpha f
 				return err
 			}
 		}
-		res, err := m.Eval(s.cpt)
-		if err != nil {
-			if errors.Is(err, core.ErrDegenerateSupport) {
-				// The resample concentrated all mass in fewer than two
-				// groups: legitimately the most-unfair representable
-				// value, not a failure.
-				reps[i] = m.WorstValue()
-				return nil
+		for j, m := range ms {
+			res, err := m.Eval(s.cpt)
+			if err != nil {
+				if errors.Is(err, core.ErrDegenerateSupport) {
+					// The resample concentrated all mass in fewer than two
+					// groups: legitimately the most-unfair representable
+					// value, not a failure.
+					reps[j*b+i] = m.WorstValue()
+					continue
+				}
+				// Anything else is a real bug (invalid probabilities,
+				// shape mismatch) and must not be silently scored as
+				// worst.
+				return fmt.Errorf("metric %s: %w", m.Key(), err)
 			}
-			// Anything else is a real bug (invalid probabilities, shape
-			// mismatch) and must not be silently scored as worst.
-			return err
+			reps[j*b+i] = res.Value
 		}
-		reps[i] = res.Value
 		return nil
 	})
 	if err != nil {
 		if ctx.Err() != nil {
-			return Interval{}, ctx.Err()
+			return nil, ctx.Err()
 		}
-		return Interval{}, fmt.Errorf("resample: replicate failed: %w", err)
+		return nil, fmt.Errorf("resample: replicate failed: %w", err)
 	}
 
-	infinite := 0
-	for _, v := range reps {
-		if math.IsInf(v, 0) {
-			infinite++
+	out := make([]Interval, len(ms))
+	for j := range ms {
+		// Capped so that appending to one interval's Replicates cannot
+		// overwrite the next metric's values.
+		vals := reps[j*b : (j+1)*b : (j+1)*b]
+		infinite := 0
+		for _, v := range vals {
+			if math.IsInf(v, 0) {
+				infinite++
+			}
+		}
+		sort.Float64s(vals)
+		out[j] = Interval{
+			Point:         points[j],
+			Lo:            percentile(vals, (1-level)/2),
+			Hi:            percentile(vals, 1-(1-level)/2),
+			Level:         level,
+			Replicates:    vals,
+			InfiniteShare: float64(infinite) / float64(b),
 		}
 	}
-	sort.Float64s(reps)
-	lo := percentile(reps, (1-level)/2)
-	hi := percentile(reps, 1-(1-level)/2)
-	return Interval{
-		Point:         point,
-		Lo:            lo,
-		Hi:            hi,
-		Level:         level,
-		Replicates:    reps,
-		InfiniteShare: float64(infinite) / float64(b),
-	}, nil
+	return out, nil
 }
 
-// EpsilonBootstrapSerialAlias is the pre-engine reference implementation:
-// every replicate redraws all n observations one at a time from an alias
-// table, serially, allocating fresh tables per replicate. It is retained
-// as the correctness and performance baseline for the parallel multinomial
-// engine (see BenchmarkEpsilonBootstrap) and is not intended for
-// production use.
-func EpsilonBootstrapSerialAlias(c *core.Counts, alpha float64, b int, level float64, r *rng.RNG) (Interval, error) {
-	n, point, err := validateBootstrap(core.DFEpsilon, c, alpha, b, level)
-	if err != nil {
-		return Interval{}, err
+// validateBootstrap checks the bootstrap arguments and returns the
+// integer observation total plus each metric's point value on the
+// original table.
+func validateBootstrap(ms []core.Metric, c *core.Counts, alpha float64, b int, level float64) (n int, points []float64, err error) {
+	if len(ms) == 0 {
+		return 0, nil, fmt.Errorf("resample: no metrics to bootstrap")
 	}
-
-	space := c.Space()
-	outcomes := c.Outcomes()
-	nOut := len(outcomes)
-	alias := rng.NewAlias(c.Cells())
-
-	reps := make([]float64, 0, b)
-	infinite := 0
-	for rep := 0; rep < b; rep++ {
-		boot, err := core.NewCounts(space, outcomes)
-		if err != nil {
-			return Interval{}, err
-		}
-		for i := 0; i < n; i++ {
-			cell := alias.Sample(r)
-			if err := boot.Observe(cell/nOut, cell%nOut); err != nil {
-				return Interval{}, err
-			}
-		}
-		var cpt *core.CPT
-		if alpha > 0 {
-			cpt, err = boot.Smoothed(alpha, false)
-			if err != nil {
-				return Interval{}, err
-			}
-		} else {
-			cpt = boot.Empirical()
-		}
-		res, err := core.Epsilon(cpt)
-		if err != nil {
-			if !errors.Is(err, core.ErrDegenerateSupport) {
-				return Interval{}, fmt.Errorf("resample: replicate failed: %w", err)
-			}
-			reps = append(reps, math.Inf(1))
-			infinite++
-			continue
-		}
-		reps = append(reps, res.Epsilon)
-		if !res.Finite {
-			infinite++
-		}
-	}
-	sort.Float64s(reps)
-	return Interval{
-		Point:         point,
-		Lo:            percentile(reps, (1-level)/2),
-		Hi:            percentile(reps, 1-(1-level)/2),
-		Level:         level,
-		Replicates:    reps,
-		InfiniteShare: float64(infinite) / float64(b),
-	}, nil
-}
-
-// validateBootstrap checks the arguments shared by both bootstrap
-// implementations and returns the integer observation total plus the
-// point metric value of the original table.
-func validateBootstrap(m core.Metric, c *core.Counts, alpha float64, b int, level float64) (n int, point float64, err error) {
 	if b <= 0 {
-		return 0, 0, fmt.Errorf("resample: need B > 0 replicates, got %d", b)
+		return 0, nil, fmt.Errorf("resample: need B > 0 replicates, got %d", b)
 	}
 	if !(level > 0 && level < 1) {
-		return 0, 0, fmt.Errorf("resample: level %v outside (0,1)", level)
+		return 0, nil, fmt.Errorf("resample: level %v outside (0,1)", level)
 	}
 	total := c.Total()
 	if total <= 0 {
-		return 0, 0, fmt.Errorf("resample: empty counts")
+		return 0, nil, fmt.Errorf("resample: empty counts")
 	}
 	n = int(math.Round(total))
 	if math.Abs(total-float64(n)) > 1e-9 {
-		return 0, 0, fmt.Errorf("resample: bootstrap requires integer counts, total is %v", total)
+		return 0, nil, fmt.Errorf("resample: bootstrap requires integer counts, total is %v", total)
 	}
-	point, err = pointMetric(m, c, alpha)
-	if err != nil {
-		return 0, 0, err
-	}
-	return n, point, nil
-}
-
-// pointMetric is the metric value of the original table under the
-// selected estimator.
-func pointMetric(m core.Metric, c *core.Counts, alpha float64) (float64, error) {
-	var (
-		cpt *core.CPT
-		err error
-	)
+	var cpt *core.CPT
 	if alpha > 0 {
-		cpt, err = c.Smoothed(alpha, false)
+		if cpt, err = c.Smoothed(alpha, false); err != nil {
+			return 0, nil, err
+		}
 	} else {
 		cpt = c.Empirical()
 	}
-	if err != nil {
-		return 0, err
+	points = make([]float64, len(ms))
+	for j, m := range ms {
+		res, err := m.Eval(cpt)
+		if err != nil {
+			return 0, nil, fmt.Errorf("resample: metric %s: %w", m.Key(), err)
+		}
+		points[j] = res.Value
 	}
-	res, err := m.Eval(cpt)
-	if err != nil {
-		return 0, err
-	}
-	return res.Value, nil
+	return n, points, nil
 }
 
 func percentile(sorted []float64, q float64) float64 {

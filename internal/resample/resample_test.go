@@ -2,10 +2,15 @@ package resample
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fairmetrics"
 	"repro/internal/rng"
 )
 
@@ -188,16 +193,78 @@ func TestBootstrapDegenerateReplicatesAreInfNotError(t *testing.T) {
 	}
 }
 
+// epsilonBootstrapSerialAlias is the pre-engine reference bootstrap:
+// every replicate redraws all n observations one at a time from an alias
+// table, serially, allocating fresh tables per replicate. It is the
+// distributional oracle for the multinomial engine.
+func epsilonBootstrapSerialAlias(c *core.Counts, alpha float64, b int, level float64, r *rng.RNG) (Interval, error) {
+	n, points, err := validateBootstrap([]core.Metric{core.DFEpsilon}, c, alpha, b, level)
+	if err != nil {
+		return Interval{}, err
+	}
+
+	space := c.Space()
+	outcomes := c.Outcomes()
+	nOut := len(outcomes)
+	alias := rng.NewAlias(c.Cells())
+
+	reps := make([]float64, 0, b)
+	infinite := 0
+	for rep := 0; rep < b; rep++ {
+		boot, err := core.NewCounts(space, outcomes)
+		if err != nil {
+			return Interval{}, err
+		}
+		for i := 0; i < n; i++ {
+			cell := alias.Sample(r)
+			if err := boot.Observe(cell/nOut, cell%nOut); err != nil {
+				return Interval{}, err
+			}
+		}
+		var cpt *core.CPT
+		if alpha > 0 {
+			cpt, err = boot.Smoothed(alpha, false)
+			if err != nil {
+				return Interval{}, err
+			}
+		} else {
+			cpt = boot.Empirical()
+		}
+		res, err := core.Epsilon(cpt)
+		if err != nil {
+			if !errors.Is(err, core.ErrDegenerateSupport) {
+				return Interval{}, fmt.Errorf("resample: replicate failed: %w", err)
+			}
+			reps = append(reps, math.Inf(1))
+			infinite++
+			continue
+		}
+		reps = append(reps, res.Epsilon)
+		if !res.Finite {
+			infinite++
+		}
+	}
+	sort.Float64s(reps)
+	return Interval{
+		Point:         points[0],
+		Lo:            percentile(reps, (1-level)/2),
+		Hi:            percentile(reps, 1-(1-level)/2),
+		Level:         level,
+		Replicates:    reps,
+		InfiniteShare: float64(infinite) / float64(b),
+	}, nil
+}
+
 // TestBootstrapMatchesSerialAliasDistribution: the multinomial engine and
-// the retained serial alias baseline draw from the same resampling
-// distribution — their interval endpoints must agree closely at high B.
+// the serial alias reference draw from the same resampling distribution —
+// their interval endpoints must agree closely at high B.
 func TestBootstrapMatchesSerialAliasDistribution(t *testing.T) {
 	c := makeCounts(t, 400, 600, 700, 300)
 	fast, err := EpsilonBootstrap(context.Background(), c, 1, 3000, 0.9, rng.New(21), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := EpsilonBootstrapSerialAlias(c, 1, 3000, 0.9, rng.New(22))
+	slow, err := epsilonBootstrapSerialAlias(c, 1, 3000, 0.9, rng.New(22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +279,10 @@ func TestBootstrapMatchesSerialAliasDistribution(t *testing.T) {
 
 func TestSerialAliasValidation(t *testing.T) {
 	c := makeCounts(t, 10, 10, 10, 10)
-	if _, err := EpsilonBootstrapSerialAlias(c, 0, 0, 0.9, rng.New(1)); err == nil {
+	if _, err := epsilonBootstrapSerialAlias(c, 0, 0, 0.9, rng.New(1)); err == nil {
 		t.Error("B=0 accepted")
 	}
-	if _, err := EpsilonBootstrapSerialAlias(c, 0, 10, 2, rng.New(1)); err == nil {
+	if _, err := epsilonBootstrapSerialAlias(c, 0, 10, 2, rng.New(1)); err == nil {
 		t.Error("bad level accepted")
 	}
 }
@@ -238,5 +305,160 @@ func TestEpsilonBootstrapCtxCanceled(t *testing.T) {
 	}
 	if a.Lo != b.Lo || a.Hi != b.Hi {
 		t.Errorf("ctx variant diverged: [%v,%v] vs [%v,%v]", a.Lo, a.Hi, b.Lo, b.Hi)
+	}
+}
+
+// fusedMetrics is ε plus the five counts metrics of internal/fairmetrics.
+func fusedMetrics() []core.Metric {
+	return []core.Metric{
+		core.DFEpsilon,
+		fairmetrics.WorstGap{},
+		fairmetrics.WorstRatio{},
+		fairmetrics.AlphaIntersectional{Alpha: 0.5},
+		fairmetrics.SubgroupParity{},
+		fairmetrics.DemographicParity{},
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameInterval(a, b Interval) bool {
+	if !sameBits(a.Point, b.Point) || !sameBits(a.Lo, b.Lo) || !sameBits(a.Hi, b.Hi) ||
+		!sameBits(a.InfiniteShare, b.InfiniteShare) || len(a.Replicates) != len(b.Replicates) {
+		return false
+	}
+	for i := range a.Replicates {
+		if !sameBits(a.Replicates[i], b.Replicates[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMetricBootstrapFusedMatchesSingle: one fused call over ε and every
+// counts metric returns, for each metric, exactly the interval a
+// one-metric call returns, at every worker count. The table is sparse and
+// unsmoothed, so some replicates put all mass in one group: there ε
+// scores +Inf and every other metric its own WorstValue, pinned against a
+// serial replay of the engine's substream draws.
+func TestMetricBootstrapFusedMatchesSingle(t *testing.T) {
+	c := makeCounts(t, 1, 1, 0, 1, 1, 0) // three groups, four observations
+	const (
+		seed = 13
+		b    = 200
+	)
+	ms := fusedMetrics()
+	want := replayBootstrap(t, ms, c, seed, b)
+	for _, workers := range []int{1, 2, 7} {
+		fused, err := MetricBootstrap(context.Background(), ms, c, 0, b, 0.9, rng.New(seed), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fused) != len(ms) {
+			t.Fatalf("workers=%d: got %d intervals for %d metrics", workers, len(fused), len(ms))
+		}
+		for j, m := range ms {
+			single, err := MetricBootstrap(context.Background(), []core.Metric{m}, c, 0, b, 0.9, rng.New(seed), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameInterval(fused[j], single[0]) {
+				t.Fatalf("workers=%d %s: fused interval %+v differs from single-metric %+v", workers, m.Key(), fused[j], single[0])
+			}
+			for i, v := range fused[j].Replicates {
+				if !sameBits(v, want[j][i]) {
+					t.Fatalf("workers=%d %s: sorted replicate %d = %v, replay says %v", workers, m.Key(), i, v, want[j][i])
+				}
+			}
+			if m != core.DFEpsilon && fused[j].InfiniteShare != 0 {
+				t.Fatalf("%s: bounded metric reports InfiniteShare %v", m.Key(), fused[j].InfiniteShare)
+			}
+		}
+	}
+}
+
+// replayBootstrap redraws the engine's replicate tables serially (replicate
+// i from substream (base, i)) and scores them directly: a table with
+// fewer than two supported groups scores each metric's WorstValue. It
+// returns each metric's sorted replicates and fails the test unless some
+// replicates degenerate.
+func replayBootstrap(t *testing.T, ms []core.Metric, c *core.Counts, seed uint64, b int) [][]float64 {
+	t.Helper()
+	space, outcomes := c.Space(), c.Outcomes()
+	base := rng.New(seed).Uint64()
+	r := rng.New(0)
+	boot := core.MustCounts(space, outcomes)
+	out := make([][]float64, len(ms))
+	degenerate := 0
+	for i := 0; i < b; i++ {
+		r.SeedStream(base, uint64(i))
+		r.Multinomial(boot.Cells(), int(c.Total()), c.Cells())
+		supported := 0
+		for g := 0; g < space.Size(); g++ {
+			if boot.GroupTotal(g) > 0 {
+				supported++
+			}
+		}
+		cpt := boot.Empirical()
+		for j, m := range ms {
+			v := m.WorstValue()
+			if supported >= 2 {
+				res, err := m.Eval(cpt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v = res.Value
+			}
+			out[j] = append(out[j], v)
+		}
+		if supported < 2 {
+			degenerate++
+		}
+	}
+	if degenerate == 0 {
+		t.Fatal("no degenerate replicates; the table does not exercise WorstValue")
+	}
+	for _, vals := range out {
+		sort.Float64s(vals)
+	}
+	return out
+}
+
+var errBroken = errors.New("broken metric")
+
+// brokenMetric is ε that fails with a non-degenerate error on every Eval
+// after its first ok calls.
+type brokenMetric struct {
+	core.Metric
+	ok    int64
+	calls *atomic.Int64
+}
+
+func (m brokenMetric) Key() string { return "broken" }
+
+func (m brokenMetric) Eval(c *core.CPT) (core.MetricResult, error) {
+	if m.calls.Add(1) > m.ok {
+		return core.MetricResult{}, errBroken
+	}
+	return m.Metric.Eval(c)
+}
+
+// TestMetricBootstrapFailsOnAnyMetricError: a non-degenerate Eval error
+// on a replicate, from any one metric of a fused call, fails the call.
+func TestMetricBootstrapFailsOnAnyMetricError(t *testing.T) {
+	c := makeCounts(t, 400, 600, 700, 300)
+	for pos := 0; pos <= len(fusedMetrics()); pos++ {
+		ms := fusedMetrics()
+		// The point value on the original table is the broken metric's
+		// first Eval; every replicate after it fails.
+		broken := brokenMetric{Metric: core.DFEpsilon, ok: 1, calls: new(atomic.Int64)}
+		ms = append(ms[:pos], append([]core.Metric{broken}, ms[pos:]...)...)
+		_, err := MetricBootstrap(context.Background(), ms, c, 0, 50, 0.9, rng.New(3), 2)
+		if !errors.Is(err, errBroken) {
+			t.Fatalf("broken metric at position %d: err = %v, want errBroken", pos, err)
+		}
+	}
+	if _, err := MetricBootstrap(context.Background(), nil, c, 0, 50, 0.9, rng.New(3), 0); err == nil {
+		t.Error("empty metric list accepted")
 	}
 }

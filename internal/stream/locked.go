@@ -10,10 +10,9 @@ import (
 
 // LockedMonitor is the retained pre-sharding implementation: one decayed
 // strided table behind a single mutex. It exists as the comparison
-// baseline for BenchmarkMonitorObserveParallel (the role
-// EpsilonBootstrapSerialAlias plays for the resampling engine) and as
-// the sequential reference the sharded Monitor's equivalence tests check
-// against. New code should use Monitor.
+// baseline for BenchmarkMonitorObserveParallel and as the sequential
+// reference the sharded Monitor's equivalence tests check against. New
+// code should use Monitor.
 type LockedMonitor struct {
 	mu       sync.Mutex
 	space    *core.Space

@@ -74,9 +74,12 @@ func MetricKeys() []string {
 // WithMetrics requests additional fairness metrics by registry key (see
 // MetricKeys); each gets its own section in the report — value, witness,
 // subset ladder, and whatever bootstrap/credible uncertainty the other
-// options request, computed over exactly the same resampled tables as ε.
-// Keys resolve at option time; applicability to the auditor's table
-// shape is validated by NewAuditor.
+// options request. ε and every requested metric share one draw per
+// bootstrap replicate, per posterior sample and per lattice node, so K
+// metrics over B replicates cost B draws plus (K+1)·B evaluations, and
+// every metric is measured over exactly the same tables as ε. Keys
+// resolve at option time; applicability to the auditor's table shape is
+// validated by NewAuditor.
 func WithMetrics(keys ...string) Option {
 	return auditOption(func(c *auditConfig) error {
 		if len(keys) == 0 {

@@ -3,6 +3,7 @@ package fairness_test
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -174,6 +175,45 @@ func TestMetricReportDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 	if got := render(0); got != base {
 		t.Fatal("GOMAXPROCS=2 changed the multi-metric report bytes")
+	}
+}
+
+// TestAuditMetricSectionsMatchSingleMetricAudits: a report requesting
+// every registry metric, with ladders, bootstrap and posterior, carries
+// exactly the ε sections of a report without metrics and, per metric,
+// exactly the section of a report requesting that metric alone — the
+// fused engines hand each section its own metric's results.
+func TestAuditMetricSectionsMatchSingleMetricAudits(t *testing.T) {
+	counts := datasets.Admissions()
+	run := func(keys ...string) *fairness.Report {
+		opts := []fairness.Option{
+			fairness.WithBootstrap(60, 0.9),
+			fairness.WithCredible(60, 1, 0.9),
+			fairness.WithSeed(11),
+		}
+		if len(keys) > 0 {
+			opts = append(opts, fairness.WithMetrics(keys...))
+		}
+		rep, err := fairness.MustAuditor(counts.Space(), counts.Outcomes(), opts...).Run(context.Background(), counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	all := run(allMetricKeys...)
+	plain := run()
+	if !reflect.DeepEqual(all.Ladder, plain.Ladder) || !reflect.DeepEqual(all.Bootstrap, plain.Bootstrap) ||
+		!reflect.DeepEqual(all.Credible, plain.Credible) {
+		t.Fatal("requesting metrics changed the ε sections")
+	}
+	if len(all.Metrics) != len(allMetricKeys) {
+		t.Fatalf("got %d metric sections, want %d", len(all.Metrics), len(allMetricKeys))
+	}
+	for i, key := range allMetricKeys {
+		single := run(key)
+		if !reflect.DeepEqual(all.Metrics[i], single.Metrics[0]) {
+			t.Fatalf("metric %s: section differs from a single-metric audit:\n%+v\nvs\n%+v", key, all.Metrics[i], single.Metrics[0])
+		}
 	}
 }
 

@@ -165,9 +165,8 @@ type MetricLadderRow struct {
 // MetricReport is the audit result for one requested fairness metric
 // beyond the always-present ε: the full-intersection value with witness,
 // the per-subset ladder, and any requested bootstrap/credible
-// uncertainty computed by the same pooled-CPT resampling engines as ε
-// (identical resampled tables — each metric's engine is seeded with the
-// same seed).
+// uncertainty, scored on the very replicate tables and posterior draws
+// ε is scored on (one engine run serves ε and every metric).
 type MetricReport struct {
 	Key         string `json:"key"`
 	Description string `json:"description"`
@@ -229,16 +228,28 @@ type Report struct {
 // ReportSchemaVersion so a zero-valued or hand-built Report still
 // declares its schema.
 func (r *Report) MarshalJSON() ([]byte, error) {
-	type plain Report // drop methods to avoid recursion
-	p := plain(*r)
+	return json.Marshal(r.pinned())
+}
+
+// plainReport is Report without its methods, so encoding it does not
+// recurse into MarshalJSON.
+type plainReport Report
+
+// pinned returns a copy of the report, as a plainReport, with
+// schema_version pinned to ReportSchemaVersion.
+func (r *Report) pinned() *plainReport {
+	p := plainReport(*r)
 	p.SchemaVersion = ReportSchemaVersion
-	return json.Marshal(&p)
+	return &p
 }
 
 // RenderJSON writes the report as indented JSON (the stable schema) with
-// a trailing newline. Output is byte-identical for identical reports.
+// a trailing newline. Output is byte-identical for identical reports. It
+// encodes the pinned plain form directly: going through MarshalJSON
+// would make encoding/json re-scan the whole compact output before
+// indenting it.
 func (r *Report) RenderJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(r, "", "  ")
+	b, err := json.MarshalIndent(r.pinned(), "", "  ")
 	if err != nil {
 		return err
 	}
