@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	fairness "repro"
 	"repro/internal/loadgen"
 )
 
@@ -281,6 +282,44 @@ func BenchmarkHotPathBatchDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := decodeBinaryBatch(body, off, groups, outcomes, 4, 2); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// ingestBody is one JSON observe body in the shape of perfbench's
+// ingest workload: 1,024 decisions over nine binary attributes (512
+// groups) with a zipf population skew.
+func ingestBody(tb testing.TB) []byte {
+	tb.Helper()
+	attrs := make([]fairness.Attr, 9)
+	for i := range attrs {
+		attrs[i] = fairness.Attr{Name: fmt.Sprintf("a%d", i+1), Values: []string{"0", "1"}}
+	}
+	synth, err := loadgen.NewSynth(loadgen.WorkloadConfig{
+		Space: fairness.MustSpace(attrs...), Outcomes: 2, Monitors: 1, GroupSkew: 0.5,
+		BatchSize: 1024, Mix: loadgen.Mix{Observe: 1}, BaseRate: 0.2, RateSpread: 0.5, Seed: 1,
+	}, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var req loadgen.Request
+	synth.Next(&req)
+	return loadgen.AppendJSONObserve(nil, req.Groups, req.Outcomes)
+}
+
+// BenchmarkHotPathJSONBatchDecode asserts the //df:hotpath contract on
+// decodeJSONBatch: one ingest-shaped body decoded into warm scratch at
+// 0 allocs/op (scripts/alloc_gate.sh).
+func BenchmarkHotPathJSONBatchDecode(b *testing.B) {
+	s := &batchScratch{body: ingestBody(b)}
+	s.size(jsonBatchCap(s.body))
+	b.SetBytes(int64(len(s.body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.size(jsonBatchCap(s.body))
+		if _, err := decodeJSONBatch(s, &observeForm); err != nil || len(s.groups) != 1024 {
+			b.Fatalf("decoded %d pairs: %v", len(s.groups), err)
 		}
 	}
 }

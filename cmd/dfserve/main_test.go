@@ -358,6 +358,28 @@ func TestMaxBodyLimit(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body status = %d, want 413", resp.StatusCode)
 	}
+
+	// The batch endpoints read their JSON bodies themselves: an
+	// oversized observe or decide body is a 413 with a JSON error too.
+	srv2 := httptest.NewServer(newMux(serverConfig{workers: 0, maxBody: 256}))
+	defer srv2.Close()
+	mustReq(t, srv2, http.MethodPut, "/v1/monitors/m",
+		`{"space": [{"name": "g", "values": ["a", "b"]}], "outcomes": ["no", "yes"], "window": {"size": 100}}`,
+		http.StatusCreated)
+	mustReq(t, srv2, http.MethodPost, "/v1/monitors/m/observe",
+		`{"groups": [0, 0, 0, 1, 1, 1], "outcomes": [1, 1, 0, 0, 0, 1]}`, http.StatusOK)
+	mustReq(t, srv2, http.MethodPost, "/v1/monitors/m/repair", `{"target_epsilon": 0.5}`, http.StatusOK)
+	for _, path := range []string{"/v1/monitors/m/observe", "/v1/monitors/m/decide"} {
+		body := fmt.Sprintf(`{"groups": [%s0], "outcomes": [1]}`, strings.Repeat("0, ", 100))
+		if strings.HasSuffix(path, "decide") {
+			body = strings.Replace(body, "outcomes", "decisions", 1)
+		}
+		code, out := doReq(t, srv2, http.MethodPost, path, body)
+		var e map[string]string
+		if code != http.StatusRequestEntityTooLarge || json.Unmarshal(out, &e) != nil || e["error"] == "" {
+			t.Errorf("oversized %s: status %d, body %s; want 413 with a JSON error", path, code, out)
+		}
+	}
 }
 
 func putMonitor(t *testing.T, srv *httptest.Server, id, body string) *http.Response {
@@ -473,6 +495,8 @@ func TestMonitorPutValidation(t *testing.T) {
 		{"unknown field", "m", `{"bogus": 1}`},
 		{"bad threshold", "m", `{"space": [{"name": "g", "values": ["a", "b"]}], "outcomes": ["x", "y"],
 			"half_life": 10, "threshold": -1}`},
+		{"trailing value", "m", `{"space": [{"name": "g", "values": ["a", "b"]}], "outcomes": ["x", "y"],
+			"half_life": 10} {"half_life": 20}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -575,6 +599,10 @@ func TestMonitorObserveForms(t *testing.T) {
 		"bad index":       `{"groups": [7], "outcomes": [0]}`,
 		"unknown outcome": `{"observations": [{"group": {"g": "a"}, "outcome": "zzz"}]}`,
 		"unknown value":   `{"observations": [{"group": {"g": "q"}, "outcome": "deny"}]}`,
+		"null group":      `{"groups": [0, null, 1], "outcomes": [1, 1, 1]}`,
+		"null outcome":    `{"groups": [0, 1], "outcomes": [null, 1]}`,
+		"trailing value":  `{"groups": [0], "outcomes": [1]}{"groups": [1], "outcomes": [0]}`,
+		"trailing bytes":  `{"groups": [0], "outcomes": [1]} x`,
 	} {
 		resp3, b := post(body)
 		if resp3.StatusCode != http.StatusBadRequest {

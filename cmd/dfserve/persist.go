@@ -178,7 +178,7 @@ func encodeObserveRecord(id string, groups, outcomes []int) []byte {
 // body: the wire framing after the record's [kind][id] header IS the
 // batch framing, so the client's bytes are spliced in verbatim — the
 // binary observe path commits to the WAL without re-encoding. The
-// caller must have validated the batch first (readBinaryBatch does).
+// caller must have validated the batch first (readBatch does).
 func encodeObserveRecordFromBatch(id string, batch []byte) []byte {
 	buf := make([]byte, 0, 16+len(id)+len(batch))
 	buf = append(buf, recObserve)

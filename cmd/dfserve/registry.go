@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -359,14 +360,29 @@ func (e *monitorEntry) stats() monitorStats {
 	return s
 }
 
-// observeRequest is the POST /v1/monitors/{id}/observe body: either
-// named observations or pre-encoded parallel index arrays (the compact
-// hot-path form; group indices enumerate the space row-major with the
-// last attribute varying fastest, as everywhere else).
+// observeRequest is a POST /v1/monitors/{id}/observe body that carries
+// the named form, {"observations": [{"group": {...}, "outcome": "..."},
+// ...]}, possibly next to the compact form's parallel groups/outcomes
+// index arrays (group indices enumerate the space row-major with the
+// last attribute varying fastest, as everywhere else). Label maps are
+// on no hot path, so such a body is decoded with encoding/json; bodies
+// with the compact form alone never get here (decodeJSONBatch).
 type observeRequest struct {
-	Observations []observation `json:"observations,omitempty"`
-	Groups       []int         `json:"groups,omitempty"`
-	Outcomes     []int         `json:"outcomes,omitempty"`
+	Observations []observation `json:"observations"`
+	Groups       jsonIndices   `json:"groups"`
+	Outcomes     jsonIndices   `json:"outcomes"`
+}
+
+// decodeNamed decodes a JSON observe body that carries the named form,
+// as json.Decoder with DisallowUnknownFields always did, into the
+// scratch.
+func (s *batchScratch) decodeNamed() error {
+	var req observeRequest
+	if err := decodeOne(bytes.NewReader(s.body), &req); err != nil {
+		return err
+	}
+	s.observations, s.groups, s.outcomes = req.Observations, req.Groups, req.Outcomes
+	return nil
 }
 
 // observeResponse acknowledges one ingested batch. effective_count is
@@ -402,41 +418,27 @@ type alertReport struct {
 // check that ObserveBatch would do runs up front, then the durable
 // append happens (under the shared persist lock) before the in-memory
 // apply and the acknowledgment. When the monitor has a threshold, one ε
-// check runs per batch (not per observation). Bodies arrive as JSON or
-// as the compact application/x-df-batch encoding (batch.go); the
-// binary form's bytes double as the WAL record tail, so the durable
-// path never re-encodes them.
+// check runs per batch (not per observation). readBatch (batch.go) reads
+// the body once and decodes either wire form, JSON or the compact
+// application/x-df-batch, into pooled scratch; a binary body's bytes
+// double as the WAL record tail, so the durable path never re-encodes
+// them.
 func (r *registry) handleObserve(w http.ResponseWriter, req *http.Request) {
 	e, ok := r.lookup(req.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no monitor %q", req.PathValue("id")))
 		return
 	}
-	var groups, outcomes []int
-	var batch *batchScratch // non-nil on the binary path
-	if isBinaryBatch(req) {
-		batch, ok = readBinaryBatch(w, req, r.cfg.maxBody,
-			e.mon.Space().Size(), len(e.cfg.Outcomes))
-		if !ok {
-			return
-		}
-		defer putBatchScratch(batch)
-		groups, outcomes = batch.groups, batch.outcomes
-	} else {
-		var body observeRequest
-		if !decodeJSONBody(w, req, r.cfg.maxBody, &body, "observe body") {
-			return
-		}
-		var err error
-		groups, outcomes, err = e.encode(&body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := e.validateBatch(groups, outcomes); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	batch, ok := readBatch(w, req, r.cfg.maxBody, &observeForm,
+		e.mon.Space().Size(), len(e.cfg.Outcomes))
+	if !ok {
+		return
+	}
+	defer putBatchScratch(batch)
+	groups, outcomes, err := e.encode(batch)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 
 	// The unwatched path is pure sharded ingest: no snapshot merge, no
@@ -445,7 +447,6 @@ func (r *registry) handleObserve(w http.ResponseWriter, req *http.Request) {
 	// shard merge — whose effective mass the response reuses.
 	var alert *fairness.Alert
 	var effective *float64
-	var err error
 	ingest := func() error {
 		if e.watch != nil {
 			var eff float64
@@ -467,14 +468,7 @@ func (r *registry) handleObserve(w http.ResponseWriter, req *http.Request) {
 				fmt.Errorf("monitor %q was concurrently replaced; retry", e.id))
 			return
 		}
-		// Binary bodies are already in WAL framing — splice, don't re-encode.
-		var rec []byte
-		if batch != nil {
-			rec = encodeObserveRecordFromBatch(e.id, batch.body)
-		} else {
-			rec = encodeObserveRecord(e.id, groups, outcomes)
-		}
-		if err := r.store.commit(rec); err != nil {
+		if err := r.store.commit(batch.observeRecord(e.id, groups, outcomes)); err != nil {
 			r.persistMu.RUnlock()
 			writeDegraded(w, r.store.degraded())
 			return
@@ -500,24 +494,6 @@ func (r *registry) handleObserve(w http.ResponseWriter, req *http.Request) {
 	r.maybeSnapshot()
 }
 
-// validateBatch bounds-checks an encoded batch against the monitor's
-// shape. It mirrors the validation ObserveBatch performs, but runs
-// before the batch is committed to the WAL — a durable record must
-// always replay cleanly.
-func (e *monitorEntry) validateBatch(groups, outcomes []int) error {
-	size := e.mon.Space().Size()
-	nOut := len(e.cfg.Outcomes)
-	for i := range groups {
-		if groups[i] < 0 || groups[i] >= size {
-			return fmt.Errorf("groups[%d] = %d outside space of %d groups", i, groups[i], size)
-		}
-		if outcomes[i] < 0 || outcomes[i] >= nOut {
-			return fmt.Errorf("outcomes[%d] = %d outside %d outcomes", i, outcomes[i], nOut)
-		}
-	}
-	return nil
-}
-
 // alertReport renders a threshold crossing with human-readable labels;
 // nil in, nil out, so handlers can assign unconditionally.
 func (e *monitorEntry) alertReport(alert *fairness.Alert) *alertReport {
@@ -536,10 +512,12 @@ func (e *monitorEntry) alertReport(alert *fairness.Alert) *alertReport {
 	}
 }
 
-// encode lowers the request's observations onto group/outcome indices.
-func (e *monitorEntry) encode(body *observeRequest) ([]int, []int, error) {
-	named := len(body.Observations) > 0
-	indexed := len(body.Groups) > 0 || len(body.Outcomes) > 0
+// encode resolves a decoded observe body to index arrays: the compact
+// form as readBatch decoded and validated it, or the named form lowered
+// through the space.
+func (e *monitorEntry) encode(s *batchScratch) ([]int, []int, error) {
+	named := len(s.observations) > 0
+	indexed := len(s.groups) > 0 // readBatch matched the two lengths
 	switch {
 	case named && indexed:
 		return nil, nil, fmt.Errorf("provide observations or groups/outcomes arrays, not both")
@@ -549,9 +527,9 @@ func (e *monitorEntry) encode(body *observeRequest) ([]int, []int, error) {
 		for i, o := range e.cfg.Outcomes {
 			outIdx[o] = i
 		}
-		groups := make([]int, len(body.Observations))
-		outcomes := make([]int, len(body.Observations))
-		for i, obs := range body.Observations {
+		groups := make([]int, len(s.observations))
+		outcomes := make([]int, len(s.observations))
+		for i, obs := range s.observations {
 			g, err := space.IndexByValues(obs.Group)
 			if err != nil {
 				return nil, nil, fmt.Errorf("observations[%d]: %w", i, err)
@@ -565,11 +543,7 @@ func (e *monitorEntry) encode(body *observeRequest) ([]int, []int, error) {
 		}
 		return groups, outcomes, nil
 	case indexed:
-		if len(body.Groups) != len(body.Outcomes) {
-			return nil, nil, fmt.Errorf("groups and outcomes arrays differ in length (%d vs %d)",
-				len(body.Groups), len(body.Outcomes))
-		}
-		return body.Groups, body.Outcomes, nil
+		return s.groups, s.outcomes, nil
 	default:
 		return nil, nil, fmt.Errorf("empty observe batch")
 	}

@@ -293,15 +293,6 @@ func (r *registry) persistPlan(e *monitorEntry, lp *livePlan) (int, error) {
 	return 0, nil
 }
 
-// decideRequest is the POST /v1/monitors/{id}/decide body: the proposed
-// decisions of a batch as parallel index arrays (groups enumerate the
-// space row-major, decisions are outcome indices 0/1 with 1 positive —
-// the compact hot-path form, matching observe's groups/outcomes arrays).
-type decideRequest struct {
-	Groups    []int `json:"groups"`
-	Decisions []int `json:"decisions"`
-}
-
 // decideResponse carries the repaired decisions and the closed-loop
 // bookkeeping: the raw proposed batch is observed into the monitor
 // (seen, effective_count — keeping plans calibrated against the
@@ -324,12 +315,18 @@ type decideResponse struct {
 }
 
 // handleDecide applies the monitor's installed plan to one batch of
-// proposed decisions — the serving hot path of the closed loop. The raw
-// batch lands in the main monitor (so alerting and plan refreshes track
-// the mechanism itself, not the gateway's own corrections — a plan
-// recomputed from already-repaired data would under-correct) and the
-// repaired batch lands in the served stream, whose report proves what
-// was served meets the target.
+// proposed decisions — the serving hot path of the closed loop. The body
+// is observe's compact form with the outcome column named "decisions"
+// (outcome indices 0/1, 1 positive): {"groups":[…],"decisions":[…]} or
+// the same pairs as application/x-df-batch, read and decoded by
+// readBatch (batch.go). The raw batch lands in the main monitor (so
+// alerting and plan refreshes track the mechanism itself, not the
+// gateway's own corrections — a plan recomputed from already-repaired
+// data would under-correct) and the repaired batch lands in the served
+// stream, whose report proves what was served meets the target. Unlike
+// observe, decide cannot splice a binary body into its WAL record: the
+// durable record also carries the ticket base and the repaired column,
+// which only exist after ApplyAt.
 func (r *registry) handleDecide(w http.ResponseWriter, req *http.Request) {
 	e, ok := r.lookup(req.PathValue("id"))
 	if !ok {
@@ -348,26 +345,14 @@ func (r *registry) handleDecide(w http.ResponseWriter, req *http.Request) {
 	// The served monitor is stored before any plan, so it is visible
 	// whenever a plan is.
 	served := e.served.Load()
-	var body decideRequest
-	if isBinaryBatch(req) {
-		// The binary batch's outcome column carries the proposed
-		// decisions; bounds are validated inline by the decode. Unlike
-		// observe, decide cannot splice the body into its WAL record —
-		// the durable record also carries the ticket base and the
-		// repaired column, which only exist after ApplyAt.
-		batch, ok := readBinaryBatch(w, req, r.cfg.maxBody,
-			e.mon.Space().Size(), len(e.cfg.Outcomes))
-		if !ok {
-			return
-		}
-		defer putBatchScratch(batch)
-		body.Groups, body.Decisions = batch.groups, batch.outcomes
-	} else {
-		if !decodeJSONBody(w, req, r.cfg.maxBody, &body, "decide body") {
-			return
-		}
+	batch, ok := readBatch(w, req, r.cfg.maxBody, &decideForm,
+		e.mon.Space().Size(), len(e.cfg.Outcomes))
+	if !ok {
+		return
 	}
-	if len(body.Groups) == 0 {
+	defer putBatchScratch(batch)
+	groups, decisions := batch.groups, batch.outcomes
+	if len(groups) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("empty decide batch"))
 		return
 	}
@@ -377,11 +362,11 @@ func (r *registry) handleDecide(w http.ResponseWriter, req *http.Request) {
 	// the plan's own clock (not the applier's) so it can be written to
 	// the WAL: the record carries everything replay needs — ticket base,
 	// raw and repaired decisions — without re-running the applier.
-	repaired := make([]int, len(body.Decisions))
-	copy(repaired, body.Decisions)
-	n := uint64(len(body.Groups))
+	repaired := make([]int, len(decisions))
+	copy(repaired, decisions)
+	n := uint64(len(groups))
 	ticket := lp.tickets.Add(n) - n
-	changed, err := lp.app.ApplyAt(ticket, body.Groups, repaired)
+	changed, err := lp.app.ApplyAt(ticket, groups, repaired)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -395,13 +380,13 @@ func (r *registry) handleDecide(w http.ResponseWriter, req *http.Request) {
 		var err error
 		if e.watch != nil {
 			var eff float64
-			alert, eff, err = e.watch.ObserveBatchChecked(body.Groups, body.Decisions)
+			alert, eff, err = e.watch.ObserveBatchChecked(groups, decisions)
 			effective = &eff
 		} else {
-			err = e.mon.ObserveBatch(body.Groups, body.Decisions)
+			err = e.mon.ObserveBatch(groups, decisions)
 		}
 		if err == nil {
-			err = served.ObserveBatch(body.Groups, repaired)
+			err = served.ObserveBatch(groups, repaired)
 		}
 		return err
 	}
@@ -413,7 +398,7 @@ func (r *registry) handleDecide(w http.ResponseWriter, req *http.Request) {
 				fmt.Errorf("monitor %q was concurrently replaced; retry", e.id))
 			return
 		}
-		rec := encodeDecideRecord(e.id, ticket, body.Groups, body.Decisions, repaired)
+		rec := encodeDecideRecord(e.id, ticket, groups, decisions, repaired)
 		if err := r.store.commit(rec); err != nil {
 			r.persistMu.RUnlock()
 			writeDegraded(w, r.store.degraded())
@@ -434,7 +419,7 @@ func (r *registry) handleDecide(w http.ResponseWriter, req *http.Request) {
 	resp := decideResponse{
 		Decisions:      repaired,
 		Changed:        changed,
-		Observed:       len(body.Groups),
+		Observed:       len(groups),
 		Seen:           e.mon.Seen(),
 		ServedSeen:     served.Seen(),
 		PlanVersion:    lp.version,

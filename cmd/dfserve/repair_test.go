@@ -393,6 +393,9 @@ func TestRepairAndDecideBadRequests(t *testing.T) {
 		"group range":      `{"groups": [9], "decisions": [1]}`,
 		"ternary decision": `{"groups": [0], "decisions": [2]}`,
 		"unknown field":    `{"groups": [0], "decisions": [1], "window": 3}`,
+		"null group":       `{"groups": [0, null], "decisions": [1, 1]}`,
+		"null decision":    `{"groups": [0, 1], "decisions": [1, null]}`,
+		"trailing value":   `{"groups": [0], "decisions": [1]}{"groups": [1], "decisions": [0]}`,
 	} {
 		if got := post("/v1/monitors/m/decide", body); got != http.StatusBadRequest {
 			t.Errorf("decide %s: %d", name, got)

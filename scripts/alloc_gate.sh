@@ -3,10 +3,10 @@
 # benchmark layer. Every BenchmarkHotPath* benchmark (one per annotated
 # hot path: core.Epsilon, stream Monitor.ObserveBatch, the stream
 # incremental-ε delta-apply path, repair Applier.ApplyBatch, dfserve's
-# binary batch decode) must report exactly 0 allocs/op in -benchmem
-# output; a single allocation per op on the serving path turns into GC
-# pressure at stream rate. The static half of the same contract is the
-# dfvet hotpath analyzer — this gate catches what escapes analysis
+# binary and JSON batch decodes) must report exactly 0 allocs/op in
+# -benchmem output; a single allocation per op on the serving path turns
+# into GC pressure at stream rate. The static half of the same contract
+# is the dfvet hotpath analyzer — this gate catches what escapes analysis
 # (allocations introduced inside callees of an annotated function).
 #
 # Usage:
@@ -28,7 +28,7 @@ else
 fi
 
 # Expected hot-path benchmarks; each annotated function has exactly one.
-expected=5
+expected=6
 
 awk -v expected="$expected" '
 /^BenchmarkHotPath/ {
