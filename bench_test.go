@@ -21,6 +21,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/dist"
 	"repro/internal/experiments"
+	"repro/internal/fairmetrics"
 	"repro/internal/mechanism"
 	"repro/internal/repair"
 	"repro/internal/resample"
@@ -565,18 +566,29 @@ func BenchmarkMonitorObserveParallel(b *testing.B) {
 // shipping path — each check drains the shards' dirty-cell logs and
 // rescans only the touched groups; "snapshot" is the retained
 // authoritative baseline that re-merges every shard and recomputes ε
-// from scratch per check. The shard count is pinned so the baseline's
-// O(shards × cells) merge cost doesn't vary with the host.
-// scripts/bench_stream.sh records both and gates snapshot/incremental
-// ns/op at ≥ 5×.
+// from scratch per check (Watch.CheckFull). The "limits" cases arm
+// perfbench's four metric limits next to ε, at 64- and 1,024-decision
+// batches, each paired with CheckFull on an identically armed watch. The
+// shard count is pinned so the baseline's O(shards × cells) merge cost
+// doesn't vary with the host. scripts/bench_stream.sh records every case
+// and gates three ratios: snapshot/incremental ≥ 5× (ε only, batch 64);
+// limits/incremental ≤ 2× ε-only incremental at batch 64; and
+// limits/incremental below limits/snapshot at batch 1,024.
 func BenchmarkWatchObserveBatchChecked(b *testing.B) {
 	attrs := make([]core.Attr, 9)
 	for i := range attrs {
 		attrs[i] = core.Attr{Name: fmt.Sprintf("a%d", i), Values: []string{"0", "1"}}
 	}
 	space := core.MustSpace(attrs...)
-	const batch = 64
-	newWatch := func(b *testing.B) *stream.Watch {
+	// perfbench's metric limits: each metric's worst value, so no check
+	// ever breaches and every one evaluates all four.
+	limits := []stream.MetricThreshold{
+		{Metric: fairmetrics.WorstGap{}, Threshold: 1},
+		{Metric: fairmetrics.WorstRatio{}, Threshold: 0},
+		{Metric: fairmetrics.AlphaIntersectional{Alpha: 0.5}, Threshold: 1},
+		{Metric: fairmetrics.DemographicParity{}, Threshold: 1},
+	}
+	newWatch := func(b *testing.B, limits []stream.MetricThreshold) *stream.Watch {
 		m, err := stream.New(space, []string{"deny", "approve"}, stream.Config{
 			Policy: stream.Sliding{Window: 1 << 16, Buckets: 8},
 			Alpha:  1,
@@ -587,42 +599,52 @@ func BenchmarkWatchObserveBatchChecked(b *testing.B) {
 		}
 		// An unreachable threshold keeps alert allocation out of both
 		// measurements; every check still runs the full estimator.
-		w, err := stream.NewWatch(m, 50, 1)
+		w, err := stream.NewWatch(m, 50, 1, limits...)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return w
 	}
 	r := rng.New(14)
-	groups := make([]int, batch)
-	outcomes := make([]int, batch)
+	groups := make([]int, 1024)
+	outcomes := make([]int, 1024)
 	for i := range groups {
 		groups[i] = r.Intn(space.Size())
 		outcomes[i] = r.Intn(2)
 	}
-	b.Run("incremental", func(b *testing.B) {
-		w := newWatch(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := w.ObserveBatchChecked(groups, outcomes); err != nil {
-				b.Fatal(err)
+	incremental := func(limits []stream.MetricThreshold, batch int) func(*testing.B) {
+		return func(b *testing.B) {
+			w := newWatch(b, limits)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := w.ObserveBatchChecked(groups[:batch], outcomes[:batch]); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
-	b.Run("snapshot", func(b *testing.B) {
-		w := newWatch(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := w.ObserveBatch(groups, outcomes); err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := w.CheckFull(); err != nil {
-				b.Fatal(err)
+	}
+	snapshot := func(limits []stream.MetricThreshold, batch int) func(*testing.B) {
+		return func(b *testing.B) {
+			w := newWatch(b, limits)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.ObserveBatch(groups[:batch], outcomes[:batch]); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := w.CheckFull(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("incremental", incremental(nil, 64))
+	b.Run("snapshot", snapshot(nil, 64))
+	for _, batch := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("limits/batch=%d/incremental", batch), incremental(limits, batch))
+		b.Run(fmt.Sprintf("limits/batch=%d/snapshot", batch), snapshot(limits, batch))
+	}
 }
 
 // BenchmarkMonitorSnapshot measures the merge-on-snapshot read path of

@@ -166,10 +166,16 @@ func (c *CPT) Validate() error {
 		}
 	}
 	if supported < 2 {
-		return fmt.Errorf("core: only %d supported groups; need at least two to compare: %w",
-			supported, ErrDegenerateSupport)
+		return degenerateSupport(supported)
 	}
 	return nil
+}
+
+// degenerateSupport is the failure of a table with only n < 2 supported
+// groups: nothing to compare. It wraps ErrDegenerateSupport.
+func degenerateSupport(n int) error {
+	return fmt.Errorf("core: only %d supported groups; need at least two to compare: %w",
+		n, ErrDegenerateSupport)
 }
 
 // Clone returns a deep copy.
@@ -250,8 +256,7 @@ func (c *CPT) BinaryRates() (groups []int, rates, weights []float64, err error) 
 		weights = append(weights, c.weight[g])
 	}
 	if len(groups) < 2 {
-		return nil, nil, nil, fmt.Errorf("core: only %d supported groups; need at least two to compare: %w",
-			len(groups), ErrDegenerateSupport)
+		return nil, nil, nil, degenerateSupport(len(groups))
 	}
 	return groups, rates, weights, nil
 }

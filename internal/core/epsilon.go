@@ -62,15 +62,11 @@ func Epsilon(c *CPT) (EpsilonResult, error) {
 		// suffices (checked inline to avoid the SupportedGroups slice).
 		hiG, loG := -1, -1
 		hiP, loP := math.Inf(-1), math.Inf(1)
-		anyPositive := false
 		for g := 0; g < c.space.Size(); g++ {
 			if c.weight[g] <= 0 {
 				continue
 			}
 			p := c.Prob(g, y)
-			if p > 0 {
-				anyPositive = true
-			}
 			if p > hiP {
 				hiP, hiG = p, g
 			}
@@ -78,19 +74,8 @@ func Epsilon(c *CPT) (EpsilonResult, error) {
 				loP, loG = p, g
 			}
 		}
-		if !anyPositive {
-			continue // outcome unreachable for all groups: skip
-		}
-		if loP == 0 {
-			return EpsilonResult{
-				Epsilon: math.Inf(1),
-				Witness: Witness{Outcome: y, GroupHi: hiG, GroupLo: loG},
-				Finite:  false,
-			}, nil
-		}
-		if d := math.Log(hiP) - math.Log(loP); d > res.Epsilon {
-			res.Epsilon = d
-			res.Witness = Witness{Outcome: y, GroupHi: hiG, GroupLo: loG}
+		if epsilonStep(&res, y, hiG, loG, hiP, loP) {
+			break
 		}
 	}
 	return res, nil

@@ -19,6 +19,9 @@ import (
 // Every Eval scans supported groups in ascending index order with
 // strict comparisons, matching core.Epsilon's min-index tie-breaking,
 // so values AND witnesses are a deterministic function of the table.
+// All but SubgroupParity read only the per-outcome rate extrema and
+// also implement core.ExtremaMetric; Eval and EvalExtrema share each
+// metric's arithmetic, so the two forms agree bit for bit.
 
 // binaryOnly rejects non-binary outcome vocabularies for the metrics
 // defined on a positive-outcome rate.
@@ -32,17 +35,17 @@ func binaryOnly(key string, space *core.Space, outcomes []string) error {
 	return nil
 }
 
-// positiveRates scans a validated binary CPT for the extreme
-// positive-outcome rates over supported groups. Ties break toward the
-// lowest group index, like core.Epsilon.
-func positiveRates(c *core.CPT) (hiG, loG int, hiP, loP float64) {
+// outcomeRates scans a validated CPT for outcome y's extreme rates over
+// supported groups. Ties break toward the lowest group index, like
+// core.Epsilon.
+func outcomeRates(c *core.CPT, y int) (hiG, loG int, hiP, loP float64) {
 	hiG, loG = -1, -1
 	hiP, loP = math.Inf(-1), math.Inf(1)
 	for g := 0; g < c.Space().Size(); g++ {
 		if c.Weight(g) <= 0 {
 			continue
 		}
-		p := c.Prob(g, 1)
+		p := c.Prob(g, y)
 		if p > hiP {
 			hiP, hiG = p, g
 		}
@@ -91,28 +94,34 @@ func (WorstGap) Eval(c *core.CPT) (core.MetricResult, error) {
 	}
 	res := core.MetricResult{Finite: true}
 	for y := 0; y < c.NumOutcomes(); y++ {
-		hiG, loG := -1, -1
-		hiP, loP := math.Inf(-1), math.Inf(1)
-		for g := 0; g < c.Space().Size(); g++ {
-			if c.Weight(g) <= 0 {
-				continue
-			}
-			p := c.Prob(g, y)
-			if p > hiP {
-				hiP, hiG = p, g
-			}
-			if p < loP {
-				loP, loG = p, g
-			}
-		}
-		// y == 0 seeds the witness so a perfectly uniform table still
-		// names real supported groups instead of the zero value.
-		if d := hiP - loP; y == 0 || d > res.Value {
-			res.Value = d
-			res.Witness = core.Witness{Outcome: y, GroupHi: hiG, GroupLo: loG}
-		}
+		hiG, loG, hiP, loP := outcomeRates(c, y)
+		gapStep(&res, y, hiG, loG, hiP, loP)
 	}
 	return res, nil
+}
+
+// EvalExtrema implements core.ExtremaMetric.
+//
+//df:hotpath
+func (WorstGap) EvalExtrema(x *core.RateExtrema) (core.MetricResult, error) {
+	if err := x.Validate(); err != nil {
+		return core.MetricResult{}, err
+	}
+	res := core.MetricResult{Finite: true}
+	for y := range x.Hi {
+		gapStep(&res, y, x.HiG[y], x.LoG[y], x.Hi[y], x.Lo[y])
+	}
+	return res, nil
+}
+
+// gapStep folds one outcome's rate spread into the running worst gap.
+// y == 0 seeds the witness so a perfectly uniform table still names
+// real supported groups instead of the zero value.
+func gapStep(res *core.MetricResult, y, hiG, loG int, hiP, loP float64) {
+	if d := hiP - loP; y == 0 || d > res.Value {
+		res.Value = d
+		res.Witness = core.Witness{Outcome: y, GroupHi: hiG, GroupLo: loG}
+	}
 }
 
 // WorstRatio is the worst-case pairwise ratio of Ghosh et al. restricted
@@ -152,12 +161,27 @@ func (WorstRatio) Eval(c *core.CPT) (core.MetricResult, error) {
 	if err := c.Validate(); err != nil {
 		return core.MetricResult{}, err
 	}
-	hiG, loG, hiP, loP := positiveRates(c)
+	return worstRatio(outcomeRates(c, 1)), nil
+}
+
+// EvalExtrema implements core.ExtremaMetric.
+//
+//df:hotpath
+func (WorstRatio) EvalExtrema(x *core.RateExtrema) (core.MetricResult, error) {
+	if err := x.Validate(); err != nil {
+		return core.MetricResult{}, err
+	}
+	return worstRatio(x.HiG[1], x.LoG[1], x.Hi[1], x.Lo[1]), nil
+}
+
+// worstRatio scores the positive outcome's extreme rates, shared by Eval
+// and EvalExtrema.
+func worstRatio(hiG, loG int, hiP, loP float64) core.MetricResult {
 	w := core.Witness{Outcome: 1, GroupHi: hiG, GroupLo: loG}
 	if hiP == 0 {
-		return core.MetricResult{Value: 1, Witness: w, Finite: true}, nil
+		return core.MetricResult{Value: 1, Witness: w, Finite: true}
 	}
-	return core.MetricResult{Value: loP / hiP, Witness: w, Finite: true}, nil
+	return core.MetricResult{Value: loP / hiP, Witness: w, Finite: true}
 }
 
 // AlphaIntersectional is the α-intersectional family of Maheshwari et
@@ -204,12 +228,27 @@ func (m AlphaIntersectional) Eval(c *core.CPT) (core.MetricResult, error) {
 	if err := c.Validate(); err != nil {
 		return core.MetricResult{}, err
 	}
-	hiG, loG, hiP, loP := positiveRates(c)
+	return m.value(outcomeRates(c, 1)), nil
+}
+
+// EvalExtrema implements core.ExtremaMetric.
+//
+//df:hotpath
+func (m AlphaIntersectional) EvalExtrema(x *core.RateExtrema) (core.MetricResult, error) {
+	if err := x.Validate(); err != nil {
+		return core.MetricResult{}, err
+	}
+	return m.value(x.HiG[1], x.LoG[1], x.Hi[1], x.Lo[1]), nil
+}
+
+// value scores the positive outcome's extreme rates, shared by Eval and
+// EvalExtrema.
+func (m AlphaIntersectional) value(hiG, loG int, hiP, loP float64) core.MetricResult {
 	return core.MetricResult{
 		Value:   m.Alpha*(1-loP) + (1-m.Alpha)*(hiP-loP),
 		Witness: core.Witness{Outcome: 1, GroupHi: hiG, GroupLo: loG},
 		Finite:  true,
-	}, nil
+	}
 }
 
 // SubgroupParity is Kearns et al.'s statistical-parity subgroup
@@ -310,10 +349,25 @@ func (DemographicParity) Eval(c *core.CPT) (core.MetricResult, error) {
 	if err := c.Validate(); err != nil {
 		return core.MetricResult{}, err
 	}
-	hiG, loG, hiP, loP := positiveRates(c)
+	return parityGap(outcomeRates(c, 1)), nil
+}
+
+// EvalExtrema implements core.ExtremaMetric.
+//
+//df:hotpath
+func (DemographicParity) EvalExtrema(x *core.RateExtrema) (core.MetricResult, error) {
+	if err := x.Validate(); err != nil {
+		return core.MetricResult{}, err
+	}
+	return parityGap(x.HiG[1], x.LoG[1], x.Hi[1], x.Lo[1]), nil
+}
+
+// parityGap scores the positive outcome's extreme rates, shared by Eval
+// and EvalExtrema.
+func parityGap(hiG, loG int, hiP, loP float64) core.MetricResult {
 	return core.MetricResult{
 		Value:   hiP - loP,
 		Witness: core.Witness{Outcome: 1, GroupHi: hiG, GroupLo: loG},
 		Finite:  true,
-	}, nil
+	}
 }

@@ -4,15 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fairmetrics"
 )
 
-// BenchmarkHotPathObserveBatch asserts the //df:hotpath contract on
-// Monitor.ObserveBatch at the benchmark layer: the CI bench smoke
-// parses every BenchmarkHotPath* line and fails unless it reports
-// 0 allocs/op (scripts/alloc_gate.sh).
 // BenchmarkHotPathIncrementalCheck asserts the //df:hotpath contract on
 // the incremental delta-apply path — dirty-log record, drain,
-// window-eviction deltas and the cached-extrema ε refresh — by running
+// window-eviction deltas, the cached-extrema refresh, and ε plus the
+// four extrema-form metric limits judged from those extrema — by running
 // checked batched ingest in steady state: scripts/alloc_gate.sh fails
 // unless it reports 0 allocs/op.
 func BenchmarkHotPathIncrementalCheck(b *testing.B) {
@@ -28,7 +26,14 @@ func BenchmarkHotPathIncrementalCheck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := NewWatch(m, 50, 1)
+	// Unreachable limits: every check evaluates all of them and none
+	// allocates an alert.
+	w, err := NewWatch(m, 50, 1,
+		MetricThreshold{fairmetrics.WorstGap{}, 1},
+		MetricThreshold{fairmetrics.WorstRatio{}, 0},
+		MetricThreshold{fairmetrics.AlphaIntersectional{Alpha: 0.5}, 1},
+		MetricThreshold{fairmetrics.DemographicParity{}, 1},
+	)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,6 +57,10 @@ func BenchmarkHotPathIncrementalCheck(b *testing.B) {
 	}
 }
 
+// BenchmarkHotPathObserveBatch asserts the //df:hotpath contract on
+// Monitor.ObserveBatch at the benchmark layer: the CI bench smoke
+// parses every BenchmarkHotPath* line and fails unless it reports
+// 0 allocs/op (scripts/alloc_gate.sh).
 func BenchmarkHotPathObserveBatch(b *testing.B) {
 	space := core.MustSpace(core.Attr{Name: "g", Values: []string{"a", "b", "c", "d"}})
 	m, err := NewMonitor(space, []string{"no", "yes"}, 10000, 0)

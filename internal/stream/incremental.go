@@ -14,11 +14,15 @@ package stream
 //     evictions emit negative deltas; exponential decay is a uniform
 //     rescale, handled by anchoring the aggregate at a weight basis and
 //     rebasing exactly like the shards themselves.
-//  3. ε is re-derived from cached per-group rates: only groups the drain
-//     touched are rescanned, against cached per-outcome extrema that
-//     replicate core.Epsilon's scan (including its min-index tie-breaks),
-//     so for the integer-count window policies the incremental result is
-//     bit-identical to the full recompute.
+//  3. The table caches each outcome's rate extrema over the supported
+//     groups (core.RateExtrema, with core.Epsilon's min-index
+//     tie-breaks); a refresh folds in only the groups the drain touched.
+//     ε and every metric limit with an extrema form
+//     (core.ExtremaMetric) are judged from those extrema, so for the
+//     integer-count window policies the incremental result is
+//     bit-identical to the full recompute. Other metrics are evaluated
+//     on a CPT filled from the aggregate — O(cells), but still no shard
+//     merge.
 //
 // The aggregate is *derived* state: a log overflow, a ReadState restore,
 // or the periodic rebuild interval all trigger a full rebuild from the
@@ -36,8 +40,8 @@ package stream
 // The smoothed estimator is not invariant under the exponential policy's
 // uniform rescale (the α pseudo-count does not decay), so cached extrema
 // cannot survive decay there; the exponential policy instead re-scans
-// the aggregate (still O(cells), never O(shards × cells)) and does not
-// offer the incremental subset ladder.
+// the aggregate for the extrema on every check (still O(cells), never
+// O(shards × cells)) and does not offer the incremental subset ladder.
 
 import (
 	"errors"
@@ -116,28 +120,27 @@ func (l *dirtyLog) record(cell int, t int64) {
 }
 
 // incTable is a running contingency aggregate with cached per-outcome
-// probability extrema: the state from which ε is re-derived after a
-// delta drain without rescanning the whole table. All mutation goes
-// through addCell, which maintains group totals, the supported-group
-// count, and a generation-stamped dirty-group set; refresh then updates
-// the cached extrema for exactly the dirty groups, replicating
-// core.Epsilon's scan semantics (strict replace, so hiG/loG are the
-// minimum index among argmax/argmin — witness-identical to a full scan).
+// rate extrema: the state from which ε and the extrema-form metrics are
+// re-derived after a delta drain without rescanning the whole table.
+// All mutation goes through addCell, which maintains group totals, the
+// supported-group count, and a generation-stamped dirty-group set;
+// refresh then updates the cached extrema for exactly the dirty groups,
+// replicating core.Epsilon's scan semantics (strict replace, so HiG/LoG
+// are the minimum index among argmax/argmin — witness-identical to a
+// full scan).
 type incTable struct {
 	size  int // groups
 	k     int // outcomes
 	kf    float64
 	alpha float64
 
-	agg       []float64 // size×k cells, group-major (same layout as core.Counts)
-	ns        []float64 // per-group totals
-	total     float64
-	supported int // groups with ns > 0
+	agg   []float64 // size×k cells, group-major (same layout as core.Counts)
+	ns    []float64 // per-group totals
+	total float64
 
-	// Cached extrema per outcome over the supported groups. hiG == -1
-	// means no supported groups (hiVal/loVal hold ∓Inf sentinels then).
-	hiVal, loVal []float64
-	hiG, loG     []int32
+	// ext.Supported counts the groups with ns > 0 and is kept current by
+	// addCell; the per-outcome extrema are current after refresh.
+	ext core.RateExtrema
 
 	// Generation-stamped dirty-group set: stamp[g] == gen marks g queued
 	// in dirty[:nDirty]. Marks survive across drains until refresh runs,
@@ -149,31 +152,17 @@ type incTable struct {
 }
 
 func newIncTable(size, k int, alpha float64) *incTable {
-	t := &incTable{
+	return &incTable{
 		size:  size,
 		k:     k,
 		kf:    float64(k),
 		alpha: alpha,
 		agg:   make([]float64, size*k),
 		ns:    make([]float64, size),
-		hiVal: make([]float64, k),
-		loVal: make([]float64, k),
-		hiG:   make([]int32, k),
-		loG:   make([]int32, k),
+		ext:   core.NewRateExtrema(k),
 		stamp: make([]uint32, size),
 		gen:   1,
 		dirty: make([]int32, size),
-	}
-	t.resetExtrema()
-	return t
-}
-
-func (t *incTable) resetExtrema() {
-	for y := 0; y < t.k; y++ {
-		t.hiVal[y] = math.Inf(-1)
-		t.loVal[y] = math.Inf(1)
-		t.hiG[y] = -1
-		t.loG[y] = -1
 	}
 }
 
@@ -182,11 +171,10 @@ func (t *incTable) reset() {
 	clear(t.agg)
 	clear(t.ns)
 	t.total = 0
-	t.supported = 0
 	clear(t.stamp)
 	t.gen = 1
 	t.nDirty = 0
-	t.resetExtrema()
+	t.ext.Reset()
 }
 
 // addCell applies one delta to a cell, maintaining group totals, the
@@ -203,10 +191,10 @@ func (t *incTable) addCell(cell int, d float64) {
 	t.total += d
 	if old > 0 {
 		if t.ns[g] <= 0 {
-			t.supported--
+			t.ext.Supported--
 		}
 	} else if t.ns[g] > 0 {
-		t.supported++
+		t.ext.Supported++
 	}
 	if t.stamp[g] != t.gen {
 		t.stamp[g] = t.gen
@@ -245,11 +233,11 @@ func (t *incTable) refresh() {
 // argmax/argmin over supported groups — the witness core.Epsilon's
 // ascending strict-replace scan produces.
 func (t *incTable) updateGroup(g int) {
-	gi := int32(g)
+	x := &t.ext
 	if t.ns[g] <= 0 {
 		// Lost support: only matters if it was a cached extremum.
 		for y := 0; y < t.k; y++ {
-			if t.hiG[y] == gi || t.loG[y] == gi {
+			if x.HiG[y] == g || x.LoG[y] == g {
 				t.rescan(y)
 			}
 		}
@@ -257,30 +245,30 @@ func (t *incTable) updateGroup(g int) {
 	}
 	for y := 0; y < t.k; y++ {
 		p := t.prob(g, y)
-		if t.hiG[y] == -1 {
+		if x.HiG[y] == -1 {
 			// First supported group this outcome has seen.
-			t.hiVal[y], t.hiG[y] = p, gi
-			t.loVal[y], t.loG[y] = p, gi
+			x.Hi[y], x.HiG[y] = p, g
+			x.Lo[y], x.LoG[y] = p, g
 			continue
 		}
-		if t.hiG[y] == gi {
-			if p >= t.hiVal[y] {
-				t.hiVal[y] = p
+		if x.HiG[y] == g {
+			if p >= x.Hi[y] {
+				x.Hi[y] = p
 			} else {
 				t.rescan(y) // the max dropped; someone else may lead now
 				continue
 			}
-		} else if p > t.hiVal[y] || (p == t.hiVal[y] && gi < t.hiG[y]) {
-			t.hiVal[y], t.hiG[y] = p, gi
+		} else if p > x.Hi[y] || (p == x.Hi[y] && g < x.HiG[y]) {
+			x.Hi[y], x.HiG[y] = p, g
 		}
-		if t.loG[y] == gi {
-			if p <= t.loVal[y] {
-				t.loVal[y] = p
+		if x.LoG[y] == g {
+			if p <= x.Lo[y] {
+				x.Lo[y] = p
 			} else {
 				t.rescan(y) // the min rose; someone else may trail now
 			}
-		} else if p < t.loVal[y] || (p == t.loVal[y] && gi < t.loG[y]) {
-			t.loVal[y], t.loG[y] = p, gi
+		} else if p < x.Lo[y] || (p == x.Lo[y] && g < x.LoG[y]) {
+			x.Lo[y], x.LoG[y] = p, g
 		}
 	}
 }
@@ -288,58 +276,13 @@ func (t *incTable) updateGroup(g int) {
 // rescan recomputes one outcome's extrema from scratch, mirroring
 // core.Epsilon's per-outcome scan exactly.
 func (t *incTable) rescan(y int) {
-	hiG, loG := int32(-1), int32(-1)
-	hiP, loP := math.Inf(-1), math.Inf(1)
+	x := &t.ext
+	x.ResetOutcome(y)
 	for g := 0; g < t.size; g++ {
-		if t.ns[g] <= 0 {
-			continue
-		}
-		p := t.prob(g, y)
-		if p > hiP {
-			hiP, hiG = p, int32(g)
-		}
-		if p < loP {
-			loP, loG = p, int32(g)
+		if t.ns[g] > 0 {
+			x.Observe(y, g, t.prob(g, y))
 		}
 	}
-	t.hiVal[y], t.hiG[y] = hiP, hiG
-	t.loVal[y], t.loG[y] = loP, loG
-}
-
-// epsilonResult derives ε from the cached extrema, replicating
-// core.Epsilon over the equivalent CPT: same outcome order, same skip of
-// all-zero outcomes, same early +Inf return on the first zero-versus-
-// positive pair, same strict improvement rule (first outcome wins ties).
-// refresh must have run since the last mutation.
-func (t *incTable) epsilonResult() (core.EpsilonResult, error) {
-	if t.supported < 2 {
-		return core.EpsilonResult{}, degenerateSupportErr(t.supported)
-	}
-	res := core.EpsilonResult{Epsilon: 0, Finite: true}
-	for y := 0; y < t.k; y++ {
-		if !(t.hiVal[y] > 0) {
-			continue // outcome unreachable for all supported groups
-		}
-		if t.loVal[y] == 0 {
-			return core.EpsilonResult{
-				Epsilon: math.Inf(1),
-				Witness: core.Witness{Outcome: y, GroupHi: int(t.hiG[y]), GroupLo: int(t.loG[y])},
-				Finite:  false,
-			}, nil
-		}
-		if d := math.Log(t.hiVal[y]) - math.Log(t.loVal[y]); d > res.Epsilon {
-			res.Epsilon = d
-			res.Witness = core.Witness{Outcome: y, GroupHi: int(t.hiG[y]), GroupLo: int(t.loG[y])}
-		}
-	}
-	return res, nil
-}
-
-// degenerateSupportErr mirrors core's CPT validation failure so callers'
-// errors.Is(err, core.ErrDegenerateSupport) handling is policy-agnostic.
-func degenerateSupportErr(n int) error {
-	return fmt.Errorf("stream: only %d supported groups; need at least two to compare: %w",
-		n, core.ErrDegenerateSupport)
 }
 
 // cellDelta accumulates pending cell deltas for the subset lattice: a
@@ -428,6 +371,11 @@ type incEngine struct {
 	scTicks []int64
 
 	full *incTable
+
+	// counts and cpt are the lazily-allocated buffers cptLocked converts
+	// the aggregate through, for metric limits without an extrema form.
+	counts *core.Counts
+	cpt    *core.CPT
 
 	// exponential policy
 	exp   bool
@@ -597,27 +545,42 @@ func (inc *incEngine) rebaseTo(to int64) {
 // epoch first (negative deltas), and a straggler entry whose epoch was
 // already recycled is provably outside the reporting window (its epoch
 // is ≤ slotEpoch − win) and is skipped, matching the engine's own
-// snapshot filter.
+// snapshot filter. The epoch and ring slot are decoded once per run of
+// consecutive tickets inside one epoch — a drained batch is one such
+// run per epoch it spans — as winEngine.ingest does.
 //
 //df:hotpath
 func (inc *incEngine) applyWin(cells []int32, ticks []int64) {
 	t := inc.full
-	for i := range cells {
-		epoch := (ticks[i] - 1) / inc.span
+	i := 0
+	for i < len(cells) {
+		tk := ticks[i]
+		epoch := (tk - 1) / inc.span
+		end := len(cells)
+		if left := (epoch+1)*inc.span - tk + 1; left < int64(end-i) {
+			end = i + int(left)
+		}
+		j := i + 1
+		for j < end && ticks[j] == tk+int64(j-i) {
+			j++
+		}
 		b := &inc.ring[int(epoch%int64(inc.win))]
 		if b.epoch > epoch {
+			i = j
 			continue
 		}
 		if b.epoch < epoch {
 			inc.evictBucket(b)
 			b.epoch = epoch
 		}
-		c := int(cells[i])
-		b.cells[c]++
-		t.addCell(c, 1)
-		if inc.pend != nil {
-			inc.pend.add(c, 1)
+		for _, c := range cells[i:j] {
+			b.cells[c]++
+			t.addCell(int(c), 1)
+			if inc.pend != nil {
+				inc.pend.add(int(c), 1)
+			}
 		}
+		i = j
 	}
 }
 
@@ -758,69 +721,75 @@ func (inc *incEngine) effectiveAt(now int64) float64 {
 	return inc.full.total
 }
 
-// epsilonLocked derives ε from the synced aggregate. Windowed policies
-// refresh the cached extrema (O(dirty groups)); the exponential policy
-// re-scans the aggregate with the decay scale applied (O(cells), but
-// still free of the O(shards × cells) merge). mu must be held.
-func (inc *incEngine) epsilonLocked(now int64) (core.EpsilonResult, error) {
+// extremaLocked returns the synced aggregate's per-outcome rate
+// extrema, from which ε and every core.ExtremaMetric limit are judged.
+// Windowed policies refresh the cached extrema (O(dirty groups)); the
+// exponential policy re-scans the aggregate with the decay scale applied
+// (O(cells), but still free of the O(shards × cells) merge). mu must be
+// held.
+func (inc *incEngine) extremaLocked(now int64) *core.RateExtrema {
 	if inc.exp {
-		return inc.epsilonScanExp(now)
+		inc.scanExp(now)
+	} else {
+		inc.full.refresh()
 	}
-	inc.full.refresh()
-	return inc.full.epsilonResult()
+	return &inc.full.ext
 }
 
-// epsilonScanExp replicates core.Epsilon over the decayed aggregate:
-// effective cell counts are agg×scale, so the smoothed estimator is
+// scanExp recomputes the extrema over the decayed aggregate: effective
+// cell counts are agg×scale, so the smoothed estimator is
 // (c·scale + α)/(ns·scale + kα) and the empirical one is the
-// scale-invariant c/ns.
-func (inc *incEngine) epsilonScanExp(now int64) (core.EpsilonResult, error) {
+// scale-invariant c/ns. Supported is kept current by addCell.
+func (inc *incEngine) scanExp(now int64) {
 	t := inc.full
-	if t.supported < 2 {
-		return core.EpsilonResult{}, degenerateSupportErr(t.supported)
-	}
+	x := &t.ext
 	scale := math.Exp2(float64(inc.basis-now) * inc.invH)
-	res := core.EpsilonResult{Epsilon: 0, Finite: true}
 	for y := 0; y < t.k; y++ {
-		hiG, loG := -1, -1
-		hiP, loP := math.Inf(-1), math.Inf(1)
-		anyPositive := false
-		for g := 0; g < t.size; g++ {
-			if t.ns[g] <= 0 {
-				continue
-			}
+		x.ResetOutcome(y)
+	}
+	for g := 0; g < t.size; g++ {
+		if t.ns[g] <= 0 {
+			continue
+		}
+		for y := 0; y < t.k; y++ {
 			var p float64
 			if t.alpha > 0 {
 				p = (t.agg[g*t.k+y]*scale + t.alpha) / (t.ns[g]*scale + t.kf*t.alpha)
 			} else {
 				p = t.agg[g*t.k+y] / t.ns[g]
 			}
-			if p > 0 {
-				anyPositive = true
-			}
-			if p > hiP {
-				hiP, hiG = p, g
-			}
-			if p < loP {
-				loP, loG = p, g
-			}
-		}
-		if !anyPositive {
-			continue
-		}
-		if loP == 0 {
-			return core.EpsilonResult{
-				Epsilon: math.Inf(1),
-				Witness: core.Witness{Outcome: y, GroupHi: hiG, GroupLo: loG},
-				Finite:  false,
-			}, nil
-		}
-		if d := math.Log(hiP) - math.Log(loP); d > res.Epsilon {
-			res.Epsilon = d
-			res.Witness = core.Witness{Outcome: y, GroupHi: hiG, GroupLo: loG}
+			x.Observe(y, g, p)
 		}
 	}
-	return res, nil
+}
+
+// cptLocked fills the engine's CPT buffer from the synced aggregate
+// under the monitor's estimator, for the metric limits that have no
+// extrema form. It costs O(cells) and no shard merge; for the window
+// policies the aggregate equals the merged snapshot cell for cell, so
+// the CPT is the one CheckFull builds. mu must be held.
+func (inc *incEngine) cptLocked(now int64) (*core.CPT, error) {
+	if inc.cpt == nil {
+		counts, err := core.NewCounts(inc.m.space, inc.m.outcomes)
+		if err != nil {
+			return nil, err
+		}
+		cpt, err := core.NewCPT(inc.m.space, inc.m.outcomes)
+		if err != nil {
+			return nil, err
+		}
+		inc.counts, inc.cpt = counts, cpt
+	}
+	cells := inc.counts.Cells()
+	if inc.exp {
+		scale := math.Exp2(float64(inc.basis-now) * inc.invH)
+		for i, v := range inc.full.agg {
+			cells[i] = v * scale
+		}
+	} else {
+		copy(cells, inc.full.agg)
+	}
+	return inc.cpt, estimate(inc.counts, inc.cpt, inc.m.alpha)
 }
 
 // buildNodes constructs the subset lattice: one marginal table per
@@ -968,7 +937,7 @@ func (inc *incEngine) ladderLocked() ([]core.SubsetEpsilon, error) {
 			nd := inc.nodes[mask]
 			t, sp = nd.tab, nd.sub
 		}
-		res, err := t.epsilonResult()
+		res, err := t.ext.Epsilon()
 		if err != nil {
 			return nil, fmt.Errorf("stream: subset %v: %w", names, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fairmetrics"
 	"repro/internal/rng"
 )
 
@@ -16,7 +17,8 @@ import (
 // policies, within tight relative tolerance for exponential decay) and
 // EpsilonSubsets ≡ core.EpsilonSubsetsCounts over a snapshot, across
 // every policy, estimator, shard count, ingest interleaving, log
-// overflow, periodic rebuild, and a WriteState/ReadState round trip.
+// overflow, periodic rebuild, and a WriteState/ReadState round trip —
+// with the ε threshold and with metric limits armed (limitSets).
 
 func incTestSpace(t *testing.T) *core.Space {
 	t.Helper()
@@ -29,7 +31,73 @@ func incTestSpace(t *testing.T) *core.Space {
 	)
 }
 
-// sameAlert compares two alerts bit-exactly.
+// plainMetric hides a metric's extrema form (core.ExtremaMetric), so the
+// Watch judges it like any custom metric: Eval on a CPT filled from the
+// incremental aggregate.
+type plainMetric struct{ core.Metric }
+
+func (p plainMetric) Key() string { return "custom_" + p.Metric.Key() }
+
+// watchLimits is one arming of a Watch: the ε threshold (0 disables it)
+// and the metric limits in check order.
+type watchLimits struct {
+	name    string
+	epsilon float64
+	metrics []MetricThreshold
+}
+
+// limitSets arms the ε threshold alone, each of the six registry metrics
+// alone behind a disabled ε check, a custom metric without the extrema
+// form, and everything at once. Every limit sits inside the range the
+// suite's streams sweep through, so alerts fire and clear.
+func limitSets() []watchLimits {
+	only := func(m core.Metric, limit float64) watchLimits {
+		return watchLimits{m.Key(), 0, []MetricThreshold{{m, limit}}}
+	}
+	return []watchLimits{
+		{"epsilon-threshold", 2, nil},
+		only(core.DFEpsilon, 2),
+		only(fairmetrics.WorstGap{}, 0.5),
+		only(fairmetrics.WorstRatio{}, 0.1),
+		only(fairmetrics.AlphaIntersectional{Alpha: 0.5}, 0.75),
+		only(fairmetrics.DemographicParity{}, 0.55),
+		only(fairmetrics.SubgroupParity{}, 0.03),
+		only(plainMetric{fairmetrics.WorstGap{}}, 0.5),
+		{"all", 3.5, []MetricThreshold{
+			{fairmetrics.SubgroupParity{}, 0.05},
+			{fairmetrics.WorstRatio{}, 0.03},
+			{fairmetrics.AlphaIntersectional{Alpha: 0.5}, 0.85},
+			{plainMetric{fairmetrics.AlphaIntersectional{Alpha: 0.5}}, 0.8},
+			{fairmetrics.DemographicParity{}, 0.65},
+			{fairmetrics.WorstGap{}, 0.6},
+			{core.DFEpsilon, 2},
+		}},
+	}
+}
+
+// arm builds a Watch over m with these limits.
+func (l watchLimits) arm(t *testing.T, m *Monitor, minEffective float64) *Watch {
+	t.Helper()
+	w, err := NewWatch(m, l.epsilon, minEffective, l.metrics...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// requireFired fails unless every limit set alerted at least once
+// somewhere in the test, so no parity assertion passed vacuously.
+func requireFired(t *testing.T, fired map[string]int) {
+	t.Helper()
+	for _, l := range limitSets() {
+		if fired[l.name] == 0 {
+			t.Errorf("limit set %q never alerted; its parity assertions exercised nothing", l.name)
+		}
+	}
+}
+
+// sameAlert compares two alerts bit-exactly, including which metric
+// tripped.
 func sameAlert(t *testing.T, ctx string, inc, full *Alert) {
 	t.Helper()
 	if (inc == nil) != (full == nil) {
@@ -38,7 +106,7 @@ func sameAlert(t *testing.T, ctx string, inc, full *Alert) {
 	if inc == nil {
 		return
 	}
-	if math.Float64bits(inc.Epsilon) != math.Float64bits(full.Epsilon) ||
+	if inc.Metric != full.Metric || math.Float64bits(inc.Epsilon) != math.Float64bits(full.Epsilon) ||
 		inc.Witness != full.Witness || inc.SeenAt != full.SeenAt ||
 		inc.Threshold != full.Threshold {
 		t.Fatalf("%s: alert mismatch:\n  incremental %+v\n  full        %+v", ctx, inc, full)
@@ -64,8 +132,9 @@ func checkBoth(t *testing.T, ctx string, w *Watch) (*Alert, float64) {
 
 // checkBothExp is checkBoth under relative tolerance, for the
 // exponential policy whose incremental aggregate accumulates weights in
-// a different floating-point order than the shard merge.
-func checkBothExp(t *testing.T, ctx string, w *Watch, tol float64) {
+// a different floating-point order than the shard merge. Returns the
+// incremental alert.
+func checkBothExp(t *testing.T, ctx string, w *Watch, tol float64) *Alert {
 	t.Helper()
 	ai, ei, erri := w.Check()
 	af, ef, errf := w.CheckFull()
@@ -79,13 +148,32 @@ func checkBothExp(t *testing.T, ctx string, w *Watch, tol float64) {
 		t.Fatalf("%s: alert mismatch: incremental %v, full %v", ctx, ai, af)
 	}
 	if ai != nil {
+		if ai.Metric != af.Metric || ai.Threshold != af.Threshold || ai.SeenAt != af.SeenAt {
+			t.Fatalf("%s: alert mismatch:\n  incremental %+v\n  full        %+v", ctx, ai, af)
+		}
 		if math.IsInf(ai.Epsilon, 1) != math.IsInf(af.Epsilon, 1) || (!math.IsInf(ai.Epsilon, 1) && !relEq(ai.Epsilon, af.Epsilon, tol)) {
 			t.Fatalf("%s: alert ε mismatch: incremental %v, full %v", ctx, ai.Epsilon, af.Epsilon)
 		}
-		if ai.Witness != af.Witness {
+		if ai.Witness != af.Witness && !(isWorstGap(ai.Metric) && len(w.outcomes) == 2 && mirrored(ai.Witness, af.Witness)) {
 			t.Fatalf("%s: alert witness mismatch: incremental %+v, full %+v", ctx, ai.Witness, af.Witness)
 		}
 	}
+	return ai
+}
+
+// isWorstGap reports whether an alert came from the worst-gap metric,
+// registry or custom form: the one limit whose witness may be mirrored.
+func isWorstGap(key string) bool {
+	return key == fairmetrics.WorstGap{}.Key() || key == plainMetric{fairmetrics.WorstGap{}}.Key()
+}
+
+// mirrored reports whether two witnesses name the same group pair from
+// opposite outcomes. On a binary vocabulary P(0|s) = 1 − P(1|s), so the
+// worst gap's two outcomes tie exactly in real arithmetic and the last
+// rounding bit — which differs between the decayed aggregate and the
+// shard merge — picks the reported one.
+func mirrored(a, b core.Witness) bool {
+	return a.Outcome != b.Outcome && a.GroupHi == b.GroupLo && a.GroupLo == b.GroupHi
 }
 
 func relEq(a, b, tol float64) bool {
@@ -100,9 +188,11 @@ func relEq(a, b, tol float64) bool {
 // single observations) with group-biased outcomes — group 0 never draws
 // outcome 1, so the empirical estimator periodically hits ε = +Inf and
 // evictions exercise support-loss transitions — comparing the
-// incremental and full checks after every round.
-func drive(t *testing.T, w *Watch, r *rng.RNG, rounds int, exp bool) {
+// incremental and full checks after every round. It returns the number
+// of rounds that ended in an alert.
+func drive(t *testing.T, w *Watch, r *rng.RNG, rounds int, exp bool) int {
 	t.Helper()
+	fired := 0
 	space := w.Space()
 	for round := 0; round < rounds; round++ {
 		n := 1 + r.Intn(96)
@@ -140,20 +230,25 @@ func drive(t *testing.T, w *Watch, r *rng.RNG, rounds int, exp bool) {
 				}
 			}
 		}
+		var alert *Alert
 		if exp {
-			checkBothExp(t, "round", w, 1e-9)
+			alert = checkBothExp(t, "round", w, 1e-9)
 		} else {
-			checkBoth(t, "round", w)
+			alert, _ = checkBoth(t, "round", w)
+		}
+		if alert != nil {
+			fired++
 		}
 	}
+	return fired
 }
 
 // TestIncrementalMatchesFullRecompute is the core cross-policy property:
-// for every window policy × estimator × shard count, the incremental
-// check agrees with the authoritative full recompute after arbitrary
-// interleavings of checked and unchecked ingest — bit-identically for
-// the integer-count window policies, within 1e-9 relative tolerance for
-// exponential decay.
+// for every window policy × estimator × shard count × limit set, the
+// incremental check agrees with the authoritative full recompute after
+// arbitrary interleavings of checked and unchecked ingest —
+// bit-identically for the integer-count window policies, within 1e-9
+// relative tolerance for exponential decay.
 func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	space := incTestSpace(t)
 	policies := []struct {
@@ -166,6 +261,7 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 		{"sliding", Sliding{Window: 1024, Buckets: 4}, false},
 	}
 	seed := uint64(100)
+	fired := map[string]int{}
 	for _, pc := range policies {
 		for _, alpha := range []float64{0, 0.5} {
 			for _, shards := range []int{1, 4} {
@@ -182,26 +278,30 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 					name += "/shards=4"
 				}
 				t.Run(name, func(t *testing.T) {
-					m, err := New(space, []string{"no", "yes"}, Config{Policy: pc.pol, Alpha: alpha, Shards: shards})
-					if err != nil {
-						t.Fatal(err)
+					for _, l := range limitSets() {
+						t.Run(l.name, func(t *testing.T) {
+							m, err := New(space, []string{"no", "yes"}, Config{Policy: pc.pol, Alpha: alpha, Shards: shards})
+							if err != nil {
+								t.Fatal(err)
+							}
+							fired[l.name] += drive(t, l.arm(t, m, 25), rng.New(seed), 60, pc.exp)
+						})
 					}
-					w, err := NewWatch(m, 10, 25)
-					if err != nil {
-						t.Fatal(err)
-					}
-					drive(t, w, rng.New(seed), 60, pc.exp)
 				})
 			}
 		}
 	}
+	requireFired(t, fired)
 }
 
 // TestIncrementalAlertParity drives a heavily biased stream through a
-// low threshold so alerts actually fire, and asserts the incremental and
-// full checks agree on every alert's ε, witness and SeenAt.
+// low ε threshold and through every limit set, so alerts actually fire,
+// and asserts the incremental and full checks agree on every alert's
+// metric, value, witness and SeenAt. Every policy × limit set must
+// alert at least once.
 func TestIncrementalAlertParity(t *testing.T) {
 	space := incTestSpace(t)
+	sets := append([]watchLimits{{"epsilon-low", 0.05, nil}}, limitSets()...)
 	for _, pc := range []struct {
 		name string
 		pol  Policy
@@ -210,38 +310,38 @@ func TestIncrementalAlertParity(t *testing.T) {
 		{"sliding", Sliding{Window: 512, Buckets: 4}},
 	} {
 		t.Run(pc.name, func(t *testing.T) {
-			m, err := New(space, []string{"no", "yes"}, Config{Policy: pc.pol, Alpha: 0.5, Shards: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := NewWatch(m, 0.05, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := rng.New(7)
-			fired := 0
-			for round := 0; round < 80; round++ {
-				n := 1 + r.Intn(48)
-				groups := make([]int, n)
-				outcomes := make([]int, n)
-				for i := range groups {
-					g := r.Intn(space.Size())
-					y := 0
-					if r.Float64() < 0.1+0.7*float64(g)/float64(space.Size()) {
-						y = 1
+			for _, l := range sets {
+				t.Run(l.name, func(t *testing.T) {
+					m, err := New(space, []string{"no", "yes"}, Config{Policy: pc.pol, Alpha: 0.5, Shards: 2})
+					if err != nil {
+						t.Fatal(err)
 					}
-					groups[i], outcomes[i] = g, y
-				}
-				if err := w.ObserveBatch(groups, outcomes); err != nil {
-					t.Fatal(err)
-				}
-				ai, _ := checkBoth(t, pc.name, w)
-				if ai != nil {
-					fired++
-				}
-			}
-			if fired == 0 {
-				t.Fatal("threshold never fired; the parity assertion exercised nothing")
+					w := l.arm(t, m, 10)
+					r := rng.New(7)
+					fired := 0
+					for round := 0; round < 80; round++ {
+						n := 1 + r.Intn(48)
+						groups := make([]int, n)
+						outcomes := make([]int, n)
+						for i := range groups {
+							g := r.Intn(space.Size())
+							y := 0
+							if r.Float64() < 0.1+0.7*float64(g)/float64(space.Size()) {
+								y = 1
+							}
+							groups[i], outcomes[i] = g, y
+						}
+						if err := w.ObserveBatch(groups, outcomes); err != nil {
+							t.Fatal(err)
+						}
+						if ai, _ := checkBoth(t, pc.name, w); ai != nil {
+							fired++
+						}
+					}
+					if fired == 0 {
+						t.Fatal("no limit ever fired; the parity assertion exercised nothing")
+					}
+				})
 			}
 		})
 	}
@@ -256,10 +356,7 @@ func TestIncrementalLogOverflowRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWatch(m, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := overflowLimits().arm(t, m, 0)
 	// Swap in a consumer whose logs hold only 8 entries.
 	m.incMu.Lock()
 	m.inc = newIncEngine(m, 8, defaultRebuildEvery)
@@ -268,6 +365,7 @@ func TestIncrementalLogOverflowRebuilds(t *testing.T) {
 
 	r := rng.New(21)
 	overflowed := false
+	fired := map[string]int{}
 	for round := 0; round < 40; round++ {
 		groups := make([]int, 64)
 		outcomes := make([]int, 64)
@@ -286,11 +384,31 @@ func TestIncrementalLogOverflowRebuilds(t *testing.T) {
 				eng.shards[i].mu.Unlock()
 			}
 		}
-		checkBoth(t, "overflow", w)
+		if a, _ := checkBoth(t, "overflow", w); a != nil {
+			fired[a.Metric]++
+		}
 	}
 	if !overflowed {
 		t.Fatal("no log ever overflowed; the rebuild path exercised nothing")
 	}
+	if len(fired) < 2 {
+		t.Fatalf("alerts came from %v; want at least two different limits exercised", fired)
+	}
+}
+
+// overflowLimits arms every registry metric and a custom one behind the
+// ε threshold, with limits the uniform random stream of
+// TestIncrementalLogOverflowRebuilds crosses now and then.
+func overflowLimits() watchLimits {
+	return watchLimits{"overflow", 0.6, []MetricThreshold{
+		{fairmetrics.SubgroupParity{}, 0.03},
+		{fairmetrics.WorstRatio{}, 0.55},
+		{fairmetrics.AlphaIntersectional{Alpha: 0.5}, 0.5},
+		{plainMetric{fairmetrics.WorstGap{}}, 0.4},
+		{fairmetrics.DemographicParity{}, 0.35},
+		{fairmetrics.WorstGap{}, 0.3},
+		{core.DFEpsilon, 0.5},
+	}}
 }
 
 // TestIncrementalPeriodicRebuild forces the drift-bounding rebuild every
@@ -424,14 +542,12 @@ func TestEpsilonSubsetsExponentialUnavailable(t *testing.T) {
 func TestReadStateRebuildsIncremental(t *testing.T) {
 	space := incTestSpace(t)
 	cfg := Config{Policy: Sliding{Window: 1024, Buckets: 4}, Alpha: 0.5, Shards: 4}
+	limits := overflowLimits()
 	m1, err := New(space, []string{"no", "yes"}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w1, err := NewWatch(m1, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w1 := limits.arm(t, m1, 0)
 	r := rng.New(77)
 	drive(t, w1, r, 20, false)
 	if _, err := m1.EpsilonSubsets(); err != nil {
@@ -446,10 +562,7 @@ func TestReadStateRebuildsIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := NewWatch(m2, 10, 0) // attach the incremental engine first
-	if err != nil {
-		t.Fatal(err)
-	}
+	w2 := limits.arm(t, m2, 0) // attach the incremental engine first
 	if err := m2.ReadState(&buf); err != nil {
 		t.Fatal(err)
 	}

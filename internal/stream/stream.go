@@ -26,7 +26,12 @@
 // run on an incrementally-maintained aggregate (incremental.go) fed by
 // per-shard dirty-cell logs, so a per-batch check costs O(cells touched
 // since the last check) rather than O(shards × cells) — bit-identical
-// to the full recompute for the integer-count window policies.
+// to the full recompute for the integer-count window policies. That
+// holds for metric limits too: ε and the metrics with an extrema form
+// (core.ExtremaMetric: epsilon, worst_gap, worst_ratio, alpha_if,
+// demographic_parity) are judged from the aggregate's cached per-outcome
+// rate extrema, and any other metric from a CPT filled from the
+// aggregate in O(cells).
 //
 // Concurrency semantics: counts for the window policies are plain sums,
 // so after all writers finish, a snapshot is exactly the single-threaded
@@ -42,6 +47,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -304,46 +310,28 @@ func (m *Monitor) EffectiveCount() float64 {
 }
 
 // Epsilon reports the current ε estimate over the effective counts. It
-// reuses internal snapshot and CPT buffers, so repeated reports (e.g.
-// one per observation in Watch.ObserveChecked) do not allocate in the
-// steady state. Concurrent Epsilon calls serialize on the reporting
-// buffers; ingestion is never blocked by reporting.
+// reuses internal snapshot and CPT buffers, so repeated reports do not
+// allocate in the steady state. Concurrent Epsilon calls serialize on
+// the reporting buffers; ingestion is never blocked by reporting.
 func (m *Monitor) Epsilon() (core.EpsilonResult, error) {
 	m.repMu.Lock()
 	defer m.repMu.Unlock()
-	res, _, err := m.reportLocked()
-	return res, err
-}
-
-// reportLocked snapshots once and returns ε together with the snapshot's
-// total effective mass. repMu must be held.
-func (m *Monitor) reportLocked() (core.EpsilonResult, float64, error) {
 	if err := m.eng.snapshotInto(m.snap, m.ticket.Load()); err != nil {
-		return core.EpsilonResult{}, 0, err
+		return core.EpsilonResult{}, err
 	}
-	res, err := m.epsilonOfSnapLocked()
-	if err != nil {
-		return core.EpsilonResult{}, 0, err
-	}
-	return res, m.snap.Total(), nil
-}
-
-// epsilonOfSnapLocked converts the already-filled snap buffer to a CPT
-// and measures ε. repMu must be held.
-func (m *Monitor) epsilonOfSnapLocked() (core.EpsilonResult, error) {
-	if err := m.snapToCPTLocked(); err != nil {
+	if err := estimate(m.snap, m.cpt, m.alpha); err != nil {
 		return core.EpsilonResult{}, err
 	}
 	return core.Epsilon(m.cpt)
 }
 
-// snapToCPTLocked converts the already-filled snap buffer to the pooled
-// CPT buffer under the monitor's estimator. repMu must be held.
-func (m *Monitor) snapToCPTLocked() error {
-	if m.alpha > 0 {
-		return m.snap.SmoothedInto(m.cpt, m.alpha, false)
+// estimate converts counts to dst under the monitor estimator: Eq. 7
+// smoothing when alpha > 0, the empirical Eq. 6 estimator otherwise.
+func estimate(c *core.Counts, dst *core.CPT, alpha float64) error {
+	if alpha > 0 {
+		return c.SmoothedInto(dst, alpha, false)
 	}
-	return m.snap.EmpiricalInto(m.cpt)
+	return c.EmpiricalInto(dst)
 }
 
 // ensureInc attaches the incremental ε engine, enabling the per-shard
@@ -433,11 +421,15 @@ type Watch struct {
 // cells ingested since the last one instead of re-merging all shards, so
 // per-batch checked ingest stays within a small factor of unchecked.
 //
-// Additional metric thresholds are optional. Unlike ε they are not
-// maintained incrementally: each check with metrics configured pays one
-// reporting-snapshot merge plus an Eval per metric — the documented cost
-// of multi-metric alerting. threshold may be 0 (disabling the ε check)
-// only when at least one metric threshold is configured.
+// Additional metric thresholds are optional and ride on the same engine.
+// Metrics with an extrema form (core.ExtremaMetric — every registry
+// metric but subgroup) are judged from the cached rate extrema at no
+// extra scan; any other metric costs one O(cells) CPT fill from the
+// aggregate per check plus its Eval, never a shard merge. threshold may
+// be 0 (disabling the ε check) only when at least one metric threshold
+// is configured. minEffective must be finite and non-negative, and no
+// metric threshold may be NaN: a comparison with NaN is always false, so
+// the gate or the limit would silently never act.
 func NewWatch(m *Monitor, threshold, minEffective float64, metrics ...MetricThreshold) (*Watch, error) {
 	if m == nil {
 		return nil, fmt.Errorf("stream: nil monitor")
@@ -445,12 +437,15 @@ func NewWatch(m *Monitor, threshold, minEffective float64, metrics ...MetricThre
 	if !(threshold > 0) && (len(metrics) == 0 || threshold != 0) {
 		return nil, fmt.Errorf("stream: threshold must be positive, got %v", threshold)
 	}
-	if minEffective < 0 {
-		return nil, fmt.Errorf("stream: negative minEffective")
+	if !(minEffective >= 0) || math.IsInf(minEffective, 1) {
+		return nil, fmt.Errorf("stream: minEffective must be finite and non-negative, got %v", minEffective)
 	}
 	for _, mt := range metrics {
 		if mt.Metric == nil {
 			return nil, fmt.Errorf("stream: nil metric in threshold")
+		}
+		if math.IsNaN(mt.Threshold) {
+			return nil, fmt.Errorf("stream: metric %s: threshold is NaN", mt.Metric.Key())
 		}
 		if err := mt.Metric.Applicable(m.space, m.outcomes); err != nil {
 			return nil, fmt.Errorf("stream: metric %s not applicable: %w", mt.Metric.Key(), err)
@@ -490,143 +485,133 @@ func (w *Watch) ObserveBatchChecked(groups, outcomes []int) (*Alert, float64, er
 // mass of the snapshot it measured.
 func (w *Watch) Check() (*Alert, float64, error) { return w.check() }
 
-// check evaluates the threshold against the incrementally-maintained
+// check judges the thresholds against the incrementally-maintained
 // aggregate: the shards' dirty-cell logs are drained (O(cells touched
-// since the last check)), evictions/decay applied, and ε re-derived from
-// cached per-group rates — only the groups the drain touched are
-// rescanned. The MinEffective gate runs on the incrementally-maintained
-// mass before any estimator work, so a cold-start ObserveChecked loop
-// pays only the tiny drain per observation, never a shard merge or an ε
-// scan. For the integer-count window policies the result is
-// bit-identical to CheckFull; the property suite pins that equivalence.
+// since the last check)), evictions/decay applied, and the per-outcome
+// rate extrema refreshed for the groups the drain touched. ε and every
+// metric limit with an extrema form (core.ExtremaMetric) are judged from
+// those extrema; any other metric is evaluated on a CPT filled from the
+// aggregate (O(cells), still no shard merge). All of them see the same
+// synced state. The MinEffective gate runs on the incrementally-
+// maintained mass before any estimator work, so a cold-start
+// ObserveChecked loop pays only the tiny drain per observation. For the
+// integer-count window policies the result is bit-identical to
+// CheckFull; the property suite pins that equivalence.
 func (w *Watch) check() (*Alert, float64, error) {
 	inc := w.ensureInc()
 	now := w.ticket.Load()
 	inc.mu.Lock()
+	defer inc.mu.Unlock()
 	inc.sync(now)
 	effective := inc.effectiveAt(now)
 	if effective < w.MinEffective {
-		inc.mu.Unlock()
 		return nil, effective, nil
 	}
-	var res core.EpsilonResult
-	var err error
+	x := inc.extremaLocked(now)
 	if w.Threshold > 0 {
-		res, err = inc.epsilonLocked(now)
-	}
-	inc.mu.Unlock()
-	if w.Threshold > 0 {
-		if err != nil {
-			// A degenerate table (fewer than two populated groups yet) has
-			// no pairs to compare: no alert, not an error. Anything else is
-			// a real failure and must reach the caller.
-			if !errors.Is(err, core.ErrDegenerateSupport) {
-				return nil, effective, fmt.Errorf("stream: threshold check: %w", err)
-			}
-		} else if res.Epsilon > w.Threshold {
-			return &Alert{
-				Epsilon:   res.Epsilon,
-				Threshold: w.Threshold,
-				Witness:   res.Witness,
-				SeenAt:    w.Seen(),
-			}, effective, nil
+		res, err := x.Epsilon()
+		if alert, err := w.epsilonBreach(res, err); alert != nil || err != nil {
+			return alert, effective, err
 		}
 	}
-	alert, err := w.metricAlert()
-	if err != nil {
-		return nil, effective, err
-	}
-	return alert, effective, nil
-}
-
-// metricAlert evaluates the configured per-metric thresholds against a
-// fresh reporting snapshot, returning the first breach in configuration
-// order. Unlike the ε path this costs a shard merge; it is a no-op when
-// no metric thresholds are configured.
-func (w *Watch) metricAlert() (*Alert, error) {
-	if len(w.Metrics) == 0 {
-		return nil, nil
-	}
-	w.repMu.Lock()
-	defer w.repMu.Unlock()
-	if err := w.eng.snapshotInto(w.snap, w.ticket.Load()); err != nil {
-		return nil, fmt.Errorf("stream: metric check: %w", err)
-	}
-	return w.metricAlertLocked()
-}
-
-// metricAlertLocked runs the per-metric threshold checks over the
-// already-filled snap buffer. repMu must be held.
-func (w *Watch) metricAlertLocked() (*Alert, error) {
-	if len(w.Metrics) == 0 {
-		return nil, nil
-	}
-	if err := w.snapToCPTLocked(); err != nil {
-		return nil, fmt.Errorf("stream: metric check: %w", err)
-	}
+	var cpt *core.CPT
 	for _, mt := range w.Metrics {
-		res, err := mt.Metric.Eval(w.cpt)
-		if err != nil {
-			// Degenerate tables have no pairs to compare under any metric:
-			// no alert, not an error (mirroring the ε path).
-			if errors.Is(err, core.ErrDegenerateSupport) {
-				return nil, nil
+		var res core.MetricResult
+		var err error
+		if em, ok := mt.Metric.(core.ExtremaMetric); ok {
+			res, err = em.EvalExtrema(x)
+		} else {
+			if cpt == nil {
+				if cpt, err = inc.cptLocked(now); err != nil {
+					return nil, effective, fmt.Errorf("stream: metric check: %w", err)
+				}
 			}
-			return nil, fmt.Errorf("stream: metric check %s: %w", mt.Metric.Key(), err)
+			res, err = mt.Metric.Eval(cpt)
 		}
-		if core.MetricBreached(mt.Metric, res.Value, mt.Threshold) {
-			return &Alert{
-				Metric:    mt.Metric.Key(),
-				Epsilon:   res.Value,
-				Threshold: mt.Threshold,
-				Witness:   res.Witness,
-				SeenAt:    w.Seen(),
-			}, nil
+		if alert, stop, err := w.metricBreach(mt, res, err); stop {
+			return alert, effective, err
 		}
+	}
+	return nil, effective, nil
+}
+
+// epsilonBreach applies the ε threshold to one measurement. A degenerate
+// table (fewer than two populated groups yet) has no pairs to compare:
+// no alert, not an error. Anything else is a real failure and must
+// reach the caller.
+func (w *Watch) epsilonBreach(res core.EpsilonResult, err error) (*Alert, error) {
+	if err != nil {
+		if errors.Is(err, core.ErrDegenerateSupport) {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("stream: threshold check: %w", err)
+	}
+	if res.Epsilon > w.Threshold {
+		return &Alert{
+			Epsilon:   res.Epsilon,
+			Threshold: w.Threshold,
+			Witness:   res.Witness,
+			SeenAt:    w.Seen(),
+		}, nil
 	}
 	return nil, nil
 }
 
-// CheckFull evaluates the threshold the pre-incremental way: one full
-// shard merge into the reporting snapshot, then a from-scratch estimator
-// conversion and ε scan. It is retained as the authoritative recompute —
-// the oracle the incremental property tests compare against and the
-// baseline BenchmarkWatchObserveBatchChecked measures the incremental
-// path's speedup over. Semantics match Check exactly.
+// metricBreach applies one metric limit to its measurement; stop reports
+// that the check ends here, with the first breach in configuration order
+// or a failure. A degenerate table has no pairs to compare under any
+// metric, so it also stops the check, with no alert and no error
+// (mirroring the ε path).
+func (w *Watch) metricBreach(mt MetricThreshold, res core.MetricResult, err error) (alert *Alert, stop bool, _ error) {
+	if err != nil {
+		if errors.Is(err, core.ErrDegenerateSupport) {
+			return nil, true, nil
+		}
+		return nil, true, fmt.Errorf("stream: metric check %s: %w", mt.Metric.Key(), err)
+	}
+	if core.MetricBreached(mt.Metric, res.Value, mt.Threshold) {
+		return &Alert{
+			Metric:    mt.Metric.Key(),
+			Epsilon:   res.Value,
+			Threshold: mt.Threshold,
+			Witness:   res.Witness,
+			SeenAt:    w.Seen(),
+		}, true, nil
+	}
+	return nil, false, nil
+}
+
+// CheckFull evaluates the thresholds the pre-incremental way: one full
+// shard merge into the reporting snapshot, a from-scratch estimator
+// conversion, core.Epsilon, and Eval for every metric limit. It is
+// retained as the authoritative recompute — the oracle the incremental
+// property tests compare against and the baseline
+// BenchmarkWatchObserveBatchChecked measures the incremental path's
+// speedup over. Semantics match Check exactly.
 func (w *Watch) CheckFull() (*Alert, float64, error) {
 	w.repMu.Lock()
+	defer w.repMu.Unlock()
 	if err := w.eng.snapshotInto(w.snap, w.ticket.Load()); err != nil {
-		w.repMu.Unlock()
 		return nil, 0, fmt.Errorf("stream: threshold check: %w", err)
 	}
 	effective := w.snap.Total()
 	if effective < w.MinEffective {
-		w.repMu.Unlock()
 		return nil, effective, nil
 	}
+	if err := estimate(w.snap, w.cpt, w.alpha); err != nil {
+		return nil, effective, fmt.Errorf("stream: threshold check: %w", err)
+	}
 	if w.Threshold > 0 {
-		res, err := w.epsilonOfSnapLocked()
-		if err != nil {
-			w.repMu.Unlock()
-			if errors.Is(err, core.ErrDegenerateSupport) {
-				return nil, effective, nil
-			}
-			return nil, effective, fmt.Errorf("stream: threshold check: %w", err)
-		}
-		if res.Epsilon > w.Threshold {
-			w.repMu.Unlock()
-			return &Alert{
-				Epsilon:   res.Epsilon,
-				Threshold: w.Threshold,
-				Witness:   res.Witness,
-				SeenAt:    w.Seen(),
-			}, effective, nil
+		res, err := core.Epsilon(w.cpt)
+		if alert, err := w.epsilonBreach(res, err); alert != nil || err != nil {
+			return alert, effective, err
 		}
 	}
-	alert, err := w.metricAlertLocked()
-	w.repMu.Unlock()
-	if err != nil {
-		return nil, effective, err
+	for _, mt := range w.Metrics {
+		res, err := mt.Metric.Eval(w.cpt)
+		if alert, stop, err := w.metricBreach(mt, res, err); stop {
+			return alert, effective, err
+		}
 	}
-	return alert, effective, nil
+	return nil, effective, nil
 }

@@ -3,10 +3,12 @@ package stream
 import (
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fairmetrics"
 	"repro/internal/rng"
 )
 
@@ -225,11 +227,37 @@ func TestNewWatchValidation(t *testing.T) {
 	if _, err := NewWatch(nil, 1, 0); err == nil {
 		t.Error("nil monitor accepted")
 	}
-	if _, err := NewWatch(m, 0, 0); err == nil {
-		t.Error("zero threshold accepted")
-	}
-	if _, err := NewWatch(m, 1, -1); err == nil {
-		t.Error("negative minEffective accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	gap := fairmetrics.WorstGap{}
+	for _, tc := range []struct {
+		name         string
+		threshold    float64
+		minEffective float64
+		metrics      []MetricThreshold
+		wantErr      string // substring; empty means accepted
+	}{
+		{"zero threshold without metrics", 0, 0, nil, "threshold"},
+		{"NaN threshold", nan, 0, nil, "threshold"},
+		{"negative minEffective", 1, -1, nil, "minEffective"},
+		{"NaN minEffective", 1, nan, nil, "minEffective"},
+		{"+Inf minEffective", 1, inf, nil, "minEffective"},
+		{"NaN minEffective behind a metric", 0, nan, []MetricThreshold{{gap, 0.5}}, "minEffective"},
+		{"NaN metric threshold", 0, 0, []MetricThreshold{{gap, nan}}, "worst_gap"},
+		{"NaN second metric threshold", 1, 0, []MetricThreshold{{gap, 0.5}, {fairmetrics.WorstRatio{}, nan}}, "worst_ratio"},
+		{"nil metric", 1, 0, []MetricThreshold{{nil, 0.5}}, "nil metric"},
+		{"large finite minEffective", 1, 1e300, nil, ""},
+		{"infinite metric threshold", 0, 0, []MetricThreshold{{gap, inf}}, ""},
+		{"metric-only watch", 0, 10, []MetricThreshold{{gap, 0.5}}, ""},
+	} {
+		_, err := NewWatch(m, tc.threshold, tc.minEffective, tc.metrics...)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package fairness_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -262,13 +263,31 @@ func TestWatchMetricThresholds(t *testing.T) {
 		t.Errorf("alert threshold = %v", alert.Threshold)
 	}
 
-	// Constructor validation: nil metric, inapplicable metric, and a
-	// zero ε threshold without any metrics are rejected.
+	// Constructor validation: nil metric, inapplicable metric, a zero ε
+	// threshold without any metrics, a NaN or infinite minimum mass and a
+	// NaN metric limit are rejected — NaN compares false, so the gate or
+	// the limit would otherwise never act.
 	if _, err := fairness.NewWatch(newMon(), 0, 20); err == nil {
 		t.Error("zero threshold with no metrics accepted")
 	}
 	if _, err := fairness.NewWatch(newMon(), 0, 20, fairness.MetricThreshold{}); err == nil {
 		t.Error("nil metric threshold accepted")
+	}
+	for _, tc := range []struct {
+		name         string
+		minEffective float64
+		limit        float64
+		wantErr      string
+	}{
+		{"NaN minEffective", math.NaN(), 0.8, "minEffective"},
+		{"+Inf minEffective", math.Inf(1), 0.8, "minEffective"},
+		{"NaN worst_ratio limit", 20, math.NaN(), "worst_ratio"},
+	} {
+		_, err := fairness.NewWatch(newMon(), 0, tc.minEffective,
+			fairness.MetricThreshold{Metric: worstRatio, Threshold: tc.limit})
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: NewWatch error = %v, want one naming %q", tc.name, err, tc.wantErr)
+		}
 	}
 	triSpace := fairness.MustSpace(fairness.Attr{Name: "g", Values: []string{"a", "b"}})
 	triMon, err := fairness.NewTumblingMonitor(triSpace, []string{"x", "y", "z"}, 1<<20, 1)

@@ -145,11 +145,14 @@ type Watch struct {
 }
 
 // NewWatch builds a threshold watch around a monitor. threshold must be
-// positive and minEffective non-negative. Optional per-metric thresholds
-// extend alerting beyond ε; unlike ε they are evaluated from a reporting
-// snapshot per check (the documented cost of multi-metric alerting), and
-// threshold may be 0 — disabling the ε check — when at least one metric
-// threshold is given.
+// positive and minEffective finite and non-negative. Optional per-metric
+// thresholds (never NaN) extend alerting beyond ε, and threshold may be
+// 0 — disabling the ε check — when at least one metric threshold is
+// given. Metric limits ride on the same incremental engine as ε: every
+// registry metric but subgroup is judged from the per-outcome rate
+// extrema the engine already keeps, and any other metric from a CPT the
+// engine fills from its aggregate in O(cells) — no check merges the
+// shards.
 func NewWatch(m *Monitor, threshold, minEffective float64, metrics ...MetricThreshold) (*Watch, error) {
 	if m == nil {
 		return nil, fmt.Errorf("fairness: NewWatch: nil monitor")
@@ -186,9 +189,10 @@ func (w *Watch) ObserveBatchChecked(groups, outcomes []int) (*Alert, float64, er
 func (w *Watch) Check() (*Alert, float64, error) { return w.inner.Check() }
 
 // CheckFull is Check computed the pre-incremental way, from a full shard
-// merge and a from-scratch ε scan: the authoritative recompute retained
-// for verification and benchmarking. For the integer-count window
-// policies its result is bit-identical to Check.
+// merge, a from-scratch ε scan and an Eval per metric limit: the
+// authoritative recompute retained for verification and benchmarking.
+// For the integer-count window policies its result is bit-identical to
+// Check.
 func (w *Watch) CheckFull() (*Alert, float64, error) { return w.inner.CheckFull() }
 
 // WriteState serializes the monitor's full engine state — tickets,
