@@ -2,6 +2,7 @@ package fairness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -298,27 +299,20 @@ func (a *Auditor) Run(ctx context.Context, counts *Counts) (*Report, error) {
 	return a.run(ctx, counts, nil, "", "")
 }
 
-// runWithLadder is Run with a precomputed subset-ε ladder, as maintained
-// incrementally by a streaming monitor: the ladder takes ε out of the
-// lattice walk (which then runs only for the requested metrics, if
-// any), and everything else — the full-space ε, intervals, reversals,
-// repair — still derives from counts. The ladder must have
-// been measured over the same counts and estimator alpha; Monitor.Audit
-// guarantees that before calling. The report records
-// LadderSourceIncremental.
-func (a *Auditor) runWithLadder(ctx context.Context, counts *Counts, ladder []core.SubsetEpsilon) (*Report, error) {
-	return a.run(ctx, counts, ladder, LadderSourceIncremental, "")
+// metrics is the list every engine of a report scores: ε first, then
+// the requested metrics in request order.
+func (a *Auditor) metrics() []core.Metric {
+	return append([]core.Metric{core.DFEpsilon}, a.cfg.metrics...)
 }
 
-// runSnapshotLadder is Run with the ladder recomputed from the counts
-// snapshot, recording LadderSourceSnapshot and — when the incremental
-// path was attempted and failed — the reason for the fallback, so a
-// degraded ladder path is visible in the report instead of silent.
-func (a *Auditor) runSnapshotLadder(ctx context.Context, counts *Counts, fallbackReason string) (*Report, error) {
-	return a.run(ctx, counts, nil, LadderSourceSnapshot, fallbackReason)
-}
-
-func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetEpsilon, ladderSource, ladderFallback string) (*Report, error) {
+// run audits counts. ladders, when non-nil, holds precomputed subset
+// ladders indexed like a.metrics(), as a streaming monitor maintains
+// them incrementally; a nil entry, and every entry when ladders is nil,
+// is measured by one lattice walk over counts. A precomputed ladder must
+// have been measured over the same counts and estimator alpha —
+// Monitor.Audit reads both under one lock hold. ladderSource and
+// ladderFallback fill the report fields of the same names.
+func (a *Auditor) run(ctx context.Context, counts *Counts, ladders [][]core.SubsetMetric, ladderSource, ladderFallback string) (*Report, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("fairness: Auditor.Run: nil ctx (pass context.Background() if no deadline applies)")
 	}
@@ -361,10 +355,23 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 	if err != nil {
 		return nil, err
 	}
-	full, err := core.Epsilon(fullCPT)
-	if err != nil {
-		return nil, err
+	// Each requested metric gets the full ε treatment: value + witness on
+	// the full intersection, the subset ladder, and whatever uncertainty
+	// the options request. The ladder walk, the bootstrap and the
+	// posterior engine each run once over [ε] + cfg.metrics, and
+	// core.EvalMetrics scores every lattice node, replicate table and
+	// posterior draw with one validated scan, calling Eval only for
+	// metrics without an extrema form.
+	metrics := a.metrics()
+	values := make([]core.MetricResult, len(metrics))
+	x := core.NewRateExtrema(len(outcomes))
+	if err := core.EvalMetrics(metrics, fullCPT, &x, values); err != nil {
+		if errors.Is(err, core.ErrDegenerateSupport) {
+			return nil, err // the table's own failure, as core.Epsilon reports it
+		}
+		return nil, fmt.Errorf("fairness: %w", err)
 	}
+	full := core.EpsilonResult{Epsilon: values[0].Value, Witness: values[0].Witness, Finite: values[0].Finite}
 	rep.Epsilon = JSONFloat(full.Epsilon)
 	rep.Finite = full.Finite
 	rep.Witness = witnessLabels(space, outcomes, full.Witness)
@@ -376,19 +383,8 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 	}
 	rep.SubsetBound = JSONFloat(core.SubsetBound(full))
 
-	// Each requested metric gets the full ε treatment: value + witness on
-	// the full intersection, the subset ladder, and whatever uncertainty
-	// the options request. The ladder walk, the bootstrap and the
-	// posterior engine each run once over [ε] + cfg.metrics: every
-	// lattice node, replicate table and posterior draw is built once and
-	// scored by every metric, so with K metrics and B replicates a report
-	// pays B draws plus (K+1)·B evaluations rather than (K+1)·B draws.
-	metrics := append([]core.Metric{core.DFEpsilon}, cfg.metrics...)
-	for _, m := range cfg.metrics {
-		res, err := m.Eval(fullCPT)
-		if err != nil {
-			return nil, fmt.Errorf("fairness: metric %s: %w", m.Key(), err)
-		}
+	for j, m := range cfg.metrics {
+		res := values[j+1]
 		rep.Metrics = append(rep.Metrics, MetricReport{
 			Key:           m.Key(),
 			Description:   m.Describe(),
@@ -403,21 +399,26 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 		// The ladder walk shares marginalization work along the lattice
 		// (each subset's counts derived from a one-attribute-larger
 		// parent) instead of re-aggregating the full table 2^p times.
-		// When the caller already maintains ε's ladder incrementally it
-		// arrives precomputed and only the other metrics walk.
-		var ladders [][]core.SubsetMetric
-		walked := metrics
-		if ladder != nil {
-			ladders = [][]core.SubsetMetric{subsetMetrics(ladder)}
-			walked = cfg.metrics
+		// Ladders the caller already maintains incrementally arrive
+		// precomputed, and only the other metrics walk.
+		if ladders == nil {
+			ladders = make([][]core.SubsetMetric, len(metrics))
+		}
+		var walked []core.Metric
+		for j, m := range metrics {
+			if ladders[j] == nil {
+				walked = append(walked, m)
+			}
 		}
 		rest, err := core.MetricSubsetsCounts(walked, counts, cfg.alpha)
 		if err != nil {
 			return nil, err
 		}
-		ladders = append(ladders, rest...)
-		for j, subs := range ladders {
-			core.SortSubsetsByMetricValue(metrics[j], subs)
+		for j := range ladders {
+			if ladders[j] == nil {
+				ladders[j], rest = rest[0], rest[1:]
+			}
+			core.SortSubsetsByMetricValue(metrics[j], ladders[j])
 		}
 		for _, s := range ladders[0] {
 			rep.Ladder = append(rep.Ladder, LadderRow{
@@ -550,19 +551,6 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladder []core.SubsetE
 	}
 
 	return rep, nil
-}
-
-// subsetMetrics restates an ε ladder in the generic metric form.
-func subsetMetrics(subs []core.SubsetEpsilon) []core.SubsetMetric {
-	out := make([]core.SubsetMetric, len(subs))
-	for i, s := range subs {
-		out[i] = core.SubsetMetric{
-			Attrs:  s.Attrs,
-			Result: core.MetricResult{Value: s.Result.Epsilon, Witness: s.Result.Witness, Finite: s.Result.Finite},
-			Space:  s.Space,
-		}
-	}
-	return out
 }
 
 // bootstrapReport is the report section of one bootstrap interval.

@@ -22,6 +22,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/fairmetrics"
+	"repro/internal/loadgen"
 	"repro/internal/mechanism"
 	"repro/internal/repair"
 	"repro/internal/resample"
@@ -822,7 +823,8 @@ func BenchmarkAuditor(b *testing.B) {
 // one metric section (value, witness and subset ladder) per registry
 // key. "report" is the full report shape a dashboard pulls: four metric
 // sections with ladders, 50 bootstrap replicates and 50 posterior
-// samples, all drawn once and scored by ε and every metric.
+// samples, all drawn once and scored by ε and every metric. "monitor"
+// serves that report from a live monitor (benchMonitorReport).
 // scripts/bench_metrics.sh tracks this as BENCH_metrics.json across PRs.
 func BenchmarkMetricAudit(b *testing.B) {
 	train, _, err := census.Generate(census.DefaultConfig())
@@ -866,6 +868,45 @@ func BenchmarkMetricAudit(b *testing.B) {
 				}
 			}
 		})
+	}
+	b.Run("monitor", benchMonitorReport)
+}
+
+// benchMonitorReport replays the repository benchmark's audit request
+// in process: a tumbling monitor on the 160-group audit space, warmed
+// with a census-sized 32,561-decision batch from internal/loadgen. Each
+// op ingests three 64-decision batches, then serves the four-metric
+// report with 50 bootstrap replicates and 50 posterior samples through
+// Monitor.Audit and renders it as JSON, so the subset ladders come from
+// the incremental engine as they do in dfserve.
+func benchMonitorReport(b *testing.B) {
+	mon, feed := auditMonitor(b, 32561, 64, 1)
+	opts := []fairness.Option{
+		fairness.WithMetrics("worst_gap", "worst_ratio", "alpha_if", "demographic_parity"),
+		fairness.WithBootstrap(50, 0.95),
+		fairness.WithCredible(50, 1, 0.95),
+		fairness.WithSeed(1),
+	}
+	var req loadgen.Request
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 3; j++ {
+			feed.Next(&req)
+			if err := mon.ObserveBatch(req.Groups, req.Outcomes); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rep, err := mon.Audit(context.Background(), opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.LadderSource != fairness.LadderSourceIncremental {
+			b.Fatalf("ladder_source %q", rep.LadderSource)
+		}
+		if err := rep.RenderJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -592,10 +592,11 @@ func (r *registry) handleReport(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Audit's subset ladder (report?subsets=true, the default) comes from
+	// Audit's subset ladders (report?subsets=true, the default) come from
 	// the monitor's incrementally-maintained subset marginals on the
-	// window policies, so its latency is independent of the lattice size
-	// once warm; exponential monitors fall back to the snapshot ladder.
+	// window policies, so their latency is independent of the lattice
+	// size once warm; exponential monitors fall back to the snapshot
+	// ladder.
 	report, err := mon.Audit(req.Context(), opts...)
 	if err != nil {
 		switch {

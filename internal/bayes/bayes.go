@@ -14,8 +14,9 @@
 // in slot i, so summaries are bit-identical regardless of GOMAXPROCS, and
 // MetricCredible reuses one pooled CPT buffer per worker instead of
 // materializing every sampled θ. ε and every other requested metric
-// share one draw per sample: K metrics over n samples cost n draws plus
-// K·n evaluations.
+// share one draw per sample, and core.EvalMetrics scores them all on it:
+// one validated scan per table, and Eval only for metrics without an
+// extrema form.
 package bayes
 
 import (
@@ -173,10 +174,11 @@ func (m *DirichletMultinomial) EpsilonCredible(ctx context.Context, n int, level
 
 // MetricCredible is EpsilonCredible for any number of core.Metric values
 // at once: each posterior sample θ is drawn once into the worker's
-// pooled CPT, then every metric's Eval scores it, so n samples cost n
-// draws plus len(metrics)·n evaluations. It returns one summary per
-// metric, in the order of metrics; an Eval error from any metric fails
-// the whole call. Sup is the most-unfair value over the samples under
+// pooled CPT, then core.EvalMetrics scores every metric on it, so n
+// samples cost n draws plus one validated scan per table, and Eval only
+// for metrics without an extrema form. It returns one summary per
+// metric, in the order of metrics; an error from any metric fails the
+// whole call. Sup is the most-unfair value over the samples under
 // each metric's orientation — the framework reading of Definition 3.1
 // generalized (for ε it is the supremum). Every summary is independent
 // of GOMAXPROCS, workers and the other metrics requested alongside it,
@@ -202,6 +204,8 @@ func (m *DirichletMultinomial) MetricCredible(ctx context.Context, metrics []cor
 		rng   *rng.RNG
 		probs []float64
 		cpt   *core.CPT
+		x     core.RateExtrema
+		res   []core.MetricResult
 	}
 	// vals[j*n+i] is metric j's value on sample i.
 	vals := make([]float64, len(metrics)*n)
@@ -210,18 +214,19 @@ func (m *DirichletMultinomial) MetricCredible(ctx context.Context, metrics []cor
 			rng:   rng.New(0),
 			probs: make([]float64, k),
 			cpt:   core.MustCPT(space, outcomes),
+			x:     core.NewRateExtrema(k),
+			res:   make([]core.MetricResult, len(metrics)),
 		}
 	}, func(s *scratch, i int) error {
 		s.rng.SeedStream(base, uint64(i))
 		if err := sampleInto(s.cpt, s.rng, s.probs, alphaPost, groupTotals); err != nil {
 			return err
 		}
-		for j, metric := range metrics {
-			res, err := metric.Eval(s.cpt)
-			if err != nil {
-				return fmt.Errorf("bayes: metric %s: %w", metric.Key(), err)
-			}
-			vals[j*n+i] = res.Value
+		if err := core.EvalMetrics(metrics, s.cpt, &s.x, s.res); err != nil {
+			return fmt.Errorf("bayes: %w", err)
+		}
+		for j, r := range s.res {
+			vals[j*n+i] = r.Value
 		}
 		return nil
 	})

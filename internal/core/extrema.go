@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // RateExtrema summarizes a CPT by what the worst-case fairness metrics
 // read from it: for every outcome y, the highest and lowest P(y|s) over
@@ -11,9 +14,10 @@ import "math"
 // Lo = +Inf and groups −1.
 //
 // ε (Definition 3.1), Ghosh et al.'s worst-case gap and ratio, and
-// Maheshwari et al.'s α-IF are functions of these extrema alone, so a
-// consumer that maintains them incrementally (the streaming Watch) can
-// score those metrics without materializing a CPT; see ExtremaMetric.
+// Maheshwari et al.'s α-IF are functions of these extrema alone, so one
+// scan of a table scores them all (EvalMetrics), and a consumer that
+// maintains the extrema incrementally (the streaming Watch and subset
+// ladders) scores them without materializing a CPT; see ExtremaMetric.
 type RateExtrema struct {
 	Supported int
 	Hi, Lo    []float64
@@ -56,6 +60,27 @@ func (x *RateExtrema) Observe(y, g int, p float64) {
 	}
 	if p < x.Lo[y] {
 		x.Lo[y], x.LoG[y] = p, g
+	}
+}
+
+// Scan fills the extrema from a CPT in one ascending scan over its
+// supported groups, every outcome at once: Epsilon's skips (weight ≤ 0)
+// and min-index ties, so each outcome's extrema are the ones Epsilon's
+// per-outcome scan finds. x must hold c's outcome count. The rows are
+// not checked; validate the table first.
+//
+//df:hotpath
+func (x *RateExtrema) Scan(c *CPT) {
+	k := len(c.outcomes)
+	x.Reset()
+	for g, w := range c.weight {
+		if w <= 0 {
+			continue
+		}
+		x.Supported++
+		for y, p := range c.p[g*k : (g+1)*k] {
+			x.Observe(y, g, p)
+		}
 	}
 }
 
@@ -116,12 +141,57 @@ func epsilonStep(res *EpsilonResult, y, hiG, loG int, hiP, loP float64) bool {
 // functions of the per-outcome rate extrema alone. EvalExtrema must
 // return exactly what Eval returns on any valid CPT the extrema
 // summarize — value and witness, bit for bit — including the
-// ErrDegenerateSupport failure below two supported groups. Consumers
-// that keep the extrema up to date (the streaming Watch) call it
-// instead of building a CPT; everything else keeps calling Eval.
+// ErrDegenerateSupport failure below two supported groups. Its
+// consumers call it instead of Eval: EvalMetrics, and through it the
+// audit engines (bootstrap replicates, posterior draws, the snapshot
+// subset ladder and a report's full-intersection values), score every
+// such metric from one scan of the table; the streaming Watch and the
+// incremental subset ladders score it from extrema they keep up to date
+// without building a CPT. Metrics without the extension keep Eval.
 type ExtremaMetric interface {
 	Metric
 	EvalExtrema(x *RateExtrema) (MetricResult, error)
+}
+
+// EvalMetrics scores every metric of ms on one CPT into out, which must
+// have len(ms) entries: the table is validated once, its rate extrema
+// are filled into x (which must hold c's outcome count) by one Scan, each
+// ExtremaMetric is scored by EvalExtrema and only the others by Eval.
+// Since EvalExtrema ≡ Eval, out[j] is exactly ms[j].Eval(c), bit for
+// bit. A table that fails validation returns CPT.Validate's error as is,
+// wrapping ErrDegenerateSupport below two supported groups, where every
+// metric fails alike; the first metric error returns wrapped with the
+// metric's key. The success path allocates nothing, so the resampling
+// engines call it once per replicate and posterior draw.
+//
+//df:hotpath
+func EvalMetrics(ms []Metric, c *CPT, x *RateExtrema, out []MetricResult) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	scanned := false
+	for j, m := range ms {
+		var err error
+		if em, ok := m.(ExtremaMetric); ok {
+			if !scanned {
+				x.Scan(c)
+				scanned = true
+			}
+			out[j], err = em.EvalExtrema(x)
+		} else {
+			out[j], err = m.Eval(c)
+		}
+		if err != nil {
+			return metricError(m, err)
+		}
+	}
+	return nil
+}
+
+// metricError names the metric behind an EvalMetrics failure; it runs
+// only on the error path.
+func metricError(m Metric, err error) error {
+	return fmt.Errorf("metric %s: %w", m.Key(), err)
 }
 
 // EvalExtrema implements ExtremaMetric.

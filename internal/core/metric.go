@@ -136,10 +136,11 @@ func (s SubsetMetric) Key() string { return strings.Join(s.Attrs, ",") }
 // marginal tables are shared along the lattice (each subset's counts
 // derived from a one-attribute-larger parent, see latticeMarginals),
 // each subset's CPT is built once under the selected estimator (alpha >
-// 0 selects the Eq. 7 smoothed one), and every metric is evaluated on
-// it. The result holds one ladder per metric, in the order of ms, each
-// listing the subsets in Space.SubsetNames order; with no metrics it is
-// empty and the lattice is not walked.
+// 0 selects the Eq. 7 smoothed one), and EvalMetrics scores every
+// metric on it with one validated scan. The result holds one ladder per
+// metric, in the order of ms, each listing the subsets in
+// Space.SubsetNames order; with no metrics it is empty and the lattice
+// is not walked.
 func MetricSubsetsCounts(ms []Metric, c *Counts, alpha float64) ([][]SubsetMetric, error) {
 	if len(ms) == 0 {
 		return nil, nil
@@ -152,9 +153,11 @@ func MetricSubsetsCounts(ms []Metric, c *Counts, alpha float64) ([][]SubsetMetri
 	subsets := space.SubsetNames()
 	out := make([][]SubsetMetric, len(ms))
 	for j := range out {
-		out[j] = make([]SubsetMetric, 0, len(subsets))
+		out[j] = make([]SubsetMetric, len(subsets))
 	}
-	for _, names := range subsets {
+	x := NewRateExtrema(c.NumOutcomes())
+	res := make([]MetricResult, len(ms))
+	for i, names := range subsets {
 		mask, err := subsetMask(space, names)
 		if err != nil {
 			return nil, err
@@ -163,12 +166,11 @@ func MetricSubsetsCounts(ms []Metric, c *Counts, alpha float64) ([][]SubsetMetri
 		if err != nil {
 			return nil, err
 		}
-		for j, m := range ms {
-			r, err := m.Eval(cpt)
-			if err != nil {
-				return nil, fmt.Errorf("core: subset %v: metric %s: %w", names, m.Key(), err)
-			}
-			out[j] = append(out[j], SubsetMetric{Attrs: names, Result: r, Space: marg[mask].Space()})
+		if err := EvalMetrics(ms, cpt, &x, res); err != nil {
+			return nil, fmt.Errorf("core: subset %v: %w", names, err)
+		}
+		for j, r := range res {
+			out[j][i] = SubsetMetric{Attrs: names, Result: r, Space: marg[mask].Space()}
 		}
 	}
 	return out, nil

@@ -156,22 +156,45 @@ func (s *Space) Decode(group int) []int {
 
 // DecodeInto is Decode without allocation; dst must have length NumAttrs.
 func (s *Space) DecodeInto(group int, dst []int) {
-	if group < 0 || group >= s.size {
-		panic(fmt.Sprintf("core: group index %d out of range [0,%d)", group, s.size))
-	}
+	s.checkGroup(group)
 	for i := range s.attrs {
 		dst[i] = group / s.strides[i] % len(s.attrs[i].Values)
 	}
 }
 
-// Label renders a group index as "name=value,…" for diagnostics.
-func (s *Space) Label(group int) string {
-	vals := s.Decode(group)
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = s.attrs[i].Name + "=" + s.attrs[i].Values[v]
+// checkGroup panics on a group index outside the space.
+func (s *Space) checkGroup(group int) {
+	if group < 0 || group >= s.size {
+		panic(fmt.Sprintf("core: group index %d out of range [0,%d)", group, s.size))
 	}
-	return strings.Join(parts, ",")
+}
+
+// value returns the name of attribute i's value in group.
+func (s *Space) value(group, i int) string {
+	a := &s.attrs[i]
+	return a.Values[group/s.strides[i]%len(a.Values)]
+}
+
+// Label renders a group index as "name=value,…" for diagnostics and
+// reports. It builds the label in one pre-sized allocation: a report
+// renders two labels per ladder row.
+func (s *Space) Label(group int) string {
+	s.checkGroup(group)
+	n := len(s.attrs) - 1 // separators
+	for i, a := range s.attrs {
+		n += len(a.Name) + 1 + len(s.value(group, i))
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i, a := range s.attrs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(a.Name)
+		b.WriteByte('=')
+		b.WriteString(s.value(group, i))
+	}
+	return b.String()
 }
 
 // IndexByValues encodes named attribute values ("gender"->"F", …) into a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -85,10 +86,36 @@ func TestIndexErrors(t *testing.T) {
 }
 
 func TestLabel(t *testing.T) {
-	s := threeAttrSpace(t)
-	idx := s.MustIndex(1, 1, 0)
-	if got, want := s.Label(idx), "gender=F,race=Black,nationality=US"; got != want {
-		t.Fatalf("Label = %q, want %q", got, want)
+	one := MustSpace(Attr{Name: "g", Values: []string{"a", "bb"}})
+	three := threeAttrSpace(t)
+	for _, tc := range []struct {
+		space *Space
+		group int
+		want  string
+	}{
+		{one, 0, "g=a"},
+		{one, 1, "g=bb"},
+		{three, three.MustIndex(1, 1, 0), "gender=F,race=Black,nationality=US"},
+		{three, 0, "gender=M,race=White,nationality=US"},
+		{three, three.Size() - 1, "gender=F,race=Other,nationality=Other"},
+	} {
+		if got := tc.space.Label(tc.group); got != tc.want {
+			t.Errorf("Label(%d) = %q, want %q", tc.group, got, tc.want)
+		}
+		if n := testing.AllocsPerRun(10, func() { tc.space.Label(tc.group) }); n != 1 {
+			t.Errorf("Label(%d) allocates %v times, want 1", tc.group, n)
+		}
+	}
+	for _, group := range []int{-1, three.Size()} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("core: group index %d out of range [0,%d)", group, three.Size())
+				if r := recover(); r != want {
+					t.Errorf("Label(%d) panicked with %v, want %q", group, r, want)
+				}
+			}()
+			three.Label(group)
+		}()
 	}
 }
 

@@ -12,8 +12,9 @@
 // Counts/CPT buffer pair and a re-seedable RNG. Replicate r always uses
 // RNG substream (seed, r) and writes only slot r, so intervals are
 // bit-identical regardless of GOMAXPROCS. ε and every other requested
-// metric share one draw per replicate: K metrics over B replicates cost
-// B draws plus K·B evaluations.
+// metric share one draw per replicate, and core.EvalMetrics scores them
+// all on it: one validated scan per replicate table, and Eval only for
+// metrics without an extrema form.
 package resample
 
 import (
@@ -68,13 +69,14 @@ func EpsilonBootstrap(ctx context.Context, c *core.Counts, alpha float64, b int,
 
 // MetricBootstrap is EpsilonBootstrap for any number of core.Metric
 // values at once: each replicate table is drawn and converted to a CPT
-// once, then every metric's Eval scores it, so B replicates cost B
-// multinomial draws plus len(ms)·B evaluations. It returns one interval
-// per metric, in the order of ms. A replicate whose table degenerates to
+// once, then core.EvalMetrics scores every metric on it, so B replicates
+// cost B multinomial draws plus one validated scan per table, and Eval
+// only for metrics without an extrema form. It returns one interval per
+// metric, in the order of ms. A replicate whose table degenerates to
 // fewer than two supported groups scores each metric's WorstValue (for
 // ε that is +Inf); InfiniteShare counts a metric's non-finite
-// replicates, which for bounded metrics is always 0. Any other Eval
-// error from any metric fails the whole call.
+// replicates, which for bounded metrics is always 0. Any other error
+// from any metric fails the whole call.
 //
 // Determinism matches EpsilonBootstrap: for a given (counts, alpha, b,
 // level, r) every interval is independent of GOMAXPROCS, workers and
@@ -101,6 +103,8 @@ func MetricBootstrap(ctx context.Context, ms []core.Metric, c *core.Counts, alph
 		boot *core.Counts
 		cpt  *core.CPT
 		rng  *rng.RNG
+		x    core.RateExtrema
+		res  []core.MetricResult
 	}
 	// reps[j*b+i] is metric j's score on replicate i.
 	reps := make([]float64, len(ms)*b)
@@ -109,6 +113,8 @@ func MetricBootstrap(ctx context.Context, ms []core.Metric, c *core.Counts, alph
 			boot: core.MustCounts(space, outcomes),
 			cpt:  core.MustCPT(space, outcomes),
 			rng:  rng.New(0),
+			x:    core.NewRateExtrema(len(outcomes)),
+			res:  make([]core.MetricResult, len(ms)),
 		}
 	}, func(s *scratch, i int) error {
 		s.rng.SeedStream(base, uint64(i))
@@ -124,22 +130,23 @@ func MetricBootstrap(ctx context.Context, ms []core.Metric, c *core.Counts, alph
 				return err
 			}
 		}
-		for j, m := range ms {
-			res, err := m.Eval(s.cpt)
-			if err != nil {
-				if errors.Is(err, core.ErrDegenerateSupport) {
-					// The resample concentrated all mass in fewer than two
-					// groups: legitimately the most-unfair representable
-					// value, not a failure.
-					reps[j*b+i] = m.WorstValue()
-					continue
-				}
-				// Anything else is a real bug (invalid probabilities,
-				// shape mismatch) and must not be silently scored as
-				// worst.
-				return fmt.Errorf("metric %s: %w", m.Key(), err)
+		err := core.EvalMetrics(ms, s.cpt, &s.x, s.res)
+		if errors.Is(err, core.ErrDegenerateSupport) {
+			// The resample concentrated all mass in fewer than two
+			// groups: legitimately the most-unfair representable value
+			// of every metric, not a failure.
+			for j, m := range ms {
+				reps[j*b+i] = m.WorstValue()
 			}
-			reps[j*b+i] = res.Value
+			return nil
+		}
+		if err != nil {
+			// Anything else is a real bug (invalid probabilities, shape
+			// mismatch) and must not be silently scored as worst.
+			return err
+		}
+		for j, r := range s.res {
+			reps[j*b+i] = r.Value
 		}
 		return nil
 	})
@@ -203,13 +210,14 @@ func validateBootstrap(ms []core.Metric, c *core.Counts, alpha float64, b int, l
 	} else {
 		cpt = c.Empirical()
 	}
+	x := core.NewRateExtrema(c.NumOutcomes())
+	res := make([]core.MetricResult, len(ms))
+	if err := core.EvalMetrics(ms, cpt, &x, res); err != nil {
+		return 0, nil, fmt.Errorf("resample: %w", err)
+	}
 	points = make([]float64, len(ms))
-	for j, m := range ms {
-		res, err := m.Eval(cpt)
-		if err != nil {
-			return 0, nil, fmt.Errorf("resample: metric %s: %w", m.Key(), err)
-		}
-		points[j] = res.Value
+	for j, r := range res {
+		points[j] = r.Value
 	}
 	return n, points, nil
 }

@@ -30,12 +30,14 @@ package stream
 // drift for the exponential policy and makes WriteState/ReadState
 // byte-identical by construction (nothing incremental is serialized).
 //
-// EpsilonSubsets extends the same machinery down the attribute-subset
+// MetricSubsets extends the same machinery down the attribute-subset
 // lattice: deltas applied to the full table accumulate in a pending set
 // and are folded into each subset marginal along the PR-2
 // parent-derivation order (each subset derived from a one-attribute-
 // larger parent via core.Space.DropStride), so a warm subset ladder
 // costs O(pending deltas × subsets), independent of the lattice size.
+// Every marginal caches its own rate extrema, from which ε and each
+// extrema-form metric get their ladder.
 //
 // The smoothed estimator is not invariant under the exponential policy's
 // uniform rescale (the α pseudo-count does not decay), so cached extrema
@@ -53,7 +55,7 @@ import (
 	"repro/internal/core"
 )
 
-// ErrIncrementalUnavailable is returned by Monitor.EpsilonSubsets for
+// ErrIncrementalUnavailable is returned by Monitor.MetricSubsets for
 // policies whose estimator cannot be maintained incrementally (the
 // exponential policy under Dirichlet smoothing: the α pseudo-count does
 // not decay with the counts, so subset rates change on every tick even
@@ -390,7 +392,7 @@ type incEngine struct {
 	win  int
 	ring []incBucket
 
-	// subset lattice (built lazily on first EpsilonSubsets)
+	// subset lattice (built lazily on first MetricSubsets)
 	fullMask    int
 	nodes       []*incNode // indexed by attribute mask
 	nodeOrder   []*incNode // decreasing popcount: parents first
@@ -796,7 +798,7 @@ func (inc *incEngine) cptLocked(now int64) (*core.CPT, error) {
 // nonempty proper attribute subset, each derived from its parent (the
 // subset plus the lowest missing attribute — the same parent order
 // core.EpsilonSubsetsCounts walks) via DropStride index arithmetic.
-// Called lazily on the first EpsilonSubsets; mu must be held.
+// Called lazily on the first MetricSubsets; mu must be held.
 func (inc *incEngine) buildNodes() error {
 	space := inc.m.space
 	p := space.NumAttrs()
@@ -888,12 +890,14 @@ func (inc *incEngine) rebuildNodes() {
 	}
 }
 
-// ladderLocked propagates the pending deltas down the lattice and
-// assembles the subset ladder in SubsetNames order. Each node folds only
-// its parent's changed cells (two integer divisions per cell), so a warm
-// ladder costs O(pending deltas × subsets) — independent of the lattice
-// size. mu must be held; sync must have run.
-func (inc *incEngine) ladderLocked() ([]core.SubsetEpsilon, error) {
+// laddersLocked propagates the pending deltas down the lattice and
+// assembles one subset ladder, in SubsetNames order, per metric of ms
+// with an extrema form, scored from each lattice node's cached extrema;
+// the other metrics get nil. Each node folds only its parent's changed
+// cells (two integer divisions per cell), so a warm call costs
+// O(pending deltas × subsets) — independent of the lattice size. mu
+// must be held; sync must have run.
+func (inc *incEngine) laddersLocked(ms []core.Metric) ([][]core.SubsetMetric, error) {
 	inc.full.refresh()
 	for _, nd := range inc.nodeOrder {
 		src := inc.pend
@@ -925,23 +929,34 @@ func (inc *incEngine) ladderLocked() ([]core.SubsetEpsilon, error) {
 		}
 	}
 
-	out := make([]core.SubsetEpsilon, 0, len(inc.subsetOrder))
-	for _, names := range inc.subsetOrder {
+	out := make([][]core.SubsetMetric, len(ms))
+	for j, m := range ms {
+		if _, ok := m.(core.ExtremaMetric); ok {
+			out[j] = make([]core.SubsetMetric, len(inc.subsetOrder))
+		}
+	}
+	for i, names := range inc.subsetOrder {
 		mask := 0
 		for _, n := range names {
-			i, _ := inc.m.space.AttrIndex(n)
-			mask |= 1 << i
+			a, _ := inc.m.space.AttrIndex(n)
+			mask |= 1 << a
 		}
 		t, sp := inc.full, inc.m.space
 		if mask != inc.fullMask {
 			nd := inc.nodes[mask]
 			t, sp = nd.tab, nd.sub
 		}
-		res, err := t.ext.Epsilon()
-		if err != nil {
-			return nil, fmt.Errorf("stream: subset %v: %w", names, err)
+		for j, m := range ms {
+			em, ok := m.(core.ExtremaMetric)
+			if !ok {
+				continue
+			}
+			res, err := em.EvalExtrema(&t.ext)
+			if err != nil {
+				return nil, fmt.Errorf("stream: subset %v: metric %s: %w", names, m.Key(), err)
+			}
+			out[j][i] = core.SubsetMetric{Attrs: names, Result: res, Space: sp}
 		}
-		out = append(out, core.SubsetEpsilon{Attrs: names, Result: res, Space: sp})
 	}
 	return out, nil
 }

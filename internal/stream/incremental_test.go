@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // The incremental-ε property suite: the incremental engine's contract is
 // that Check ≡ CheckFull (bit-identical for the integer-count window
 // policies, within tight relative tolerance for exponential decay) and
-// EpsilonSubsets ≡ core.EpsilonSubsetsCounts over a snapshot, across
+// MetricSubsets ≡ core.MetricSubsetsCounts over a snapshot, across
 // every policy, estimator, shard count, ingest interleaving, log
 // overflow, periodic rebuild, and a WriteState/ReadState round trip —
 // with the ε threshold and with metric limits armed (limitSets).
@@ -441,10 +442,27 @@ func TestIncrementalPeriodicRebuild(t *testing.T) {
 	}
 }
 
-// TestEpsilonSubsetsMatchesCore pins the incremental subset ladder
-// against core.EpsilonSubsetsCounts over a simultaneous snapshot:
-// same order, same ε bits, same witnesses, same marginal spaces — across
-// repeated reports with evictions in between.
+// ladderMetrics is every registry metric plus a custom metric without
+// the extrema form: the incremental engine ladders the five with an
+// extrema form and leaves subgroup and the custom one to the caller.
+func ladderMetrics() []core.Metric {
+	return []core.Metric{
+		core.DFEpsilon,
+		fairmetrics.WorstGap{},
+		fairmetrics.WorstRatio{},
+		fairmetrics.AlphaIntersectional{Alpha: 0.5},
+		fairmetrics.SubgroupParity{},
+		fairmetrics.DemographicParity{},
+		plainMetric{fairmetrics.WorstRatio{}},
+	}
+}
+
+// TestEpsilonSubsetsMatchesCore pins the incremental subset ladders
+// against core.MetricSubsetsCounts over a simultaneous snapshot, for
+// every metric with an extrema form: same order, same value bits, same
+// witnesses, same marginal spaces — across shard counts, estimators, a
+// log overflow on every sync, and repeated reports with evictions in
+// between.
 func TestEpsilonSubsetsMatchesCore(t *testing.T) {
 	space := incTestSpace(t)
 	for _, pc := range []struct {
@@ -455,68 +473,133 @@ func TestEpsilonSubsetsMatchesCore(t *testing.T) {
 		{"sliding", Sliding{Window: 1024, Buckets: 4}},
 	} {
 		t.Run(pc.name, func(t *testing.T) {
-			for _, alpha := range []float64{0.5, 1} {
-				m, err := New(space, []string{"no", "yes"}, Config{Policy: pc.pol, Alpha: alpha, Shards: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				r := rng.New(55)
-				for round := 0; round < 12; round++ {
-					// Populate every group so no subset is degenerate, then
-					// add random mass on top.
-					for g := 0; g < space.Size(); g++ {
-						for y := 0; y < 2; y++ {
-							if err := m.Observe(g, y); err != nil {
-								t.Fatal(err)
-							}
+			for _, shards := range []int{1, 4} {
+				for _, logCap := range []int{defaultDirtyLogCap, 8} {
+					t.Run(fmt.Sprintf("shards=%d/log=%d", shards, logCap), func(t *testing.T) {
+						for _, alpha := range []float64{0, 0.5, 1} {
+							subsetsMatchCore(t, space, pc.pol, shards, logCap, alpha)
 						}
-					}
-					groups := make([]int, 200)
-					outcomes := make([]int, 200)
-					for i := range groups {
-						groups[i] = r.Intn(space.Size())
-						outcomes[i] = r.Intn(2)
-					}
-					if err := m.ObserveBatch(groups, outcomes); err != nil {
-						t.Fatal(err)
-					}
-					ladder, err := m.EpsilonSubsets()
-					if err != nil {
-						t.Fatal(err)
-					}
-					snap, err := m.Snapshot()
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := core.EpsilonSubsetsCounts(snap, alpha)
-					if err != nil {
-						t.Fatal(err)
-					}
-					compareLadders(t, ladder, want)
+					})
 				}
 			}
 		})
 	}
 }
 
-func compareLadders(t *testing.T, got, want []core.SubsetEpsilon) {
+// subsetsMatchCore drives one monitor through twelve report rounds and
+// compares its incremental ladders with the snapshot walk after each.
+// A log capacity below the 200-decision batches overflows every drain,
+// so each sync rebuilds the lattice from shard state.
+func subsetsMatchCore(t *testing.T, space *core.Space, pol Policy, shards, logCap int, alpha float64) {
+	t.Helper()
+	m, err := New(space, []string{"no", "yes"}, Config{Policy: pol, Alpha: alpha, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if logCap != defaultDirtyLogCap {
+		m.incMu.Lock()
+		m.inc = newIncEngine(m, logCap, defaultRebuildEvery)
+		m.eng.enableDirty(logCap)
+		m.incMu.Unlock()
+	}
+	r := rng.New(55)
+	overflowed := false
+	for round := 0; round < 12; round++ {
+		// Populate every group so no subset is degenerate, then add
+		// random mass on top.
+		for g := 0; g < space.Size(); g++ {
+			for y := 0; y < 2; y++ {
+				if err := m.Observe(g, y); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		groups := make([]int, 200)
+		outcomes := make([]int, 200)
+		for i := range groups {
+			groups[i] = r.Intn(space.Size())
+			outcomes[i] = r.Intn(2)
+		}
+		if err := m.ObserveBatch(groups, outcomes); err != nil {
+			t.Fatal(err)
+		}
+		eng := m.eng.(*winEngine)
+		for i := range eng.shards {
+			eng.shards[i].mu.Lock()
+			overflowed = overflowed || eng.shards[i].log.overflow
+			eng.shards[i].mu.Unlock()
+		}
+		matchSnapshot(t, m, alpha)
+	}
+	if logCap != defaultDirtyLogCap && !overflowed {
+		t.Fatal("no log ever overflowed; the rebuild path exercised nothing")
+	}
+}
+
+// matchSnapshot asserts, on a quiescent monitor, that MetricSubsets
+// returns the merged snapshot's counts cell for cell, the snapshot
+// walk's ladder for every metric with an extrema form, and no ladder for
+// the others.
+func matchSnapshot(t *testing.T, m *Monitor, alpha float64) {
+	t.Helper()
+	ms := ladderMetrics()
+	counts, ladders, err := m.MetricSubsets(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range snap.Cells() {
+		if math.Float64bits(counts.Cells()[i]) != math.Float64bits(v) {
+			t.Fatalf("cell %d: MetricSubsets counts %v, snapshot %v", i, counts.Cells()[i], v)
+		}
+	}
+	matchWalk(t, ms, ladders, snap, alpha)
+}
+
+// matchWalk compares incremental ladders with core.MetricSubsetsCounts
+// over counts: equal for every metric with an extrema form, nil for the
+// others.
+func matchWalk(t *testing.T, ms []core.Metric, ladders [][]core.SubsetMetric, counts *core.Counts, alpha float64) {
+	t.Helper()
+	want, err := core.MetricSubsetsCounts(ms, counts, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ladders) != len(ms) {
+		t.Fatalf("%d ladders for %d metrics", len(ladders), len(ms))
+	}
+	for j, m := range ms {
+		if _, ok := m.(core.ExtremaMetric); !ok {
+			if ladders[j] != nil {
+				t.Fatalf("%s has no extrema form but got an incremental ladder", m.Key())
+			}
+			continue
+		}
+		compareLadders(t, m.Key(), ladders[j], want[j])
+	}
+}
+
+func compareLadders(t *testing.T, key string, got, want []core.SubsetMetric) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("ladder length %d, want %d", len(got), len(want))
+		t.Fatalf("%s: ladder length %d, want %d", key, len(got), len(want))
 	}
 	for i := range got {
 		if got[i].Key() != want[i].Key() {
-			t.Fatalf("ladder[%d] subset %q, want %q", i, got[i].Key(), want[i].Key())
+			t.Fatalf("%s: ladder[%d] subset %q, want %q", key, i, got[i].Key(), want[i].Key())
 		}
 		g, w := got[i].Result, want[i].Result
-		if math.Float64bits(g.Epsilon) != math.Float64bits(w.Epsilon) ||
+		if math.Float64bits(g.Value) != math.Float64bits(w.Value) ||
 			g.Witness != w.Witness || g.Finite != w.Finite {
-			t.Fatalf("ladder[%d] (%s):\n  incremental %+v\n  snapshot    %+v",
-				i, got[i].Key(), g, w)
+			t.Fatalf("%s: ladder[%d] (%s):\n  incremental %+v\n  snapshot    %+v",
+				key, i, got[i].Key(), g, w)
 		}
 		if got[i].Space.Size() != want[i].Space.Size() {
-			t.Fatalf("ladder[%d] (%s) space size %d, want %d",
-				i, got[i].Key(), got[i].Space.Size(), want[i].Space.Size())
+			t.Fatalf("%s: ladder[%d] (%s) space size %d, want %d",
+				key, i, got[i].Key(), got[i].Space.Size(), want[i].Space.Size())
 		}
 	}
 }
@@ -529,8 +612,8 @@ func TestEpsilonSubsetsExponentialUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.EpsilonSubsets(); !errors.Is(err, ErrIncrementalUnavailable) {
-		t.Fatalf("EpsilonSubsets on exponential policy = %v, want ErrIncrementalUnavailable", err)
+	if _, _, err := m.MetricSubsets(ladderMetrics()); !errors.Is(err, ErrIncrementalUnavailable) {
+		t.Fatalf("MetricSubsets on exponential policy = %v, want ErrIncrementalUnavailable", err)
 	}
 }
 
@@ -550,7 +633,7 @@ func TestReadStateRebuildsIncremental(t *testing.T) {
 	w1 := limits.arm(t, m1, 0)
 	r := rng.New(77)
 	drive(t, w1, r, 20, false)
-	if _, err := m1.EpsilonSubsets(); err != nil {
+	if _, _, err := m1.MetricSubsets(ladderMetrics()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -593,12 +676,24 @@ func TestReadStateRebuildsIncremental(t *testing.T) {
 		sameAlert(t, "restored", a1, a2)
 		checkBoth(t, "restored-vs-full", w2)
 
-		l1, err1 := m1.EpsilonSubsets()
-		l2, err2 := m2.EpsilonSubsets()
+		ms := ladderMetrics()
+		c1, l1, err1 := m1.MetricSubsets(ms)
+		c2, l2, err2 := m2.MetricSubsets(ms)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("ladder errors: %v vs %v", err1, err2)
 		}
-		compareLadders(t, l2, l1)
+		for i, v := range c1.Cells() {
+			if math.Float64bits(c2.Cells()[i]) != math.Float64bits(v) {
+				t.Fatalf("restored counts cell %d: %v vs %v", i, c2.Cells()[i], v)
+			}
+		}
+		for j, m := range ms {
+			if (l1[j] == nil) != (l2[j] == nil) {
+				t.Fatalf("%s: ladder presence differs after restore", m.Key())
+			}
+			compareLadders(t, m.Key(), l2[j], l1[j])
+		}
+		matchSnapshot(t, m2, cfg.Alpha)
 	}
 }
 
@@ -640,6 +735,7 @@ func TestIncrementalConcurrent(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		ms := ladderMetrics()
 		for i := 0; i < 30; i++ {
 			if _, _, err := w.Check(); err != nil {
 				t.Error(err)
@@ -647,28 +743,41 @@ func TestIncrementalConcurrent(t *testing.T) {
 			}
 			// A cold ladder may legitimately find a subset with fewer than
 			// two supported groups; anything else is a real failure.
-			if _, err := m.EpsilonSubsets(); err != nil && !errors.Is(err, core.ErrDegenerateSupport) {
+			counts, ladders, err := m.MetricSubsets(ms)
+			if errors.Is(err, core.ErrDegenerateSupport) {
+				continue
+			}
+			if err != nil {
 				t.Error(err)
 				return
+			}
+			// Counts and ladders come from one state even while the
+			// writers run: the walk over the returned counts reproduces
+			// every incremental ladder.
+			want, err := core.MetricSubsetsCounts(ms, counts, 0.5)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for j, mt := range ms {
+				if ladders[j] == nil {
+					continue
+				}
+				for k := range ladders[j] {
+					g, w := ladders[j][k].Result, want[j][k].Result
+					if math.Float64bits(g.Value) != math.Float64bits(w.Value) || g.Witness != w.Witness {
+						t.Errorf("%s subset %s: concurrent ladder %+v, walk over its counts %+v",
+							mt.Key(), ladders[j][k].Key(), g, w)
+						return
+					}
+				}
 			}
 		}
 	}()
 	wg.Wait()
 
 	checkBoth(t, "quiesced", w)
-	ladder, err := m.EpsilonSubsets()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.EpsilonSubsetsCounts(snap, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareLadders(t, ladder, want)
+	matchSnapshot(t, m, 0.5)
 }
 
 // TestMinEffectiveGateDefersRefresh pins the cold-start contract: a

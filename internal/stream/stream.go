@@ -22,7 +22,7 @@
 //     bucket increments.
 //
 // Reporting is two-speed. Snapshots and one-off Epsilon calls merge the
-// shards on demand; Watch threshold checks and EpsilonSubsets instead
+// shards on demand; Watch threshold checks and MetricSubsets instead
 // run on an incrementally-maintained aggregate (incremental.go) fed by
 // per-shard dirty-cell logs, so a per-batch check costs O(cells touched
 // since the last check) rather than O(shards × cells) — bit-identical
@@ -125,7 +125,7 @@ type Monitor struct {
 	cpt   *core.CPT
 
 	// inc is the lazily-attached incremental ε engine (incremental.go):
-	// Watch checks and EpsilonSubsets drain per-shard dirty-cell logs
+	// Watch checks and MetricSubsets drain per-shard dirty-cell logs
 	// into a running aggregate instead of re-merging every shard. incMu
 	// guards the attachment only; inc.mu guards its state (lock order:
 	// incMu → inc.mu → shard mutexes).
@@ -348,34 +348,51 @@ func (m *Monitor) ensureInc() *incEngine {
 	return m.inc
 }
 
-// EpsilonSubsets computes the ε ladder over every nonempty subset of the
-// protected attributes from incrementally-maintained subset marginals:
+// MetricSubsets is core.MetricSubsetsCounts over the monitor's effective
+// counts, computed from incrementally-maintained subset marginals:
 // deltas applied to the full aggregate since the last call are folded
 // down the lattice (each subset derived from its one-attribute-larger
-// parent), so a warm call costs O(cells changed × subsets) instead of
-// O(lattice) — report latency independent of the table size. The results
-// are ordered like Space.SubsetNames and, for the integer-count window
-// policies, bit-identical to core.EpsilonSubsetsCounts over a snapshot
-// of the same state. The exponential policy returns
-// ErrIncrementalUnavailable (its smoothed estimator is not invariant
-// under decay's uniform rescale); callers fall back to the snapshot
-// ladder. A subset with fewer than two supported groups returns an error
-// wrapping core.ErrDegenerateSupport.
-func (m *Monitor) EpsilonSubsets() ([]core.SubsetEpsilon, error) {
+// parent), and every metric with an extrema form (core.ExtremaMetric) is
+// scored from each subset's cached rate extrema, so a warm call costs
+// O(cells changed × subsets) instead of O(lattice) — report latency
+// independent of the table size. It returns one ladder per metric of ms,
+// ordered like Space.SubsetNames and, for the integer-count window
+// policies, bit-identical to core.MetricSubsetsCounts over the returned
+// counts; a metric without an extrema form gets a nil ladder, for the
+// caller to measure over those counts.
+//
+// The counts are a caller-owned copy of the synced aggregate, read
+// under the same lock hold as the ladders, so a report built from both
+// describes one state even while writers ingest concurrently; for the
+// window policies the aggregate equals a merged snapshot cell for cell.
+// The exponential policy returns ErrIncrementalUnavailable (its smoothed
+// estimator is not invariant under decay's uniform rescale); callers
+// fall back to a snapshot. A subset with fewer than two supported
+// groups returns an error wrapping core.ErrDegenerateSupport.
+func (m *Monitor) MetricSubsets(ms []core.Metric) (*core.Counts, [][]core.SubsetMetric, error) {
 	inc := m.ensureInc()
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	if inc.exp {
-		return nil, ErrIncrementalUnavailable
+		return nil, nil, ErrIncrementalUnavailable
 	}
 	if inc.nodes == nil {
 		if err := inc.buildNodes(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		inc.valid = false // nodes must be seeded by a full rebuild
 	}
 	inc.sync(m.ticket.Load())
-	return inc.ladderLocked()
+	ladders, err := inc.laddersLocked(ms)
+	if err != nil {
+		return nil, nil, err
+	}
+	counts, err := core.NewCounts(m.space, m.outcomes)
+	if err != nil {
+		return nil, nil, err
+	}
+	copy(counts.Cells(), inc.full.agg)
+	return counts, ladders, nil
 }
 
 // Alert describes a threshold crossing.

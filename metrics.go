@@ -76,8 +76,10 @@ func MetricKeys() []string {
 // subset ladder, and whatever bootstrap/credible uncertainty the other
 // options request. ε and every requested metric share one draw per
 // bootstrap replicate, per posterior sample and per lattice node, so K
-// metrics over B replicates cost B draws plus (K+1)·B evaluations, and
-// every metric is measured over exactly the same tables as ε. Keys
+// metrics over B replicates cost B draws plus one validated scan per
+// table, and Eval only for metrics without an extrema form
+// (core.EvalMetrics); every metric is measured over exactly the same
+// tables as ε. Keys
 // resolve at option time; applicability to the auditor's table shape is
 // validated by NewAuditor.
 func WithMetrics(keys ...string) Option {

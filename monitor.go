@@ -28,9 +28,10 @@ type Monitor struct {
 	outcomes []string
 	alpha    float64
 	// ladderHook, when non-nil, replaces the incremental subset-ladder
-	// source in Audit. Tests use it to force incremental failures and pin
-	// that the fallback is visible in the report, never silent.
-	ladderHook func() ([]SubsetEpsilon, error)
+	// source in Audit (stream.Monitor.MetricSubsets). Tests use it to
+	// force incremental failures and pin that the fallback is visible in
+	// the report, never silent.
+	ladderHook func([]Metric) (*Counts, [][]SubsetMetric, error)
 }
 
 // ErrIncrementalUnavailable is returned by the incremental subset-ladder
@@ -219,46 +220,52 @@ func MonitorShards() int { return stream.DefaultShards() }
 // monitor's smoothing alpha is applied by default; additional options
 // are appended and may override it.
 //
-// When the report includes the subset ladder under the monitor's own
-// estimator (the default), the ladder comes from the monitor's
+// When the report includes the subset ladders under the monitor's own
+// estimator (the default), window-policy monitors take them from the
 // incremental subset marginals — O(cells changed since the last report)
-// for warm window-policy monitors, independent of the lattice size —
-// and is bit-identical to the snapshot recompute it replaces.
-// Exponential-decay monitors, overridden alphas, and WithSubsets(false)
-// fall back to the snapshot ladder.
+// for a warm monitor, independent of the lattice size, and bit-identical
+// to the snapshot recompute they replace. That covers ε and every metric
+// with an extrema form (core.ExtremaMetric: every registry metric but
+// subgroup); only the others walk the snapshot lattice. The whole report
+// is computed from one state: the counts it audits are read from the
+// incremental engine under the same lock hold as its ladders, so the
+// full-intersection ladder rows match the headline values even while
+// writers ingest concurrently. Exponential-decay monitors, overridden
+// alphas, and WithSubsets(false) audit a merged snapshot with snapshot
+// ladders.
 //
 // Exponentially-decayed counts are non-integral, so WithBootstrap is not
 // applicable to those snapshots (the bootstrap requires integer counts
 // and will reject it) — use WithCredible there. Tumbling and sliding
 // windows hold integral counts, and the bootstrap applies.
 func (m *Monitor) Audit(ctx context.Context, opts ...Option) (*Report, error) {
-	snap, err := m.inner.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("fairness: Monitor.Audit: %w", err)
-	}
 	auditor, err := NewAuditor(m.space, m.outcomes, append([]Option{WithAlpha(m.alpha)}, opts...)...)
 	if err != nil {
 		return nil, err
 	}
+	reason := ""
 	if auditor.cfg.subsets && auditor.cfg.alpha == m.alpha {
-		ladderOf := m.inner.EpsilonSubsets
+		subsetsOf := m.inner.MetricSubsets
 		if m.ladderHook != nil {
-			ladderOf = m.ladderHook
+			subsetsOf = m.ladderHook
 		}
-		ladder, lerr := ladderOf()
+		counts, ladders, lerr := subsetsOf(auditor.metrics())
 		if lerr == nil {
-			return auditor.runWithLadder(ctx, snap, ladder)
+			return auditor.run(ctx, counts, ladders, LadderSourceIncremental, "")
 		}
 		// The fallback to the snapshot ladder keeps the audit serviceable
 		// (error reporting identical to the pre-incremental path), but it
 		// must be visible: the report records the source and the reason,
 		// with ErrIncrementalUnavailable (a policy property, expected for
 		// exponential decay) distinguished from genuine failures.
-		reason := "incremental ladder failed: " + lerr.Error()
+		reason = "incremental ladder failed: " + lerr.Error()
 		if errors.Is(lerr, ErrIncrementalUnavailable) {
 			reason = "incremental ladder unavailable for this window policy: " + lerr.Error()
 		}
-		return auditor.runSnapshotLadder(ctx, snap, reason)
 	}
-	return auditor.runSnapshotLadder(ctx, snap, "")
+	snap, err := m.inner.Snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("fairness: Monitor.Audit: %w", err)
+	}
+	return auditor.run(ctx, snap, nil, LadderSourceSnapshot, reason)
 }

@@ -1,16 +1,19 @@
 package fairness
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // These tests live inside the package to reach Monitor.ladderHook: the
-// seam that forces the incremental subset-ladder path to fail, pinning
-// that Audit's fallback to the snapshot ladder is visible in the report
-// (ladder_source + ladder_fallback_reason) and never silent.
+// seam that replaces the incremental subset-ladder source. Forcing it to
+// fail pins that Audit's fallback to the snapshot ladder is visible in
+// the report (ladder_source + ladder_fallback_reason) and never silent;
+// wrapping it shows which ladders the incremental engine supplied.
 
 func skewedTumblingMonitor(t *testing.T) *Monitor {
 	t.Helper()
@@ -59,8 +62,8 @@ func TestAuditForcedIncrementalFailureIsVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mon.ladderHook = func() ([]SubsetEpsilon, error) {
-		return nil, errors.New("synthetic ladder corruption")
+	mon.ladderHook = func([]Metric) (*Counts, [][]SubsetMetric, error) {
+		return nil, nil, errors.New("synthetic ladder corruption")
 	}
 	rep, err := mon.Audit(context.Background())
 	if err != nil {
@@ -127,5 +130,57 @@ func TestAuditSubsetsDisabledUsesSnapshotWithoutReason(t *testing.T) {
 	if rep.LadderSource != LadderSourceSnapshot || rep.LadderFallbackReason != "" {
 		t.Errorf("ladder_source = %q, reason = %q; incremental was never attempted, so want snapshot with no reason",
 			rep.LadderSource, rep.LadderFallbackReason)
+	}
+}
+
+// TestAuditMixedLadderSources: on a window policy the ladders of ε and
+// every metric with an extrema form come from the incremental engine and
+// only the others walk the snapshot lattice, yet the report equals
+// Auditor.Run over the same counts in everything but ladder_source.
+func TestAuditMixedLadderSources(t *testing.T) {
+	mon := skewedTumblingMonitor(t)
+	var incremental []string
+	mon.ladderHook = func(ms []Metric) (*Counts, [][]SubsetMetric, error) {
+		counts, ladders, err := mon.inner.MetricSubsets(ms)
+		for j, l := range ladders {
+			if l != nil {
+				incremental = append(incremental, ms[j].Key())
+			}
+		}
+		return counts, ladders, err
+	}
+	opts := []Option{WithMetrics("subgroup", "worst_gap"), WithBootstrap(40, 0.9), WithCredible(40, 1, 0.9), WithSeed(5)}
+	rep, err := mon.Audit(context.Background(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"epsilon", "worst_gap"}; !slices.Equal(incremental, want) {
+		t.Fatalf("incremental ladders for %v, want %v", incremental, want)
+	}
+	if rep.LadderSource != LadderSourceIncremental {
+		t.Fatalf("ladder_source = %q, want %q", rep.LadderSource, LadderSourceIncremental)
+	}
+	snap, err := mon.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	auditor, err := NewAuditor(mon.Space(), mon.Outcomes(), append([]Option{WithAlpha(mon.alpha)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := auditor.Run(context.Background(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.LadderSource = rep.LadderSource
+	var got, exp bytes.Buffer
+	if err := rep.RenderJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.RenderJSON(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+		t.Fatalf("monitor report differs from Auditor.Run over the same counts:\n%s\nvs\n%s", got.Bytes(), exp.Bytes())
 	}
 }

@@ -143,8 +143,10 @@ type EqualizedOddsReport struct {
 // is always computed from the snapshot and there is nothing to fall
 // back from.
 const (
-	// LadderSourceIncremental: the subset ladder came from the monitor's
-	// incremental maintenance structures (O(changed cells) per update).
+	// LadderSourceIncremental: the subset ladders of ε and of every
+	// metric with an extrema form came from the monitor's incremental
+	// maintenance structures (O(changed cells) per update); any other
+	// metric's ladder was walked over the same counts.
 	LadderSourceIncremental = "incremental"
 	// LadderSourceSnapshot: the ladder was recomputed from the counts
 	// snapshot. When this was a fallback from the incremental path,

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Alloc gate: asserts the //df:hotpath zero-allocation contract at the
 # benchmark layer. Every BenchmarkHotPath* benchmark (one per annotated
-# hot path: core.Epsilon, stream Monitor.ObserveBatch, the stream
-# incremental-ε delta-apply path, repair Applier.ApplyBatch, dfserve's
-# binary and JSON batch decodes) must report exactly 0 allocs/op in
+# hot path: core.Epsilon, core.EvalMetrics with its RateExtrema.Scan,
+# stream Monitor.ObserveBatch, the stream incremental-ε delta-apply path,
+# repair Applier.ApplyBatch, dfserve's binary and JSON batch decodes)
+# must report exactly 0 allocs/op in
 # -benchmem output; a single allocation per op on the serving path turns
 # into GC pressure at stream rate. The static half of the same contract
 # is the dfvet hotpath analyzer — this gate catches what escapes analysis
@@ -28,7 +29,7 @@ else
 fi
 
 # Expected hot-path benchmarks; each annotated function has exactly one.
-expected=6
+expected=7
 
 awk -v expected="$expected" '
 /^BenchmarkHotPath/ {
