@@ -775,7 +775,7 @@ func BenchmarkDistBatchDensityGrid(b *testing.B) {
 // (32,561 observations over the paper's gender × race × nationality
 // space): the full ε ladder, bootstrap interval, credible interval and
 // interpretation in one Auditor.Run — the request path of cmd/dfserve.
-// scripts/bench_audit.sh tracks this as BENCH_audit.json across PRs.
+// scripts/bench_json.sh tracks this as BENCH_audit.json across PRs.
 func BenchmarkAuditor(b *testing.B) {
 	train, _, err := census.Generate(census.DefaultConfig())
 	if err != nil {
@@ -825,7 +825,7 @@ func BenchmarkAuditor(b *testing.B) {
 // sections with ladders, 50 bootstrap replicates and 50 posterior
 // samples, all drawn once and scored by ε and every metric. "monitor"
 // serves that report from a live monitor (benchMonitorReport).
-// scripts/bench_metrics.sh tracks this as BENCH_metrics.json across PRs.
+// scripts/bench_json.sh tracks this as BENCH_metrics.json across PRs.
 func BenchmarkMetricAudit(b *testing.B) {
 	train, _, err := census.Generate(census.DefaultConfig())
 	if err != nil {
@@ -881,12 +881,7 @@ func BenchmarkMetricAudit(b *testing.B) {
 // the incremental engine as they do in dfserve.
 func benchMonitorReport(b *testing.B) {
 	mon, feed := auditMonitor(b, 32561, 64, 1)
-	opts := []fairness.Option{
-		fairness.WithMetrics("worst_gap", "worst_ratio", "alpha_if", "demographic_parity"),
-		fairness.WithBootstrap(50, 0.95),
-		fairness.WithCredible(50, 1, 0.95),
-		fairness.WithSeed(1),
-	}
+	opts := servedReportOptions()
 	var req loadgen.Request
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -910,8 +905,23 @@ func benchMonitorReport(b *testing.B) {
 	}
 }
 
+// servedReportOptions request the repository benchmark's audit report:
+// four metric sections, 50 bootstrap replicates and 50 posterior samples.
+func servedReportOptions() []fairness.Option {
+	return []fairness.Option{
+		fairness.WithMetrics("worst_gap", "worst_ratio", "alpha_if", "demographic_parity"),
+		fairness.WithBootstrap(50, 0.95),
+		fairness.WithCredible(50, 1, 0.95),
+		fairness.WithSeed(1),
+	}
+}
+
 // BenchmarkReportRenderJSON isolates the serialization cost of the
-// stable JSON schema from the analysis itself.
+// stable JSON schema from the analysis itself. "admissions" is the small
+// paper example with a bootstrap and a repair plan; "served" is the
+// report the repository benchmark's audit workload requests from a
+// monitor (160 groups, five 31-row ladders, 50 bootstrap replicates and
+// 50 posterior samples, about 59 KB of JSON).
 func BenchmarkReportRenderJSON(b *testing.B) {
 	counts := datasets.Admissions()
 	auditor, err := fairness.NewAuditor(counts.Space(), counts.Outcomes(),
@@ -921,15 +931,29 @@ func BenchmarkReportRenderJSON(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	report, err := auditor.Run(context.Background(), counts)
+	admissions, err := auditor.Run(context.Background(), counts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := report.RenderJSON(io.Discard); err != nil {
-			b.Fatal(err)
-		}
+	mon, _ := auditMonitor(b, 32561, 64, 1)
+	served, err := mon.Audit(context.Background(), servedReportOptions()...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bench := range []struct {
+		name   string
+		report *fairness.Report
+	}{
+		{"admissions", admissions},
+		{"served", served},
+	} {
+		b.Run(bench.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := bench.report.RenderJSON(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

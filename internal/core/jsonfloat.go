@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -20,16 +19,37 @@ type JSONFloat float64
 
 // MarshalJSON implements json.Marshaler.
 func (f JSONFloat) MarshalJSON() ([]byte, error) {
+	return f.AppendJSON(nil), nil
+}
+
+// AppendJSON appends the JSON form of f to b and returns the extended
+// slice: a sentinel string for a non-finite value, otherwise the number
+// exactly as encoding/json formats a float64 (ES6 number-to-string:
+// 'f' notation unless the magnitude is below 1e-6 or at least 1e21, and
+// an exponent without a leading zero).
+func (f JSONFloat) AppendJSON(b []byte) []byte {
 	v := float64(f)
 	switch {
 	case math.IsInf(v, 1):
-		return []byte(`"inf"`), nil
+		return append(b, `"inf"`...)
 	case math.IsInf(v, -1):
-		return []byte(`"-inf"`), nil
+		return append(b, `"-inf"`...)
 	case math.IsNaN(v):
-		return []byte(`"nan"`), nil
+		return append(b, `"nan"`...)
 	}
-	return json.Marshal(v)
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		// Shorten e-07 to e-7, as encoding/json does.
+		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // UnmarshalJSON implements json.Unmarshaler, accepting a JSON number or

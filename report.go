@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 
@@ -246,23 +247,41 @@ func (r *Report) pinned() *plainReport {
 }
 
 // RenderJSON writes the report as indented JSON (the stable schema) with
-// a trailing newline. Output is byte-identical for identical reports. It
-// encodes the pinned plain form directly: going through MarshalJSON
-// would make encoding/json re-scan the whole compact output before
-// indenting it.
+// a trailing newline, in one Write. Its bytes are those of
+// json.MarshalIndent(r, "", "  ") followed by a newline, and tests pin
+// that equality; identical reports render identical bytes.
 func (r *Report) RenderJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(r.pinned(), "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	e := reportEncoders.Get().(*reportEncoder)
+	defer reportEncoders.Put(e)
+	*e = reportEncoder{buf: e.buf[:0]}
+	r.appendJSON(e)
+	e.buf = append(e.buf, '\n')
+	_, err := w.Write(e.buf)
 	return err
 }
 
-// RenderText writes the human-readable report.
-func (r *Report) RenderText(w io.Writer) error {
-	fmt.Fprintf(w, "dfaudit: %d observations, estimator: %s\n\n", int(r.Observations), r.Estimator)
+// errWriter passes writes through to w until one fails, then keeps that
+// first error and fails every later write with it.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (ew *errWriter) Write(p []byte) (int, error) {
+	if ew.err != nil {
+		return 0, ew.err
+	}
+	n, err := ew.w.Write(p)
+	ew.err = err
+	return n, err
+}
+
+// RenderText writes the human-readable report and returns the first
+// write error, if any.
+func (r *Report) RenderText(out io.Writer) error {
+	w := &errWriter{w: out}
+	fmt.Fprintf(w, "dfaudit: %s observations, estimator: %s\n\n",
+		strconv.FormatFloat(float64(r.Observations), 'f', -1, 64), r.Estimator)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "protected attributes\teps\twitness outcome\tmost favored\tleast favored")
 	for _, row := range r.Ladder {
@@ -365,7 +384,7 @@ func (r *Report) RenderText(w io.Writer) error {
 			fmt.Fprintf(w, "  stratum %s: eps = %s\n", s.Label, fmtEps(float64(s.Epsilon)))
 		}
 	}
-	return nil
+	return w.err
 }
 
 func fmtEps(v float64) string {

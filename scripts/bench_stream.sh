@@ -10,9 +10,8 @@
 #   BENCHTIME=5x scripts/bench_stream.sh             # more iterations
 #
 # The second form lets CI reuse the smoke step's `go test -bench` output
-# instead of running the benchmarks twice. The JSON is a flat array:
-#   {"name": ..., "iterations": N, "ns_per_op": ..., "bytes_per_op": ...,
-#    "allocs_per_op": ...}
+# instead of running the benchmarks twice; scripts/bench_json.sh writes
+# the JSON in either case. The gates always re-time their benchmark.
 #
 # The acceptance comparisons are BenchmarkMonitorObserveParallel
 # (sharded-parallel vs locked-parallel ns/op on a multi-core host;
@@ -27,40 +26,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_stream.json}"
 input="${2:-}"
-benchtime="${BENCHTIME:-1x}"
 pattern='BenchmarkMonitorObserve|BenchmarkMonitorSnapshot|BenchmarkWatchObserveBatchChecked'
 
-raw="$(mktemp)"
-trap 'rm -f "$raw"' EXIT
-if [[ -n "$input" ]]; then
-  cp "$input" "$raw"
-else
-  go test -run 'xxx' -bench "$pattern" -benchmem -benchtime "$benchtime" . | tee "$raw"
-fi
-
-awk -v pat="^(${pattern})" '
-BEGIN { print "["; first = 1 }
-/^Benchmark/ {
-  name = $1; iters = $2; ns = ""; bytes = ""; allocs = ""
-  # Strip the -GOMAXPROCS suffix Go appends on multi-core hosts so
-  # names join across runners with different core counts.
-  sub(/-[0-9]+$/, "", name)
-  if (name !~ pat) next
-  for (i = 3; i <= NF; i++) {
-    if ($(i+1) == "ns/op")     ns = $i
-    if ($(i+1) == "B/op")      bytes = $i
-    if ($(i+1) == "allocs/op") allocs = $i
-  }
-  if (ns == "") next
-  if (!first) printf(",\n")
-  first = 0
-  printf("  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, iters, ns)
-  if (bytes != "")  printf(", \"bytes_per_op\": %s", bytes)
-  if (allocs != "") printf(", \"allocs_per_op\": %s", allocs)
-  printf("}")
-}
-END { print "\n]" }
-' "$raw" > "$out"
+scripts/bench_json.sh "$out" "$pattern" . ${input:+"$input"}
 
 # Incremental-check gates. -benchtime 1x is too noisy to judge a ratio,
 # so the gates re-time the benchmark at a fixed iteration count, five
@@ -125,5 +93,3 @@ END {
   }
   exit bad
 }'
-
-echo "wrote $out"
