@@ -296,7 +296,7 @@ func MustAuditor(space *Space, outcomes []string, opts ...Option) *Auditor {
 // engines, so canceling it makes an in-flight Run return promptly with
 // ctx.Err(). Callers without a deadline pass context.Background().
 func (a *Auditor) Run(ctx context.Context, counts *Counts) (*Report, error) {
-	return a.run(ctx, counts, nil, "", "")
+	return a.run(ctx, counts, nil, "")
 }
 
 // metrics is the list every engine of a report scores: ε first, then
@@ -310,9 +310,9 @@ func (a *Auditor) metrics() []core.Metric {
 // them incrementally; a nil entry, and every entry when ladders is nil,
 // is measured by one lattice walk over counts. A precomputed ladder must
 // have been measured over the same counts and estimator alpha —
-// Monitor.Audit reads both under one lock hold. ladderSource and
-// ladderFallback fill the report fields of the same names.
-func (a *Auditor) run(ctx context.Context, counts *Counts, ladders [][]core.SubsetMetric, ladderSource, ladderFallback string) (*Report, error) {
+// Monitor.Audit reads both under one lock hold. ladderSource fills the
+// report field of the same name.
+func (a *Auditor) run(ctx context.Context, counts *Counts, ladders [][]core.SubsetMetric, ladderSource string) (*Report, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("fairness: Auditor.Run: nil ctx (pass context.Background() if no deadline applies)")
 	}
@@ -343,12 +343,11 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladders [][]core.Subs
 	space := counts.Space()
 
 	rep := &Report{
-		SchemaVersion:        ReportSchemaVersion,
-		Estimator:            estimator,
-		Alpha:                JSONFloat(cfg.alpha),
-		Observations:         JSONFloat(counts.Total()),
-		LadderSource:         ladderSource,
-		LadderFallbackReason: ladderFallback,
+		SchemaVersion: ReportSchemaVersion,
+		Estimator:     estimator,
+		Alpha:         JSONFloat(cfg.alpha),
+		Observations:  JSONFloat(counts.Total()),
+		LadderSource:  ladderSource,
 	}
 
 	fullCPT, err := toCPT(counts)

@@ -486,12 +486,10 @@ func BenchmarkMonitorObserve(b *testing.B) {
 
 // BenchmarkMonitorObserveParallel is the headline streaming benchmark:
 // batched ingest (64 observations per batch, the dfserve observe-path
-// shape) through the sharded engine versus the retained single-mutex
-// LockedMonitor baseline, serially and with one ingesting goroutine per
-// GOMAXPROCS. Each iteration is one 64-observation batch; the sharded
-// engine's parallel ns/op should approach its serial ns/op divided by
-// the core count, while the locked baseline serializes.
-// scripts/bench_stream.sh records all four as BENCH_stream.json.
+// shape) through the sharded engine, serially and with one ingesting
+// goroutine per GOMAXPROCS. Each iteration is one 64-observation batch;
+// the parallel ns/op should approach the serial ns/op divided by the
+// core count. scripts/bench_stream.sh records both as BENCH_stream.json.
 func BenchmarkMonitorObserveParallel(b *testing.B) {
 	space := census.Space()
 	const batch = 64
@@ -504,61 +502,41 @@ func BenchmarkMonitorObserveParallel(b *testing.B) {
 		outcomes[i] = r.Intn(2)
 	}
 	offsets := pool/batch - 1
+	newMonitor := func(b *testing.B) *stream.Monitor {
+		m, err := stream.NewMonitor(space, census.IncomeValues, 5000, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
 
-	engines := []struct {
-		name string
-		make func() (func(g, y []int) error, error)
-	}{
-		{"sharded", func() (func(g, y []int) error, error) {
-			m, err := stream.NewMonitor(space, census.IncomeValues, 5000, 0)
-			if err != nil {
-				return nil, err
-			}
-			return m.ObserveBatch, nil
-		}},
-		{"locked", func() (func(g, y []int) error, error) {
-			m, err := stream.NewLocked(space, census.IncomeValues, 5000, 0)
-			if err != nil {
-				return nil, err
-			}
-			return m.ObserveBatch, nil
-		}},
-	}
-	for _, eng := range engines {
-		b.Run(eng.name+"-serial", func(b *testing.B) {
-			observe, err := eng.make()
-			if err != nil {
+	b.Run("sharded-serial", func(b *testing.B) {
+		m := newMonitor(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			off := (i % offsets) * batch
+			if err := m.ObserveBatch(groups[off:off+batch], outcomes[off:off+batch]); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+		}
+	})
+	b.Run("sharded-parallel", func(b *testing.B) {
+		m := newMonitor(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
 				off := (i % offsets) * batch
-				if err := observe(groups[off:off+batch], outcomes[off:off+batch]); err != nil {
-					b.Fatal(err)
+				i++
+				if err := m.ObserveBatch(groups[off:off+batch], outcomes[off:off+batch]); err != nil {
+					b.Error(err)
+					return
 				}
 			}
 		})
-		b.Run(eng.name+"-parallel", func(b *testing.B) {
-			observe, err := eng.make()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					off := (i % offsets) * batch
-					i++
-					if err := observe(groups[off:off+batch], outcomes[off:off+batch]); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
+	})
 }
 
 // BenchmarkWatchObserveBatchChecked is the headline incremental-ε

@@ -595,8 +595,7 @@ func (r *registry) handleReport(w http.ResponseWriter, req *http.Request) {
 	// Audit's subset ladders (report?subsets=true, the default) come from
 	// the monitor's incrementally-maintained subset marginals on the
 	// window policies, so their latency is independent of the lattice
-	// size once warm; exponential monitors fall back to the snapshot
-	// ladder.
+	// size once warm; exponential monitors walk the snapshot ladder.
 	report, err := mon.Audit(req.Context(), opts...)
 	if err != nil {
 		switch {

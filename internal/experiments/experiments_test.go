@@ -276,13 +276,13 @@ func TestMetricComparisonExperiment(t *testing.T) {
 	if r.Epsilon <= 0 {
 		t.Errorf("epsilon = %v", r.Epsilon)
 	}
-	if r.Report.DemographicParityGap <= 0 || r.Report.DemographicParityGap > 1 {
-		t.Errorf("demographic parity gap = %v", r.Report.DemographicParityGap)
+	if r.DemographicParity <= 0 || r.DemographicParity > 1 {
+		t.Errorf("demographic parity gap = %v", r.DemographicParity)
 	}
 	// The census classifier violates the 80% rule across intersections
 	// (a tiny group may even receive zero positive predictions, ratio 0).
-	if !(r.Report.DisparateImpactRatio >= 0 && r.Report.DisparateImpactRatio < 0.8) {
-		t.Errorf("disparate impact ratio = %v (expect a violation on census)", r.Report.DisparateImpactRatio)
+	if !(r.DisparateImpact >= 0 && r.DisparateImpact < 0.8) {
+		t.Errorf("disparate impact ratio = %v (expect a violation on census)", r.DisparateImpact)
 	}
 	out := r.String()
 	if !strings.Contains(out, "differential fairness") || !strings.Contains(out, "utility disparity") {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/bayes"
@@ -331,14 +332,19 @@ func (r LaplaceResult) String() string {
 
 // MetricComparisonResult sets DF side by side with the related-work
 // definitions of Section 7.1, all evaluated on the same census
-// classifier.
+// classifier, in the order String renders them.
 type MetricComparisonResult struct {
-	Epsilon float64
-	Report  fairmetrics.Report
+	Epsilon, DemographicParity, DisparateImpact float64
+	EqualizedOdds, EqualOpportunity, Subgroup   float64
+	// Calibration is the worst per-group expected calibration error of
+	// the classifier's scores.
+	Calibration float64
 }
 
 // MetricComparison trains the no-protected-features classifier and
-// evaluates every metric.
+// evaluates every metric. The parity metrics score the table of
+// predictions per group; equal opportunity and equalized odds are
+// demographic parity within the true-label strata.
 func MetricComparison(cfg census.Config, logistic classify.LogisticConfig) (MetricComparisonResult, error) {
 	train, test, err := census.Generate(cfg)
 	if err != nil {
@@ -372,30 +378,60 @@ func MetricComparison(cfg census.Config, logistic classify.LogisticConfig) (Metr
 	if err != nil {
 		return MetricComparisonResult{}, err
 	}
-	report, err := fairmetrics.Evaluate(groups, space.Size(), dsTest.Y, preds, probs, 10)
+	labeled, err := core.FromLabeledObservations(space,
+		census.IncomeValues, []string{"pred<=50K", "pred>50K"},
+		groups, dsTest.Y, preds)
 	if err != nil {
 		return MetricComparisonResult{}, err
 	}
-	return MetricComparisonResult{Epsilon: eps.Epsilon, Report: report}, nil
+	positives, err := labeled.Stratum(1)
+	if err != nil {
+		return MetricComparisonResult{}, err
+	}
+	negatives, err := labeled.Stratum(0)
+	if err != nil {
+		return MetricComparisonResult{}, err
+	}
+	out := MetricComparisonResult{Epsilon: eps.Epsilon}
+	var fprGap float64
+	emp := predCounts.Empirical()
+	for _, e := range []struct {
+		dst    *float64
+		metric core.Metric
+		cpt    *core.CPT
+	}{
+		{&out.DemographicParity, fairmetrics.DemographicParity{}, emp},
+		{&out.DisparateImpact, fairmetrics.WorstRatio{}, emp},
+		{&out.Subgroup, fairmetrics.SubgroupParity{}, emp},
+		{&out.EqualOpportunity, fairmetrics.DemographicParity{}, positives.Empirical()},
+		{&fprGap, fairmetrics.DemographicParity{}, negatives.Empirical()},
+	} {
+		res, err := e.metric.Eval(e.cpt)
+		if err != nil {
+			return MetricComparisonResult{}, err
+		}
+		*e.dst = res.Value
+	}
+	out.EqualizedOdds = math.Max(out.EqualOpportunity, fprGap)
+	if out.Calibration, err = fairmetrics.GroupCalibrationGap(groups, space.Size(), dsTest.Y, probs, 10); err != nil {
+		return MetricComparisonResult{}, err
+	}
+	return out, nil
 }
 
 // String renders the comparison.
 func (r MetricComparisonResult) String() string {
-	calibration := "not measured (no scores)"
-	if r.Report.GroupCalibrationGap != nil {
-		calibration = f3(float64(*r.Report.GroupCalibrationGap))
-	}
 	return interpretEpsilon(r.Epsilon) + "\n" + renderTable(
 		"Comparison: DF vs related fairness definitions (census classifier, no protected features)",
 		[]string{"definition", "value"},
 		[][]string{
 			{"differential fairness eps (this paper)", f3(r.Epsilon)},
-			{"demographic parity gap (Dwork et al.)", f3(float64(r.Report.DemographicParityGap))},
-			{"disparate impact ratio (80% rule)", f3(float64(r.Report.DisparateImpactRatio))},
-			{"equalized odds gap (Hardt et al.)", f3(float64(r.Report.EqualizedOddsGap))},
-			{"equal opportunity gap (Hardt et al.)", f3(float64(r.Report.EqualOpportunityGap))},
-			{"subgroup fairness violation (Kearns et al.)", f3(float64(r.Report.SubgroupFairnessViolation))},
-			{"group calibration gap (multicalibration)", calibration},
+			{"demographic parity gap (Dwork et al.)", f3(r.DemographicParity)},
+			{"disparate impact ratio (80% rule)", f3(r.DisparateImpact)},
+			{"equalized odds gap (Hardt et al.)", f3(r.EqualizedOdds)},
+			{"equal opportunity gap (Hardt et al.)", f3(r.EqualOpportunity)},
+			{"subgroup fairness violation (Kearns et al.)", f3(r.Subgroup)},
+			{"group calibration gap (multicalibration)", f3(r.Calibration)},
 		})
 }
 

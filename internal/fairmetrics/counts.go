@@ -321,8 +321,8 @@ func (SubgroupParity) Eval(c *core.CPT) (core.MetricResult, error) {
 
 // DemographicParity is the Section 7.1 demographic-parity baseline
 // (Dwork et al.) as a counts metric: the spread max − min of
-// positive-outcome rates across supported groups — the same quantity
-// DemographicParityGap measures from prediction slices.
+// positive-outcome rates across supported groups. Within a true-label
+// stratum it is Hardt et al.'s true- or false-positive-rate spread.
 type DemographicParity struct{}
 
 // Key implements core.Metric.

@@ -1,220 +1,22 @@
 // Package fairmetrics implements the baseline fairness definitions the
 // paper positions differential fairness against (Section 7.1):
-// demographic parity (Dwork et al.), the 80%-rule disparate-impact ratio,
-// equalized odds and equality of opportunity (Hardt et al.), statistical-
-// parity subgroup fairness (Kearns et al.), and a per-group calibration
-// audit in the spirit of multicalibration (Hébert-Johnson et al.).
+// demographic parity (Dwork et al.), the 80%-rule disparate-impact ratio
+// and statistical-parity subgroup fairness (Kearns et al.) as core.Metric
+// counts metrics (counts.go), beside the worst-case and α-intersectional
+// families. Equalized odds and equality of opportunity (Hardt et al.)
+// are demographic parity within the true-label strata of a
+// core.LabeledCounts table.
 //
-// All metrics consume parallel slices of group assignments, labels,
-// predictions, and (where needed) scores, so the experiment harness can
-// evaluate every definition on the same classifier output.
+// Score calibration is the one audit counts cannot express:
+// GroupCalibrationGap, in the spirit of multicalibration (Hébert-Johnson
+// et al.), reads parallel slices of groups, labels and scores.
 package fairmetrics
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/classify"
-	"repro/internal/core"
 )
-
-// groupTallies accumulates per-group prediction/label statistics.
-type groupTallies struct {
-	n       []float64
-	pred1   []float64
-	label1  []float64
-	tp, fn  []float64
-	fp, tn  []float64
-	invalid error
-}
-
-func tally(groups []int, numGroups int, yTrue, yPred []int) (*groupTallies, error) {
-	if numGroups < 2 {
-		return nil, fmt.Errorf("fairmetrics: need at least 2 groups, got %d", numGroups)
-	}
-	if len(groups) != len(yPred) || (yTrue != nil && len(yTrue) != len(yPred)) {
-		return nil, fmt.Errorf("fairmetrics: input length mismatch")
-	}
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("fairmetrics: empty input")
-	}
-	t := &groupTallies{
-		n:      make([]float64, numGroups),
-		pred1:  make([]float64, numGroups),
-		label1: make([]float64, numGroups),
-		tp:     make([]float64, numGroups),
-		fn:     make([]float64, numGroups),
-		fp:     make([]float64, numGroups),
-		tn:     make([]float64, numGroups),
-	}
-	for i, g := range groups {
-		if g < 0 || g >= numGroups {
-			return nil, fmt.Errorf("fairmetrics: row %d group %d out of range", i, g)
-		}
-		if yPred[i] != 0 && yPred[i] != 1 {
-			return nil, fmt.Errorf("fairmetrics: non-binary prediction at row %d", i)
-		}
-		t.n[g]++
-		t.pred1[g] += float64(yPred[i])
-		if yTrue != nil {
-			if yTrue[i] != 0 && yTrue[i] != 1 {
-				return nil, fmt.Errorf("fairmetrics: non-binary label at row %d", i)
-			}
-			t.label1[g] += float64(yTrue[i])
-			switch {
-			case yTrue[i] == 1 && yPred[i] == 1:
-				t.tp[g]++
-			case yTrue[i] == 1 && yPred[i] == 0:
-				t.fn[g]++
-			case yTrue[i] == 0 && yPred[i] == 1:
-				t.fp[g]++
-			default:
-				t.tn[g]++
-			}
-		}
-	}
-	return t, nil
-}
-
-// DemographicParityGap returns the maximum absolute difference in
-// positive-prediction rates between groups — the total-variation
-// relaxation of statistical parity.
-func DemographicParityGap(groups []int, numGroups int, yPred []int) (float64, error) {
-	t, err := tally(groups, numGroups, nil, yPred)
-	if err != nil {
-		return 0, err
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for g := 0; g < numGroups; g++ {
-		if t.n[g] == 0 {
-			continue
-		}
-		rate := t.pred1[g] / t.n[g]
-		lo = math.Min(lo, rate)
-		hi = math.Max(hi, rate)
-	}
-	if math.IsInf(lo, 1) {
-		return 0, fmt.Errorf("fairmetrics: no populated groups")
-	}
-	return hi - lo, nil
-}
-
-// DisparateImpactRatio returns min-rate / max-rate of positive
-// predictions across groups; the EEOC "80% rule" flags values below 0.8.
-// A group with rate 0 yields ratio 0.
-func DisparateImpactRatio(groups []int, numGroups int, yPred []int) (float64, error) {
-	t, err := tally(groups, numGroups, nil, yPred)
-	if err != nil {
-		return 0, err
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for g := 0; g < numGroups; g++ {
-		if t.n[g] == 0 {
-			continue
-		}
-		rate := t.pred1[g] / t.n[g]
-		lo = math.Min(lo, rate)
-		hi = math.Max(hi, rate)
-	}
-	if math.IsInf(lo, 1) {
-		return 0, fmt.Errorf("fairmetrics: no populated groups")
-	}
-	if hi == 0 {
-		return 1, nil // nobody receives the positive outcome anywhere
-	}
-	return lo / hi, nil
-}
-
-// EqualizedOddsGap returns the maximum over both error-rate types (TPR
-// and FPR) of the between-group spread — Hardt et al.'s equalized odds
-// violation. Groups lacking the relevant label class are skipped for that
-// rate.
-func EqualizedOddsGap(groups []int, numGroups int, yTrue, yPred []int) (float64, error) {
-	t, err := tally(groups, numGroups, yTrue, yPred)
-	if err != nil {
-		return 0, err
-	}
-	spread := func(num, den []float64) float64 {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for g := 0; g < numGroups; g++ {
-			d := den[g]
-			if d == 0 {
-				continue
-			}
-			r := num[g] / d
-			lo = math.Min(lo, r)
-			hi = math.Max(hi, r)
-		}
-		if math.IsInf(lo, 1) {
-			return 0
-		}
-		return hi - lo
-	}
-	pos := make([]float64, numGroups)
-	neg := make([]float64, numGroups)
-	for g := 0; g < numGroups; g++ {
-		pos[g] = t.tp[g] + t.fn[g]
-		neg[g] = t.fp[g] + t.tn[g]
-	}
-	tprGap := spread(t.tp, pos)
-	fprGap := spread(t.fp, neg)
-	return math.Max(tprGap, fprGap), nil
-}
-
-// EqualOpportunityGap returns the between-group spread of true-positive
-// rates only — Hardt et al.'s relaxation for a "deserving" outcome.
-func EqualOpportunityGap(groups []int, numGroups int, yTrue, yPred []int) (float64, error) {
-	t, err := tally(groups, numGroups, yTrue, yPred)
-	if err != nil {
-		return 0, err
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for g := 0; g < numGroups; g++ {
-		den := t.tp[g] + t.fn[g]
-		if den == 0 {
-			continue
-		}
-		r := t.tp[g] / den
-		lo = math.Min(lo, r)
-		hi = math.Max(hi, r)
-	}
-	if math.IsInf(lo, 1) {
-		return 0, nil
-	}
-	return hi - lo, nil
-}
-
-// SubgroupFairnessViolation implements Kearns et al.'s statistical-parity
-// subgroup fairness: the maximum over groups of
-//
-//	P(g) · |P(ŷ=1) − P(ŷ=1 | g)|,
-//
-// which discounts violations on very small subgroups. The groups slice
-// may encode arbitrary subgroups (e.g. every intersection).
-func SubgroupFairnessViolation(groups []int, numGroups int, yPred []int) (float64, error) {
-	t, err := tally(groups, numGroups, nil, yPred)
-	if err != nil {
-		return 0, err
-	}
-	total := float64(len(yPred))
-	var overall float64
-	for g := 0; g < numGroups; g++ {
-		overall += t.pred1[g]
-	}
-	overall /= total
-	var worst float64
-	for g := 0; g < numGroups; g++ {
-		if t.n[g] == 0 {
-			continue
-		}
-		weight := t.n[g] / total
-		gap := math.Abs(overall - t.pred1[g]/t.n[g])
-		if v := weight * gap; v > worst {
-			worst = v
-		}
-	}
-	return worst, nil
-}
 
 // GroupCalibrationGap audits calibration per group, multicalibration
 // style: it bins scores within each group and returns the worst
@@ -249,70 +51,4 @@ func GroupCalibrationGap(groups []int, numGroups int, yTrue []int, scores []floa
 		}
 	}
 	return worst, nil
-}
-
-// Report gathers every baseline metric for one set of predictions, for
-// side-by-side comparison with the DF ε in the experiment harness. It is
-// a JSON schema type: fields use core.JSONFloat (enforced by the dfvet
-// jsonfloat analyzer) so legitimately non-finite values survive
-// encoding, and GroupCalibrationGap uses explicit presence semantics —
-// the field is nil/omitted when no scores were supplied, never a NaN
-// sentinel (encoding/json errors on bare NaN, which would poison any
-// report embedding this type).
-type Report struct {
-	DemographicParityGap      core.JSONFloat `json:"demographic_parity_gap"`
-	DisparateImpactRatio      core.JSONFloat `json:"disparate_impact_ratio"`
-	EqualizedOddsGap          core.JSONFloat `json:"equalized_odds_gap"`
-	EqualOpportunityGap       core.JSONFloat `json:"equal_opportunity_gap"`
-	SubgroupFairnessViolation core.JSONFloat `json:"subgroup_fairness_violation"`
-	// GroupCalibrationGap is nil when Evaluate received no scores:
-	// calibration was not measured, as opposed to measured-as-zero.
-	GroupCalibrationGap *core.JSONFloat `json:"group_calibration_gap,omitempty"`
-}
-
-// Evaluate computes all metrics. scores may be nil, in which case the
-// calibration gap is omitted from the report (nil field), not faked with
-// a sentinel value.
-func Evaluate(groups []int, numGroups int, yTrue, yPred []int, scores []float64, nBins int) (Report, error) {
-	var r Report
-	set := func(dst *core.JSONFloat, f func() (float64, error)) error {
-		v, err := f()
-		*dst = core.JSONFloat(v)
-		return err
-	}
-	if err := set(&r.DemographicParityGap, func() (float64, error) {
-		return DemographicParityGap(groups, numGroups, yPred)
-	}); err != nil {
-		return r, err
-	}
-	if err := set(&r.DisparateImpactRatio, func() (float64, error) {
-		return DisparateImpactRatio(groups, numGroups, yPred)
-	}); err != nil {
-		return r, err
-	}
-	if err := set(&r.EqualizedOddsGap, func() (float64, error) {
-		return EqualizedOddsGap(groups, numGroups, yTrue, yPred)
-	}); err != nil {
-		return r, err
-	}
-	if err := set(&r.EqualOpportunityGap, func() (float64, error) {
-		return EqualOpportunityGap(groups, numGroups, yTrue, yPred)
-	}); err != nil {
-		return r, err
-	}
-	if err := set(&r.SubgroupFairnessViolation, func() (float64, error) {
-		return SubgroupFairnessViolation(groups, numGroups, yPred)
-	}); err != nil {
-		return r, err
-	}
-	if scores == nil {
-		return r, nil
-	}
-	gap, err := GroupCalibrationGap(groups, numGroups, yTrue, scores, nBins)
-	if err != nil {
-		return r, err
-	}
-	jf := core.JSONFloat(gap)
-	r.GroupCalibrationGap = &jf
-	return r, nil
 }

@@ -1,10 +1,11 @@
 package fairmetrics
 
 import (
-	"encoding/json"
+	"errors"
 	"math"
-	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // Two groups of 4: group 0 gets 3/4 positive predictions, group 1 gets
@@ -15,31 +16,65 @@ var (
 	demoTrue   = []int{1, 1, 0, 0, 1, 1, 0, 0}
 )
 
-func TestDemographicParityGap(t *testing.T) {
-	gap, err := DemographicParityGap(demoGroups, 2, demoPred)
+var demoSpace = core.MustSpace(core.Attr{Name: "g", Values: []string{"0", "1"}})
+
+// predCPT is the empirical table of predictions per group, the input
+// the counts metrics score.
+func predCPT(groups, preds []int) *core.CPT {
+	c := core.MustCounts(demoSpace, []string{"neg", "pos"})
+	for i, g := range groups {
+		c.MustAdd(g, preds[i], 1)
+	}
+	return c.Empirical()
+}
+
+func eval(t *testing.T, m core.Metric, c *core.CPT) float64 {
+	t.Helper()
+	res, err := m.Eval(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(gap-0.5) > 1e-12 { // 0.75 - 0.25
+	return res.Value
+}
+
+// strataGaps returns the demographic-parity gap within the positive and
+// within the negative true-label stratum: Hardt et al.'s true- and
+// false-positive-rate spreads.
+func strataGaps(t *testing.T, groups, yTrue, preds []int) (tpr, fpr float64, err error) {
+	t.Helper()
+	labeled, err := core.FromLabeledObservations(demoSpace, []string{"neg", "pos"}, []string{"neg", "pos"}, groups, yTrue, preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gap := func(label int) (float64, error) {
+		stratum, err := labeled.Stratum(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := DemographicParity{}.Eval(stratum.Empirical())
+		return res.Value, err
+	}
+	if tpr, err = gap(1); err != nil {
+		return 0, 0, err
+	}
+	fpr, err = gap(0)
+	return tpr, fpr, err
+}
+
+func TestDemographicParity(t *testing.T) {
+	if gap := eval(t, DemographicParity{}, predCPT(demoGroups, demoPred)); math.Abs(gap-0.5) > 1e-12 { // 0.75 - 0.25
 		t.Fatalf("gap = %v, want 0.5", gap)
 	}
 }
 
 func TestDemographicParityPerfect(t *testing.T) {
-	gap, err := DemographicParityGap([]int{0, 0, 1, 1}, 2, []int{1, 0, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gap != 0 {
+	if gap := eval(t, DemographicParity{}, predCPT([]int{0, 0, 1, 1}, []int{1, 0, 1, 0})); gap != 0 {
 		t.Fatalf("gap = %v, want 0", gap)
 	}
 }
 
 func TestDisparateImpactRatio(t *testing.T) {
-	ratio, err := DisparateImpactRatio(demoGroups, 2, demoPred)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ratio := eval(t, WorstRatio{}, predCPT(demoGroups, demoPred))
 	if math.Abs(ratio-1.0/3) > 1e-12 { // 0.25/0.75
 		t.Fatalf("ratio = %v, want 1/3", ratio)
 	}
@@ -48,52 +83,44 @@ func TestDisparateImpactRatio(t *testing.T) {
 		t.Fatal("expected an 80%-rule violation in the fixture")
 	}
 	// All-negative predictions: ratio defined as 1 (no disparity).
-	ratio, err = DisparateImpactRatio([]int{0, 1}, 2, []int{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio != 1 {
+	if ratio := eval(t, WorstRatio{}, predCPT([]int{0, 1}, []int{0, 0})); ratio != 1 {
 		t.Fatalf("all-negative ratio = %v, want 1", ratio)
 	}
 }
 
 func TestEqualizedOddsGap(t *testing.T) {
-	gap, err := EqualizedOddsGap(demoGroups, 2, demoTrue, demoPred)
+	tpr, fpr, err := strataGaps(t, demoGroups, demoTrue, demoPred)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Group 0: TPR=1 (2/2), FPR=0.5 (1/2). Group 1: TPR=0.5, FPR=0.
 	// Gaps: TPR 0.5, FPR 0.5 → 0.5.
-	if math.Abs(gap-0.5) > 1e-12 {
+	if math.Abs(tpr-0.5) > 1e-12 || math.Abs(fpr-0.5) > 1e-12 {
+		t.Fatalf("TPR gap = %v, FPR gap = %v, want 0.5 each", tpr, fpr)
+	}
+	if gap := math.Max(tpr, fpr); math.Abs(gap-0.5) > 1e-12 {
 		t.Fatalf("gap = %v, want 0.5", gap)
 	}
 }
 
 func TestEqualOpportunityGap(t *testing.T) {
-	gap, err := EqualOpportunityGap(demoGroups, 2, demoTrue, demoPred)
+	tpr, _, err := strataGaps(t, demoGroups, demoTrue, demoPred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(gap-0.5) > 1e-12 {
-		t.Fatalf("gap = %v, want 0.5 (TPR 1 vs 0.5)", gap)
+	if math.Abs(tpr-0.5) > 1e-12 {
+		t.Fatalf("gap = %v, want 0.5 (TPR 1 vs 0.5)", tpr)
 	}
-	// No positives anywhere: gap 0 by convention.
-	gap, err = EqualOpportunityGap([]int{0, 1}, 2, []int{0, 0}, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gap != 0 {
-		t.Fatalf("no-positives gap = %v", gap)
+	// No positives anywhere: the positive stratum has no supported
+	// groups to compare.
+	if _, _, err := strataGaps(t, []int{0, 1}, []int{0, 0}, []int{0, 1}); !errors.Is(err, core.ErrDegenerateSupport) {
+		t.Fatalf("no-positives stratum: err = %v, want ErrDegenerateSupport", err)
 	}
 }
 
 func TestSubgroupFairnessViolation(t *testing.T) {
-	v, err := SubgroupFairnessViolation(demoGroups, 2, demoPred)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Overall rate 0.5; each group has weight 0.5 and gap 0.25 → 0.125.
-	if math.Abs(v-0.125) > 1e-12 {
+	if v := eval(t, SubgroupParity{}, predCPT(demoGroups, demoPred)); math.Abs(v-0.125) > 1e-12 {
 		t.Fatalf("violation = %v, want 0.125", v)
 	}
 }
@@ -105,14 +132,8 @@ func TestSubgroupFairnessDiscountsSmallGroups(t *testing.T) {
 	// 10 rows; small group = 1 row with rate gap 1.
 	groups := []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 1}
 	pred := []int{1, 1, 1, 1, 0, 0, 0, 0, 0, 1}
-	small, err := SubgroupFairnessViolation(groups, 2, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := SubgroupFairnessViolation(demoGroups, 2, demoPred)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := eval(t, SubgroupParity{}, predCPT(groups, pred))
+	big := eval(t, SubgroupParity{}, predCPT(demoGroups, demoPred))
 	if small >= big {
 		t.Fatalf("small-group violation %v should be discounted below %v", small, big)
 	}
@@ -134,95 +155,7 @@ func TestGroupCalibrationGap(t *testing.T) {
 	}
 }
 
-func TestEvaluateAggregates(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.7, 0.2, 0.9, 0.4, 0.3, 0.1}
-	r, err := Evaluate(demoGroups, 2, demoTrue, demoPred, scores, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.DemographicParityGap != 0.5 || math.Abs(float64(r.DisparateImpactRatio)-1.0/3) > 1e-12 {
-		t.Fatalf("report = %+v", r)
-	}
-	if r.GroupCalibrationGap == nil {
-		t.Fatal("calibration gap missing despite scores")
-	}
-	if *r.GroupCalibrationGap < 0 {
-		t.Fatal("calibration gap negative")
-	}
-	// Without scores calibration is not measured: the field is nil (and
-	// omitted from JSON), never a NaN sentinel.
-	r, err = Evaluate(demoGroups, 2, demoTrue, demoPred, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.GroupCalibrationGap != nil {
-		t.Fatalf("missing scores should omit the calibration gap, got %v", *r.GroupCalibrationGap)
-	}
-}
-
-// TestReportJSONPresence pins the calibration field's presence
-// semantics at the wire: without scores the key is absent entirely (not
-// null, not NaN — encoding/json rejects bare NaN, which used to poison
-// any report embedding this type), and with scores it round-trips.
-func TestReportJSONPresence(t *testing.T) {
-	r, err := Evaluate(demoGroups, 2, demoTrue, demoPred, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		t.Fatalf("report without scores must marshal cleanly: %v", err)
-	}
-	if strings.Contains(string(b), "group_calibration_gap") {
-		t.Errorf("unmeasured calibration gap leaked into JSON: %s", b)
-	}
-	var decoded Report
-	if err := json.Unmarshal(b, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.GroupCalibrationGap != nil {
-		t.Errorf("round-trip invented a calibration gap: %v", *decoded.GroupCalibrationGap)
-	}
-
-	scores := []float64{0.9, 0.8, 0.7, 0.2, 0.9, 0.4, 0.3, 0.1}
-	r, err = Evaluate(demoGroups, 2, demoTrue, demoPred, scores, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err = json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(b), "group_calibration_gap") {
-		t.Errorf("measured calibration gap missing from JSON: %s", b)
-	}
-	if err := json.Unmarshal(b, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.GroupCalibrationGap == nil || *decoded.GroupCalibrationGap != *r.GroupCalibrationGap {
-		t.Errorf("calibration gap did not round-trip: %+v vs %+v", decoded.GroupCalibrationGap, r.GroupCalibrationGap)
-	}
-}
-
 func TestValidationErrors(t *testing.T) {
-	if _, err := DemographicParityGap([]int{0}, 1, []int{1}); err == nil {
-		t.Error("single group accepted")
-	}
-	if _, err := DemographicParityGap([]int{0, 5}, 2, []int{1, 1}); err == nil {
-		t.Error("out-of-range group accepted")
-	}
-	if _, err := DemographicParityGap([]int{0, 1}, 2, []int{1}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := DemographicParityGap(nil, 2, nil); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := DemographicParityGap([]int{0, 1}, 2, []int{1, 7}); err == nil {
-		t.Error("non-binary prediction accepted")
-	}
-	if _, err := EqualizedOddsGap([]int{0, 1}, 2, []int{1, 9}, []int{1, 0}); err == nil {
-		t.Error("non-binary label accepted")
-	}
 	if _, err := GroupCalibrationGap([]int{0, 1}, 2, []int{1}, []float64{0.5, 0.5}, 2); err == nil {
 		t.Error("calibration length mismatch accepted")
 	}

@@ -56,11 +56,17 @@ import (
 )
 
 // ErrIncrementalUnavailable is returned by Monitor.MetricSubsets for
-// policies whose estimator cannot be maintained incrementally (the
-// exponential policy under Dirichlet smoothing: the α pseudo-count does
-// not decay with the counts, so subset rates change on every tick even
-// where no mass landed). Callers fall back to the snapshot ladder.
-var ErrIncrementalUnavailable = errors.New("stream: incremental subset ladder not available for this policy")
+// monitors whose ladders it does not maintain: the exponential policy
+// (under Dirichlet smoothing the α pseudo-count does not decay with the
+// counts, so subset rates change on every tick even where no mass
+// landed) and spaces of more than maxIncAttrs attributes. Callers walk
+// the snapshot ladder instead.
+var ErrIncrementalUnavailable = errors.New("stream: incremental subset ladder not available for this monitor")
+
+// maxIncAttrs caps the attributes whose subset lattice MetricSubsets
+// maintains: 2^p marginal tables, each updated on every change, is not a
+// ladder worth keeping warm past 16 attributes.
+const maxIncAttrs = 16
 
 // defaultDirtyLogCap is the per-shard dirty-log capacity: 4096 entries
 // (~48 KiB/shard) absorbs dozens of max-size batches between checks;
@@ -798,15 +804,11 @@ func (inc *incEngine) cptLocked(now int64) (*core.CPT, error) {
 // nonempty proper attribute subset, each derived from its parent (the
 // subset plus the lowest missing attribute — the same parent order
 // core.EpsilonSubsetsCounts walks) via DropStride index arithmetic.
-// Called lazily on the first MetricSubsets; mu must be held.
+// Called lazily on the first MetricSubsets, which has already refused
+// spaces of more than maxIncAttrs attributes; mu must be held.
 func (inc *incEngine) buildNodes() error {
 	space := inc.m.space
 	p := space.NumAttrs()
-	if p > 16 {
-		// 2^p marginal tables is not a ladder anyone reads; the snapshot
-		// path would reject the workload too.
-		return ErrIncrementalUnavailable
-	}
 	attrs := space.Attrs()
 	k := len(inc.m.outcomes)
 	inc.fullMask = 1<<p - 1

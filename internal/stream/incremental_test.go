@@ -606,15 +606,61 @@ func compareLadders(t *testing.T, key string, got, want []core.SubsetMetric) {
 
 // TestEpsilonSubsetsExponentialUnavailable: the smoothed estimator is
 // not invariant under decay's uniform rescale, so the exponential policy
-// must refuse the incremental ladder rather than return a wrong one.
+// must refuse the incremental ladder rather than return a wrong one, and
+// so must a space past the attribute cap. Refusing happens before the
+// incremental engine is attached: no engine, and no shard logs every
+// later observe would have to record.
 func TestEpsilonSubsetsExponentialUnavailable(t *testing.T) {
-	m, err := New(incTestSpace(t), []string{"no", "yes"}, Config{Policy: Exponential{HalfLife: 100}, Alpha: 1})
-	if err != nil {
-		t.Fatal(err)
+	attrs := make([]core.Attr, maxIncAttrs+1)
+	for i := range attrs {
+		attrs[i] = core.Attr{Name: fmt.Sprintf("a%d", i), Values: []string{"0", "1"}}
 	}
-	if _, _, err := m.MetricSubsets(ladderMetrics()); !errors.Is(err, ErrIncrementalUnavailable) {
-		t.Fatalf("MetricSubsets on exponential policy = %v, want ErrIncrementalUnavailable", err)
+	wide := core.MustSpace(attrs...)
+	for _, tc := range []struct {
+		name  string
+		space *core.Space
+		cfg   Config
+	}{
+		{"exponential", incTestSpace(t), Config{Policy: Exponential{HalfLife: 100}, Alpha: 1, Shards: 4}},
+		{"17 attributes", wide, Config{Policy: Tumbling{Window: 64}, Alpha: 1, Shards: 1}},
+	} {
+		m, err := New(tc.space, []string{"no", "yes"}, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ObserveBatch([]int{0, 1, 1}, []int{1, 0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := m.MetricSubsets(ladderMetrics()); !errors.Is(err, ErrIncrementalUnavailable) {
+			t.Fatalf("%s: MetricSubsets = %v, want ErrIncrementalUnavailable", tc.name, err)
+		}
+		if m.inc != nil {
+			t.Errorf("%s: declining attached the incremental engine", tc.name)
+		}
+		if n := enabledLogs(m); n != 0 {
+			t.Errorf("%s: declining enabled %d shard dirty logs", tc.name, n)
+		}
 	}
+}
+
+// enabledLogs counts the monitor's shards with a dirty-cell log attached.
+func enabledLogs(m *Monitor) int {
+	n := 0
+	switch e := m.eng.(type) {
+	case *expEngine:
+		for i := range e.shards {
+			if e.shards[i].log.enabled() {
+				n++
+			}
+		}
+	case *winEngine:
+		for i := range e.shards {
+			if e.shards[i].log.enabled() {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestReadStateRebuildsIncremental proves the incremental state is fully

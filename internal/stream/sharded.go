@@ -11,7 +11,7 @@ import (
 
 // Policy selects how a Monitor weights past observations. The concrete
 // policies are Exponential, Tumbling and Sliding; all run on the same
-// sharded engine and report through the same Snapshotter surface.
+// sharded engine and report through the same Monitor methods.
 type Policy interface {
 	validate() error
 	newEngine(space *core.Space, outcomes []string, shards int) (engine, error)
@@ -84,8 +84,7 @@ type Config struct {
 	// into this many independently-locked shards (rounded up to a power
 	// of two). 0 selects a default sized to the machine (twice
 	// GOMAXPROCS, capped at 256). 1 yields a single-shard monitor whose
-	// ingest serializes on one lock — the configuration the
-	// mutex-guarded LockedMonitor baseline mirrors.
+	// ingest serializes on one lock.
 	Shards int
 }
 
@@ -158,16 +157,16 @@ type shardPad [112]byte
 
 // rebaseLog2 bounds the exponent of any stored contribution: when a
 // shard's pending contribution would exceed 2^rebaseLog2 relative to its
-// weight basis, the shard rescales its counts and re-anchors the basis
-// (the sharded analogue of the old single-table renormalize).
+// weight basis, the shard rescales its counts and re-anchors the basis.
 const rebaseLog2 = 256
 
 // expEngine implements the Exponential policy. The contribution of the
 // observation holding ticket t is 2^((t−basis)/halfLife) in its shard's
 // local basis; a snapshot folds shard s with one scaled add of
 // 2^((basis_s−now)/halfLife), which normalizes the newest observation to
-// weight ~1 and every older one to 2^(−age/halfLife) — identical math to
-// the retired single-goroutine monitor.
+// weight ~1 and every older one to 2^(−age/halfLife): the decay
+// definition, cell (g, y) = Σ 2^(−age/halfLife) over the observations
+// that landed in it.
 type expEngine struct {
 	k        int     // number of outcomes (cell stride)
 	invH     float64 // log2 growth per ticket: 1/halfLife

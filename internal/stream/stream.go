@@ -9,8 +9,7 @@
 // Snapshots merge the shards into a single core.Counts (merge-on-
 // snapshot via Counts.AddScaled / Counts.Merge).
 //
-// Three window policies share the engine behind the Snapshotter
-// interface:
+// Three window policies share the engine:
 //
 //   - Exponential{HalfLife}: every prior observation's influence decays
 //     by 2^(-1/HalfLife) per new observation, so recent decisions
@@ -53,45 +52,6 @@ import (
 
 	"repro/internal/core"
 )
-
-// Snapshotter is anything that can materialize its current effective
-// counts into a caller-owned table: the sharded Monitor, the retained
-// LockedMonitor baseline, and any future policy all satisfy it, so
-// ε reporting and auditing are policy-agnostic.
-type Snapshotter interface {
-	// Space returns the protected-attribute space the counts are over.
-	Space() *core.Space
-	// Outcomes returns a copy of the outcome labels.
-	Outcomes() []string
-	// SnapshotInto overwrites dst with the current effective counts.
-	// dst must match the space size and outcome count.
-	SnapshotInto(dst *core.Counts) error
-}
-
-// EpsilonOf reports the differential-fairness ε of any Snapshotter's
-// current effective counts, using the Eq. 7 smoothed estimator when
-// alpha > 0 and the empirical Eq. 6 estimator otherwise. It allocates
-// fresh buffers per call; Monitor.Epsilon is the buffer-reusing
-// steady-state path.
-func EpsilonOf(s Snapshotter, alpha float64) (core.EpsilonResult, error) {
-	snap, err := core.NewCounts(s.Space(), s.Outcomes())
-	if err != nil {
-		return core.EpsilonResult{}, err
-	}
-	if err := s.SnapshotInto(snap); err != nil {
-		return core.EpsilonResult{}, err
-	}
-	var cpt *core.CPT
-	if alpha > 0 {
-		cpt, err = snap.Smoothed(alpha, false)
-		if err != nil {
-			return core.EpsilonResult{}, err
-		}
-	} else {
-		cpt = snap.Empirical()
-	}
-	return core.Epsilon(cpt)
-}
 
 // Monitor maintains windowed outcome counts per intersectional group and
 // reports ε on demand. It is safe for concurrent use: Observe and
@@ -141,8 +101,8 @@ func New(space *core.Space, outcomes []string, cfg Config) (*Monitor, error) {
 	if len(outcomes) < 2 {
 		return nil, fmt.Errorf("stream: need at least two outcomes")
 	}
-	if cfg.Alpha < 0 {
-		return nil, fmt.Errorf("stream: negative alpha %v", cfg.Alpha)
+	if !(cfg.Alpha >= 0) || math.IsInf(cfg.Alpha, 1) {
+		return nil, fmt.Errorf("stream: alpha must be finite and >= 0, got %v", cfg.Alpha)
 	}
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("stream: nil policy")
@@ -365,17 +325,19 @@ func (m *Monitor) ensureInc() *incEngine {
 // under the same lock hold as the ladders, so a report built from both
 // describes one state even while writers ingest concurrently; for the
 // window policies the aggregate equals a merged snapshot cell for cell.
-// The exponential policy returns ErrIncrementalUnavailable (its smoothed
-// estimator is not invariant under decay's uniform rescale); callers
-// fall back to a snapshot. A subset with fewer than two supported
-// groups returns an error wrapping core.ErrDegenerateSupport.
+// The exponential policy (its smoothed estimator is not invariant under
+// decay's uniform rescale) and spaces of more than maxIncAttrs attributes
+// return ErrIncrementalUnavailable before the incremental engine is
+// attached, so declining costs nothing and leaves ingest unlogged;
+// callers walk a snapshot instead. A subset with fewer than two
+// supported groups returns an error wrapping core.ErrDegenerateSupport.
 func (m *Monitor) MetricSubsets(ms []core.Metric) (*core.Counts, [][]core.SubsetMetric, error) {
+	if _, exp := m.policy.(Exponential); exp || m.space.NumAttrs() > maxIncAttrs {
+		return nil, nil, ErrIncrementalUnavailable
+	}
 	inc := m.ensureInc()
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	if inc.exp {
-		return nil, nil, ErrIncrementalUnavailable
-	}
 	if inc.nodes == nil {
 		if err := inc.buildNodes(); err != nil {
 			return nil, nil, err

@@ -30,8 +30,16 @@ func TestNewMonitorValidation(t *testing.T) {
 			t.Errorf("half-life %v accepted", hl)
 		}
 	}
-	if _, err := NewMonitor(s, []string{"x", "y"}, 100, -1); err == nil {
-		t.Error("negative alpha accepted")
+	// A NaN alpha would silently report the empirical estimate and an
+	// infinite one would fail every check; both are rejected like a
+	// negative one.
+	for _, alpha := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewMonitor(s, []string{"x", "y"}, 100, alpha); err == nil {
+			t.Errorf("alpha %v accepted", alpha)
+		}
+		if _, err := New(s, []string{"x", "y"}, Config{Policy: Tumbling{Window: 8}, Alpha: alpha}); err == nil {
+			t.Errorf("alpha %v accepted by a tumbling monitor", alpha)
+		}
 	}
 }
 
@@ -382,20 +390,21 @@ func TestObserveValues(t *testing.T) {
 }
 
 // TestShardedMatchesLockedSequential: driven by one goroutine, the
-// sharded monitor and the retained mutex-guarded baseline are the same
-// estimator — identical snapshots up to float merge tolerance.
+// sharded exponential monitor is the sequential decay estimator — its
+// snapshot matches the definition, cell (g, y) = Σ 2^(−(n−1−i)/h) over
+// the observations i that landed in it, up to float merge tolerance,
+// and so does ε.
 func TestShardedMatchesLockedSequential(t *testing.T) {
+	const halfLife, n = 200, 5000
 	s := twoGroupSpace(t)
-	sharded, err := New(s, []string{"no", "yes"}, Config{Policy: Exponential{HalfLife: 200}, Alpha: 1, Shards: 8})
+	outs := []string{"no", "yes"}
+	sharded, err := New(s, outs, Config{Policy: Exponential{HalfLife: halfLife}, Alpha: 1, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	locked, err := NewLocked(s, []string{"no", "yes"}, 200, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := core.MustCounts(s, outs)
 	r := rng.New(29)
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < n; i++ {
 		g, y := r.Intn(2), 0
 		if r.Float64() < 0.4+0.3*float64(g) {
 			y = 1
@@ -403,23 +412,17 @@ func TestShardedMatchesLockedSequential(t *testing.T) {
 		if err := sharded.Observe(g, y); err != nil {
 			t.Fatal(err)
 		}
-		if err := locked.Observe(g, y); err != nil {
-			t.Fatal(err)
-		}
+		oracle.MustAdd(g, y, math.Exp2(-float64(n-1-i)/halfLife))
 	}
 	a, err := sharded.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := locked.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for g := 0; g < s.Size(); g++ {
 		for y := 0; y < 2; y++ {
-			av, bv := a.N(g, y), b.N(g, y)
+			av, bv := a.N(g, y), oracle.N(g, y)
 			if math.Abs(av-bv) > 1e-9*(1+math.Abs(bv)) {
-				t.Fatalf("cell (%d,%d): sharded %v vs locked %v", g, y, av, bv)
+				t.Fatalf("cell (%d,%d): sharded %v vs definition %v", g, y, av, bv)
 			}
 		}
 	}
@@ -427,12 +430,13 @@ func TestShardedMatchesLockedSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := locked.Epsilon()
+	smoothed, err := oracle.Smoothed(1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	be := core.MustEpsilon(smoothed)
 	if math.Abs(ae.Epsilon-be.Epsilon) > 1e-9 {
-		t.Fatalf("eps: sharded %v vs locked %v", ae.Epsilon, be.Epsilon)
+		t.Fatalf("eps: sharded %v vs definition %v", ae.Epsilon, be.Epsilon)
 	}
 }
 
@@ -556,57 +560,6 @@ func TestPolicyValidation(t *testing.T) {
 		if _, err := New(s, outs, Config{Policy: p, Shards: 1}); err != nil {
 			t.Errorf("valid policy %v rejected: %v", p, err)
 		}
-	}
-}
-
-// TestEpsilonOfAnyPolicy: the Snapshotter interface makes ε reporting
-// policy-agnostic — EpsilonOf must agree with Monitor.Epsilon for every
-// policy (and for the locked baseline).
-func TestEpsilonOfAnyPolicy(t *testing.T) {
-	s := twoGroupSpace(t)
-	outs := []string{"no", "yes"}
-	feed := func(m interface {
-		Observe(g, y int) error
-	}) {
-		t.Helper()
-		r := rng.New(31)
-		for i := 0; i < 2000; i++ {
-			g := r.Intn(2)
-			y := 0
-			if r.Float64() < 0.3+0.4*float64(g) {
-				y = 1
-			}
-			if err := m.Observe(g, y); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	policies := []Policy{Exponential{HalfLife: 500}, Tumbling{Window: 1024}, Sliding{Window: 1024, Buckets: 8}}
-	for _, p := range policies {
-		m, err := New(s, outs, Config{Policy: p, Alpha: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed(m)
-		got, err := EpsilonOf(m, 1)
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		want, err := m.Epsilon()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Epsilon-want.Epsilon) > 1e-12 {
-			t.Fatalf("%v: EpsilonOf %v vs Epsilon %v", p, got.Epsilon, want.Epsilon)
-		}
-	}
-	lm, err := NewLocked(s, outs, 500, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(lm)
-	if _, err := EpsilonOf(lm, 1); err != nil {
-		t.Fatalf("locked baseline via Snapshotter: %v", err)
 	}
 }
 

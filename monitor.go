@@ -27,19 +27,7 @@ type Monitor struct {
 	space    *Space
 	outcomes []string
 	alpha    float64
-	// ladderHook, when non-nil, replaces the incremental subset-ladder
-	// source in Audit (stream.Monitor.MetricSubsets). Tests use it to
-	// force incremental failures and pin that the fallback is visible in
-	// the report, never silent.
-	ladderHook func([]Metric) (*Counts, [][]SubsetMetric, error)
 }
-
-// ErrIncrementalUnavailable is returned by the incremental subset-ladder
-// path for monitors whose window policy cannot maintain it (exponential
-// decay: the smoothed estimator is not invariant under decay's uniform
-// rescale). Monitor.Audit falls back to the snapshot ladder and records
-// the distinct reason in the report's ladder_fallback_reason field.
-var ErrIncrementalUnavailable = stream.ErrIncrementalUnavailable
 
 // NewMonitor creates an exponentially-decayed streaming monitor.
 // halfLife is the number of observations after which an old
@@ -230,9 +218,10 @@ func MonitorShards() int { return stream.DefaultShards() }
 // is computed from one state: the counts it audits are read from the
 // incremental engine under the same lock hold as its ladders, so the
 // full-intersection ladder rows match the headline values even while
-// writers ingest concurrently. Exponential-decay monitors, overridden
-// alphas, and WithSubsets(false) audit a merged snapshot with snapshot
-// ladders.
+// writers ingest concurrently. Exponential-decay monitors, spaces of
+// more than 16 attributes, overridden alphas, and WithSubsets(false)
+// audit a merged snapshot with snapshot ladders; the report's
+// ladder_source says which path ran.
 //
 // Exponentially-decayed counts are non-integral, so WithBootstrap is not
 // applicable to those snapshots (the bootstrap requires integer counts
@@ -243,29 +232,18 @@ func (m *Monitor) Audit(ctx context.Context, opts ...Option) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	reason := ""
 	if auditor.cfg.subsets && auditor.cfg.alpha == m.alpha {
-		subsetsOf := m.inner.MetricSubsets
-		if m.ladderHook != nil {
-			subsetsOf = m.ladderHook
+		counts, ladders, err := m.inner.MetricSubsets(auditor.metrics())
+		if err == nil {
+			return auditor.run(ctx, counts, ladders, LadderSourceIncremental)
 		}
-		counts, ladders, lerr := subsetsOf(auditor.metrics())
-		if lerr == nil {
-			return auditor.run(ctx, counts, ladders, LadderSourceIncremental, "")
-		}
-		// The fallback to the snapshot ladder keeps the audit serviceable
-		// (error reporting identical to the pre-incremental path), but it
-		// must be visible: the report records the source and the reason,
-		// with ErrIncrementalUnavailable (a policy property, expected for
-		// exponential decay) distinguished from genuine failures.
-		reason = "incremental ladder failed: " + lerr.Error()
-		if errors.Is(lerr, ErrIncrementalUnavailable) {
-			reason = "incremental ladder unavailable for this window policy: " + lerr.Error()
+		if !errors.Is(err, stream.ErrIncrementalUnavailable) {
+			return nil, err
 		}
 	}
 	snap, err := m.inner.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("fairness: Monitor.Audit: %w", err)
 	}
-	return auditor.run(ctx, snap, nil, LadderSourceSnapshot, reason)
+	return auditor.run(ctx, snap, nil, LadderSourceSnapshot)
 }

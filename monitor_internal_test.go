@@ -4,16 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"slices"
-	"strings"
 	"testing"
 )
 
-// These tests live inside the package to reach Monitor.ladderHook: the
-// seam that replaces the incremental subset-ladder source. Forcing it to
-// fail pins that Audit's fallback to the snapshot ladder is visible in
-// the report (ladder_source + ladder_fallback_reason) and never silent;
-// wrapping it shows which ladders the incremental engine supplied.
+// These tests live inside the package to rebuild a monitor's report
+// with Auditor.Run under the monitor's own alpha: Audit takes its ladders
+// from exactly one source per report, recorded in ladder_source, and
+// either source yields the bytes Auditor.Run produces over the same
+// counts.
 
 func skewedTumblingMonitor(t *testing.T) *Monitor {
 	t.Helper()
@@ -47,49 +45,15 @@ func TestAuditLadderSourceIncremental(t *testing.T) {
 	if rep.LadderSource != LadderSourceIncremental {
 		t.Errorf("ladder_source = %q, want %q", rep.LadderSource, LadderSourceIncremental)
 	}
-	if rep.LadderFallbackReason != "" {
-		t.Errorf("unexpected fallback reason %q on the incremental path", rep.LadderFallbackReason)
-	}
 	if len(rep.Ladder) == 0 {
 		t.Error("incremental audit lost the subset ladder")
 	}
 }
 
-func TestAuditForcedIncrementalFailureIsVisible(t *testing.T) {
-	mon := skewedTumblingMonitor(t)
-	clean, err := mon.Audit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mon.ladderHook = func([]Metric) (*Counts, [][]SubsetMetric, error) {
-		return nil, nil, errors.New("synthetic ladder corruption")
-	}
-	rep, err := mon.Audit(context.Background())
-	if err != nil {
-		t.Fatalf("audit must survive an incremental ladder failure, got %v", err)
-	}
-	if rep.LadderSource != LadderSourceSnapshot {
-		t.Errorf("ladder_source = %q, want %q", rep.LadderSource, LadderSourceSnapshot)
-	}
-	if want := "incremental ladder failed: synthetic ladder corruption"; rep.LadderFallbackReason != want {
-		t.Errorf("ladder_fallback_reason = %q, want %q", rep.LadderFallbackReason, want)
-	}
-	// The fallback must be a real ladder, not a stub: identical rows to
-	// the incremental path (which is bit-identical to the snapshot
-	// recompute on window policies).
-	if len(rep.Ladder) != len(clean.Ladder) {
-		t.Fatalf("fallback ladder has %d rows, incremental had %d", len(rep.Ladder), len(clean.Ladder))
-	}
-	for i := range rep.Ladder {
-		if rep.Ladder[i].Epsilon != clean.Ladder[i].Epsilon {
-			t.Errorf("ladder row %d: fallback ε %v != incremental ε %v",
-				i, rep.Ladder[i].Epsilon, clean.Ladder[i].Epsilon)
-		}
-	}
-}
-
-func TestAuditExponentialPolicyRecordsDistinctReason(t *testing.T) {
+// TestAuditExponentialPolicyUsesSnapshotLadder: the exponential policy
+// never maintains incremental ladders, so its report walks the snapshot
+// and says so, with the bytes of Auditor.Run over that snapshot.
+func TestAuditExponentialPolicyUsesSnapshotLadder(t *testing.T) {
 	space := MustSpace(Attr{Name: "g", Values: []string{"a", "b"}})
 	mon, err := NewMonitor(space, []string{"deny", "approve"}, 500, 0.5)
 	if err != nil {
@@ -105,19 +69,29 @@ func TestAuditExponentialPolicyRecordsDistinctReason(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := mon.Audit(context.Background())
+	opts := []Option{WithMetrics("worst_gap"), WithCredible(40, 1, 0.9), WithSeed(5)}
+	rep, err := mon.Audit(context.Background(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.LadderSource != LadderSourceSnapshot {
 		t.Errorf("ladder_source = %q, want %q", rep.LadderSource, LadderSourceSnapshot)
 	}
-	if !strings.Contains(rep.LadderFallbackReason, "unavailable for this window policy") {
-		t.Errorf("ladder_fallback_reason = %q, want the distinct ErrIncrementalUnavailable wording",
-			rep.LadderFallbackReason)
+	requireRunBytes(t, mon, rep, opts)
+}
+
+// TestAuditColdWindowMonitorIsDegenerate: a window monitor with nothing
+// observed has no groups to compare. The incremental ladder says so, and
+// Audit returns that error instead of retrying the snapshot walk, which
+// would fail on the same counts.
+func TestAuditColdWindowMonitorIsDegenerate(t *testing.T) {
+	space := MustSpace(Attr{Name: "a", Values: []string{"x", "y"}}, Attr{Name: "b", Values: []string{"p", "q"}})
+	mon, err := NewTumblingMonitor(space, []string{"deny", "approve"}, 64, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(rep.LadderFallbackReason, ErrIncrementalUnavailable.Error()) {
-		t.Errorf("ladder_fallback_reason = %q should carry the underlying error", rep.LadderFallbackReason)
+	if _, err := mon.Audit(context.Background()); !errors.Is(err, ErrDegenerateSupport) {
+		t.Fatalf("cold audit: err = %v, want ErrDegenerateSupport", err)
 	}
 }
 
@@ -127,39 +101,35 @@ func TestAuditSubsetsDisabledUsesSnapshotWithoutReason(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.LadderSource != LadderSourceSnapshot || rep.LadderFallbackReason != "" {
-		t.Errorf("ladder_source = %q, reason = %q; incremental was never attempted, so want snapshot with no reason",
-			rep.LadderSource, rep.LadderFallbackReason)
+	if rep.LadderSource != LadderSourceSnapshot {
+		t.Errorf("ladder_source = %q; incremental was never attempted, so want %q",
+			rep.LadderSource, LadderSourceSnapshot)
 	}
 }
 
 // TestAuditMixedLadderSources: on a window policy the ladders of ε and
 // every metric with an extrema form come from the incremental engine and
-// only the others walk the snapshot lattice, yet the report equals
+// only the others walk the snapshot lattice (stream's
+// TestEpsilonSubsetsMatchesCore pins which), yet the report equals
 // Auditor.Run over the same counts in everything but ladder_source.
 func TestAuditMixedLadderSources(t *testing.T) {
 	mon := skewedTumblingMonitor(t)
-	var incremental []string
-	mon.ladderHook = func(ms []Metric) (*Counts, [][]SubsetMetric, error) {
-		counts, ladders, err := mon.inner.MetricSubsets(ms)
-		for j, l := range ladders {
-			if l != nil {
-				incremental = append(incremental, ms[j].Key())
-			}
-		}
-		return counts, ladders, err
-	}
 	opts := []Option{WithMetrics("subgroup", "worst_gap"), WithBootstrap(40, 0.9), WithCredible(40, 1, 0.9), WithSeed(5)}
 	rep, err := mon.Audit(context.Background(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"epsilon", "worst_gap"}; !slices.Equal(incremental, want) {
-		t.Fatalf("incremental ladders for %v, want %v", incremental, want)
-	}
 	if rep.LadderSource != LadderSourceIncremental {
 		t.Fatalf("ladder_source = %q, want %q", rep.LadderSource, LadderSourceIncremental)
 	}
+	requireRunBytes(t, mon, rep, opts)
+}
+
+// requireRunBytes fails unless rep renders byte for byte like
+// Auditor.Run over the monitor's current snapshot, under the monitor's
+// alpha and opts, with rep's ladder_source.
+func requireRunBytes(t *testing.T, mon *Monitor, rep *Report, opts []Option) {
+	t.Helper()
 	snap, err := mon.Snapshot()
 	if err != nil {
 		t.Fatal(err)

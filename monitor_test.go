@@ -17,6 +17,35 @@ func monitorSpace(t *testing.T) *fairness.Space {
 	)
 }
 
+// TestMonitorConstructorsRejectBadAlpha: every constructor rejects the
+// alphas WithAlpha rejects. A NaN alpha used to build a monitor whose
+// Epsilon silently reported the empirical estimate, and +Inf one whose
+// Watch never alerted.
+func TestMonitorConstructorsRejectBadAlpha(t *testing.T) {
+	space := monitorSpace(t)
+	outs := []string{"deny", "approve"}
+	constructors := []struct {
+		name string
+		make func(alpha float64) (*fairness.Monitor, error)
+	}{
+		{"NewMonitor", func(a float64) (*fairness.Monitor, error) { return fairness.NewMonitor(space, outs, 100, a) }},
+		{"NewTumblingMonitor", func(a float64) (*fairness.Monitor, error) { return fairness.NewTumblingMonitor(space, outs, 64, a) }},
+		{"NewSlidingMonitor", func(a float64) (*fairness.Monitor, error) { return fairness.NewSlidingMonitor(space, outs, 64, 4, a) }},
+	}
+	for _, c := range constructors {
+		for _, alpha := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if _, err := c.make(alpha); err == nil {
+				t.Errorf("%s accepted alpha %v", c.name, alpha)
+			}
+		}
+		for _, alpha := range []float64{0, 0.5} {
+			if _, err := c.make(alpha); err != nil {
+				t.Errorf("%s rejected alpha %v: %v", c.name, alpha, err)
+			}
+		}
+	}
+}
+
 // TestMonitorConcurrentObserve: the public Monitor must accept
 // concurrent writers and report exact window totals once they finish.
 func TestMonitorConcurrentObserve(t *testing.T) {

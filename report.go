@@ -21,11 +21,14 @@ import (
 // Version history:
 //
 //	1 — initial ε-only schema.
-//	2 — pluggable metrics: adds "ladder_source"/"ladder_fallback_reason"
-//	    (how the subset ladder was computed and why a fallback happened)
-//	    and the per-metric "metrics" section. Existing ε fields are
-//	    unchanged, but v1 consumers that reject unknown versions must opt
-//	    in, hence the bump.
+//	2 — pluggable metrics: adds "ladder_source" (how the subset ladder
+//	    was computed) and the per-metric "metrics" section. Existing ε
+//	    fields are unchanged, but v1 consumers that reject unknown
+//	    versions must opt in, hence the bump. Early v2 reports of
+//	    exponential monitors also carried an optional fallback-reason
+//	    key; it is retired without a bump, since it never appeared in a
+//	    window-policy report and the snapshot ladder is now chosen up
+//	    front rather than fallen back to.
 const ReportSchemaVersion = 2
 
 // JSONFloat is a float64 whose JSON form survives the non-finite values
@@ -140,18 +143,18 @@ type EqualizedOddsReport struct {
 }
 
 // Ladder-source values recorded in Report.LadderSource by Monitor.Audit.
-// A report produced by a plain Auditor.Run omits the field: the ladder
-// is always computed from the snapshot and there is nothing to fall
-// back from.
+// A report produced by a plain Auditor.Run omits the field: its ladder
+// is always walked over the counts it was given.
 const (
 	// LadderSourceIncremental: the subset ladders of ε and of every
 	// metric with an extrema form came from the monitor's incremental
 	// maintenance structures (O(changed cells) per update); any other
-	// metric's ladder was walked over the same counts.
+	// metric's ladder was walked over the same counts. Window-policy
+	// monitors audited under their own alpha with subsets on report it.
 	LadderSourceIncremental = "incremental"
-	// LadderSourceSnapshot: the ladder was recomputed from the counts
-	// snapshot. When this was a fallback from the incremental path,
-	// LadderFallbackReason says why.
+	// LadderSourceSnapshot: every ladder was walked over a merged
+	// snapshot of the counts — for exponential-decay monitors, spaces of
+	// more than 16 attributes, an overridden alpha, or subsets off.
 	LadderSourceSnapshot = "snapshot"
 )
 
@@ -212,13 +215,10 @@ type Report struct {
 	Ladder      []LadderRow `json:"ladder"`
 	// LadderSource records how Monitor.Audit computed the ladder
 	// (LadderSourceIncremental or LadderSourceSnapshot); empty for plain
-	// Auditor.Run reports. LadderFallbackReason is set only when the
-	// incremental path was attempted and failed, making the fallback
-	// visible instead of silent.
-	LadderSource         string           `json:"ladder_source,omitempty"`
-	LadderFallbackReason string           `json:"ladder_fallback_reason,omitempty"`
-	Bootstrap            *BootstrapReport `json:"bootstrap,omitempty"`
-	Credible             *CredibleReport  `json:"credible,omitempty"`
+	// Auditor.Run reports.
+	LadderSource string           `json:"ladder_source,omitempty"`
+	Bootstrap    *BootstrapReport `json:"bootstrap,omitempty"`
+	Credible     *CredibleReport  `json:"credible,omitempty"`
 	// Metrics holds the additional fairness metrics requested via
 	// WithMetrics, in request order.
 	Metrics       []MetricReport       `json:"metrics,omitempty"`

@@ -161,9 +161,6 @@ func (r *Report) appendJSON(e *reportEncoder) {
 	if r.LadderSource != "" {
 		e.strField("ladder_source", r.LadderSource)
 	}
-	if r.LadderFallbackReason != "" {
-		e.strField("ladder_fallback_reason", r.LadderFallbackReason)
-	}
 	if r.Bootstrap != nil {
 		e.key("bootstrap")
 		r.Bootstrap.appendJSON(e)

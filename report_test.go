@@ -104,9 +104,11 @@ func TestReportJSONSchema(t *testing.T) {
 			contains: []string{`"ladder_source": "incremental"`},
 		},
 		{
-			name: "exponential monitor",
-			rep:  decayed,
-			keys: []string{"ladder_source", "ladder_fallback_reason", "metrics"},
+			name:     "exponential monitor",
+			rep:      decayed,
+			keys:     []string{"ladder_source", "metrics"},
+			absent:   []string{"ladder_fallback_reason"},
+			contains: []string{`"ladder_source": "snapshot"`},
 		},
 		{
 			name: "alpha 0, infinite epsilon",

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Emits the streaming-engine benchmark results as BENCH_stream.json so
-# the concurrent-ingest trajectory (sharded vs mutex-guarded observe
-# throughput, snapshot/report latency) is tracked across PRs next to
+# the concurrent-ingest trajectory (sharded observe throughput, serial
+# and parallel; snapshot/report latency) is tracked across PRs next to
 # BENCH_resample.json and BENCH_audit.json.
 #
 # Usage:
@@ -14,8 +14,8 @@
 # the JSON in either case. The gates always re-time their benchmark.
 #
 # The acceptance comparisons are BenchmarkMonitorObserveParallel
-# (sharded-parallel vs locked-parallel ns/op on a multi-core host;
-# single-core hosts can only show the serial batching win) and
+# (sharded-parallel vs sharded-serial ns/op on a multi-core host;
+# single-core hosts show no parallel win) and
 # BenchmarkWatchObserveBatchChecked, whose incremental checked-ingest
 # path this script gates three ways: ≥ 5× faster than the retained
 # snapshot-recompute baseline (ε only, batch 64); with four metric

@@ -4,7 +4,11 @@
 #   1. go vet (stock toolchain checks);
 #   2. dfvet — the project's own go/analysis-style suite (determinism,
 #      jsonfloat, ctxflow, hotpath, optvalidate; see cmd/dfvet);
-#   3. staticcheck (honnef.co/go/tools), pinned by STATICCHECK_VERSION
+#   3. a dead-package check: every package under internal/ must be
+#      imported by a non-test package of the module, except test-helper
+#      packages (name ending in "test", e.g. internal/analysis/
+#      analysistest), which must be imported by some test;
+#   4. staticcheck (honnef.co/go/tools), pinned by STATICCHECK_VERSION
 #      with repo-tracked configuration in staticcheck.conf.
 #
 # staticcheck is not vendored and the sandbox has no network, so the
@@ -27,6 +31,22 @@ go vet ./...
 
 echo "==> dfvet ./..."
 go run ./cmd/dfvet ./...
+
+echo "==> dead internal packages"
+imported=$(go list -f '{{join .Imports "\n"}}' ./... | sort -u)
+test_imported=$(go list -f '{{join .TestImports "\n"}}
+{{join .XTestImports "\n"}}' ./... | sort -u)
+dead=()
+for pkg in $(go list ./internal/...); do
+  case "$pkg" in
+    *test) grep -qxF "$pkg" <<<"$test_imported" || dead+=("$pkg") ;;
+    *) grep -qxF "$pkg" <<<"$imported" || dead+=("$pkg") ;;
+  esac
+done
+if ((${#dead[@]})); then
+  echo "lint: internal packages nothing imports: ${dead[*]}" >&2
+  exit 1
+fi
 
 if command -v staticcheck >/dev/null 2>&1; then
   echo "==> staticcheck ./... ($(staticcheck -version 2>/dev/null | head -1))"
