@@ -1,6 +1,7 @@
 package fairness
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/bayes"
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/repair"
 	"repro/internal/resample"
 	"repro/internal/rng"
@@ -180,10 +182,14 @@ func WithSeed(seed uint64) SharedOption {
 	}
 }
 
-// WithWorkers caps the worker-pool size used by the parallel fan-outs
-// (bootstrap/posterior resampling, the repair subset ladder); 0 (the
-// default) means one worker per CPU. A service handling concurrent
-// requests can use this to bound each request's share of the machine.
+// WithWorkers caps the worker-pool size used by the parallel fan-outs;
+// 0 (the default) means one worker per CPU. A report's bootstrap
+// replicates and posterior samples share one pool of at most n drawing
+// goroutines, which starts before the subset ladders are assembled: the
+// calling goroutine assembles the ladder and metric sections while the
+// pool draws. A Repairer's subset ladder runs on a pool of its own. A
+// service handling concurrent requests can use this to bound each
+// request's share of the machine.
 func WithWorkers(n int) SharedOption {
 	check := func() error {
 		if n < 0 {
@@ -371,6 +377,24 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladders [][]core.Subs
 		return nil, fmt.Errorf("fairness: %w", err)
 	}
 	full := core.EpsilonResult{Epsilon: values[0].Value, Witness: values[0].Witness, Finite: values[0].Finite}
+
+	// Prepare the interval engines in report order, then start their
+	// draws on one fan-out while this goroutine assembles the ladder
+	// and metric sections. An engine's preparation error is held until
+	// the ladder has run, so errors keep the report's precedence:
+	// ladder, then bootstrap, then credible.
+	draws, bootErr, credErr := a.prepareDraws(metrics, counts)
+	drawCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	drawn := make(chan error, 1)
+	if bootErr != nil || draws.len() == 0 {
+		drawn <- nil
+	} else {
+		go func() {
+			drawn <- par.DoCtx(drawCtx, cfg.workers, draws.len(), newDrawScratch, draws.draw)
+		}()
+	}
+
 	rep.Epsilon = JSONFloat(full.Epsilon)
 	rep.Finite = full.Finite
 	rep.Witness = witnessLabels(space, outcomes, full.Witness)
@@ -394,87 +418,34 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladders [][]core.Subs
 		})
 	}
 
-	if cfg.subsets {
-		// The ladder walk shares marginalization work along the lattice
-		// (each subset's counts derived from a one-attribute-larger
-		// parent) instead of re-aggregating the full table 2^p times.
-		// Ladders the caller already maintains incrementally arrive
-		// precomputed, and only the other metrics walk.
-		if ladders == nil {
-			ladders = make([][]core.SubsetMetric, len(metrics))
+	ladderErr := a.addLadders(rep, counts, metrics, ladders, full)
+	if ladderErr != nil {
+		cancel()
+	}
+	drawErr := <-drawn
+	if ladderErr != nil {
+		return nil, ladderErr
+	}
+	// par.DoCtx returns the lowest-indexed failure, so a bootstrap
+	// draw's error precedes a posterior draw's. After a credible
+	// preparation error the job drew only the bootstrap, whose error
+	// precedes that one too.
+	if err := cmp.Or(bootErr, drawErr, credErr); err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		var walked []core.Metric
-		for j, m := range metrics {
-			if ladders[j] == nil {
-				walked = append(walked, m)
-			}
-		}
-		rest, err := core.MetricSubsetsCounts(walked, counts, cfg.alpha)
-		if err != nil {
-			return nil, err
-		}
-		for j := range ladders {
-			if ladders[j] == nil {
-				ladders[j], rest = rest[0], rest[1:]
-			}
-			core.SortSubsetsByMetricValue(metrics[j], ladders[j])
-		}
-		for _, s := range ladders[0] {
-			rep.Ladder = append(rep.Ladder, LadderRow{
-				Attrs:   s.Attrs,
-				Epsilon: JSONFloat(s.Result.Value),
-				Finite:  s.Result.Finite,
-				Witness: witnessLabels(s.Space, outcomes, s.Result.Witness),
-			})
-		}
-		for j, subs := range ladders[1:] {
-			mr := &rep.Metrics[j]
-			for _, s := range subs {
-				mr.Ladder = append(mr.Ladder, MetricLadderRow{
-					Attrs:   s.Attrs,
-					Value:   JSONFloat(s.Result.Value),
-					Finite:  s.Result.Finite,
-					Witness: witnessLabels(s.Space, outcomes, s.Result.Witness),
-				})
-			}
-		}
-	} else {
-		rep.Ladder = append(rep.Ladder, LadderRow{
-			Attrs:   attrNames(space),
-			Epsilon: JSONFloat(full.Epsilon),
-			Finite:  full.Finite,
-			Witness: rep.Witness,
-		})
+		return nil, err
 	}
 
-	if cfg.bootstrapB > 0 {
-		ivs, err := resample.MetricBootstrap(ctx, metrics, counts, cfg.alpha,
-			cfg.bootstrapB, cfg.bootstrapLevel, rng.New(cfg.seed), cfg.workers)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("fairness: bootstrap: %w", err)
-		}
+	if draws.boot != nil {
+		ivs := draws.boot.Intervals()
 		rep.Bootstrap = bootstrapReport(cfg.bootstrapB, ivs[0])
 		for j, iv := range ivs[1:] {
 			rep.Metrics[j].Bootstrap = bootstrapReport(cfg.bootstrapB, iv)
 		}
 	}
-
-	if cfg.credibleB > 0 {
-		model, err := bayes.NewDirichletMultinomial(counts, cfg.credibleAlpha)
-		if err != nil {
-			return nil, fmt.Errorf("fairness: credible: %w", err)
-		}
-		posts, err := model.MetricCredible(ctx, metrics, cfg.credibleB,
-			cfg.credibleLevel, rng.New(cfg.seed), cfg.workers)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("fairness: credible: %w", err)
-		}
+	if draws.cred != nil {
+		posts := draws.cred.Posteriors()
 		rep.Credible = credibleReport(cfg, posts[0])
 		for j, post := range posts[1:] {
 			rep.Metrics[j].Credible = credibleReport(cfg, post)
@@ -550,6 +521,151 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladders [][]core.Subs
 	}
 
 	return rep, nil
+}
+
+// addLadders fills rep's subset ladder rows: ε's in rep.Ladder and each
+// requested metric's in its section, which must already be in
+// rep.Metrics. ladders and full are as in run.
+func (a *Auditor) addLadders(rep *Report, counts *Counts, metrics []core.Metric, ladders [][]core.SubsetMetric, full core.EpsilonResult) error {
+	outcomes := counts.Outcomes()
+	if !a.cfg.subsets {
+		rep.Ladder = append(rep.Ladder, LadderRow{
+			Attrs:   attrNames(counts.Space()),
+			Epsilon: JSONFloat(full.Epsilon),
+			Finite:  full.Finite,
+			Witness: rep.Witness,
+		})
+		return nil
+	}
+	// The ladder walk shares marginalization work along the lattice
+	// (each subset's counts derived from a one-attribute-larger parent)
+	// instead of re-aggregating the full table 2^p times. Ladders the
+	// caller already maintains incrementally arrive precomputed, and
+	// only the other metrics walk.
+	if ladders == nil {
+		ladders = make([][]core.SubsetMetric, len(metrics))
+	}
+	var walked []core.Metric
+	for j, m := range metrics {
+		if ladders[j] == nil {
+			walked = append(walked, m)
+		}
+	}
+	rest, err := core.MetricSubsetsCounts(walked, counts, a.cfg.alpha)
+	if err != nil {
+		return err
+	}
+	for j := range ladders {
+		if ladders[j] == nil {
+			ladders[j], rest = rest[0], rest[1:]
+		}
+		core.SortSubsetsByMetricValue(metrics[j], ladders[j])
+	}
+	for _, s := range ladders[0] {
+		rep.Ladder = append(rep.Ladder, LadderRow{
+			Attrs:   s.Attrs,
+			Epsilon: JSONFloat(s.Result.Value),
+			Finite:  s.Result.Finite,
+			Witness: witnessLabels(s.Space, outcomes, s.Result.Witness),
+		})
+	}
+	for j, subs := range ladders[1:] {
+		mr := &rep.Metrics[j]
+		for _, s := range subs {
+			mr.Ladder = append(mr.Ladder, MetricLadderRow{
+				Attrs:   s.Attrs,
+				Value:   JSONFloat(s.Result.Value),
+				Finite:  s.Result.Finite,
+				Witness: witnessLabels(s.Space, outcomes, s.Result.Witness),
+			})
+		}
+	}
+	return nil
+}
+
+// prepareDraws prepares the report's interval engines, bootstrap first,
+// each seeded from its own generator at the auditor's seed. An engine
+// that fails its preparation is left out of the job, and its error is
+// returned as run reports it.
+func (a *Auditor) prepareDraws(metrics []core.Metric, counts *Counts) (d intervalDraws, bootErr, credErr error) {
+	cfg := a.cfg
+	if cfg.bootstrapB > 0 {
+		var err error
+		d.boot, err = resample.NewBootstrap(metrics, counts, cfg.alpha,
+			cfg.bootstrapB, cfg.bootstrapLevel, rng.New(cfg.seed))
+		if err != nil {
+			bootErr = fmt.Errorf("fairness: bootstrap: %w", err)
+		}
+	}
+	if cfg.credibleB > 0 {
+		model, err := bayes.NewDirichletMultinomial(counts, cfg.credibleAlpha)
+		if err == nil {
+			d.cred, err = model.NewCredible(metrics, cfg.credibleB,
+				cfg.credibleLevel, rng.New(cfg.seed))
+		}
+		if err != nil {
+			credErr = fmt.Errorf("fairness: credible: %w", err)
+		}
+	}
+	return d, bootErr, credErr
+}
+
+// intervalDraws is a report's bootstrap replicates and posterior
+// samples as one par job: indices [0, boot.Replicates()) are replicates
+// and the rest posterior samples. Replicates come first because one
+// costs about three posterior draws, so the long tasks start early.
+// Draw i of each engine still uses its substream (seed, i) and writes
+// only its slot i, so the intervals equal the engines' own
+// MetricBootstrap and MetricCredible results at any worker count.
+type intervalDraws struct {
+	boot *resample.Bootstrap // nil without a bootstrap
+	cred *bayes.Credible     // nil without a posterior
+}
+
+// drawScratch is one worker's scratch for both engines, each built the
+// first time the worker draws for that engine.
+type drawScratch struct {
+	boot *resample.Scratch
+	cred *bayes.Scratch
+}
+
+func newDrawScratch() *drawScratch { return &drawScratch{} }
+
+func (d *intervalDraws) replicates() int {
+	if d.boot == nil {
+		return 0
+	}
+	return d.boot.Replicates()
+}
+
+func (d *intervalDraws) len() int {
+	n := d.replicates()
+	if d.cred != nil {
+		n += d.cred.Samples()
+	}
+	return n
+}
+
+// draw runs task i of the job, wrapping an engine's error as run
+// reports it.
+func (d *intervalDraws) draw(s *drawScratch, i int) error {
+	nb := d.replicates()
+	if i < nb {
+		if s.boot == nil {
+			s.boot = d.boot.NewScratch()
+		}
+		if err := d.boot.Draw(s.boot, i); err != nil {
+			return fmt.Errorf("fairness: bootstrap: %w", err)
+		}
+		return nil
+	}
+	if s.cred == nil {
+		s.cred = d.cred.NewScratch()
+	}
+	if err := d.cred.Draw(s.cred, i-nb); err != nil {
+		return fmt.Errorf("fairness: credible: %w", err)
+	}
+	return nil
 }
 
 // bootstrapReport is the report section of one bootstrap interval.

@@ -185,23 +185,33 @@ func TestAuditorRunPreCanceledContext(t *testing.T) {
 
 func TestAuditorRunCancelsInFlight(t *testing.T) {
 	counts := datasets.Admissions()
-	// Enough replicates that the bootstrap takes well over the cancel
-	// delay on any machine; cancellation must cut it short.
-	auditor := fairness.MustAuditor(counts.Space(), counts.Outcomes(),
-		fairness.WithBootstrap(5_000_000, 0.95))
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := auditor.Run(ctx, counts)
-	elapsed := time.Since(start)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if elapsed > 5*time.Second {
-		t.Errorf("cancellation took %v, want prompt return", elapsed)
+	// Enough draws that the fan-out takes well over the cancel delay on
+	// any machine; cancellation must cut it short. With both engines the
+	// replicates and the posterior samples share one fan-out.
+	for _, tc := range []struct {
+		name string
+		opts []fairness.Option
+	}{
+		{"bootstrap", []fairness.Option{fairness.WithBootstrap(5_000_000, 0.95)}},
+		{"both engines", []fairness.Option{fairness.WithBootstrap(2_500_000, 0.95), fairness.WithCredible(2_500_000, 1, 0.95)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			auditor := fairness.MustAuditor(counts.Space(), counts.Outcomes(), tc.opts...)
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(10 * time.Millisecond)
+				cancel()
+			}()
+			start := time.Now()
+			_, err := auditor.Run(ctx, counts)
+			elapsed := time.Since(start)
+			if err != context.Canceled {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if elapsed > 5*time.Second {
+				t.Errorf("cancellation took %v, want prompt return", elapsed)
+			}
+		})
 	}
 }
 

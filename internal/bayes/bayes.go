@@ -16,7 +16,9 @@
 // materializing every sampled θ. ε and every other requested metric
 // share one draw per sample, and core.EvalMetrics scores them all on it:
 // one validated scan per table, and Eval only for metrics without an
-// extrema form.
+// extrema form. Credible exposes the engine's three steps (prepare,
+// draw i, summarize) so that an audit can draw its samples on one
+// fan-out with its bootstrap replicates.
 package bayes
 
 import (
@@ -184,7 +186,45 @@ func (m *DirichletMultinomial) EpsilonCredible(ctx context.Context, n int, level
 // of GOMAXPROCS, workers and the other metrics requested alongside it,
 // and equals the summary a one-metric call with an identically-seeded
 // RNG returns.
+//
+// It is NewCredible, then Draw for every sample on a par.DoCtx fan-out,
+// then Posteriors.
 func (m *DirichletMultinomial) MetricCredible(ctx context.Context, metrics []core.Metric, n int, level float64, r *rng.RNG, workers int) ([]EpsilonPosterior, error) {
+	cr, err := m.NewCredible(metrics, n, level, r)
+	if err != nil {
+		return nil, err
+	}
+	if err := par.DoCtx(ctx, workers, n, cr.NewScratch, cr.Draw); err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, err
+	}
+	return cr.Posteriors(), nil
+}
+
+// Credible is one MetricCredible call split into its three steps, so
+// that a caller can run its samples on a fan-out it shares with other
+// work: NewCredible validates and seeds, Draw runs one posterior
+// sample, and Posteriors summarizes once every sample has been drawn.
+type Credible struct {
+	metrics     []core.Metric
+	space       *core.Space
+	outcomes    []string
+	alphaPost   []float64
+	groupTotals []float64
+	n           int
+	level       float64
+	base        uint64
+	// vals[j*n+i] is metric j's value on sample i.
+	vals []float64
+}
+
+// NewCredible validates the arguments of a MetricCredible call and
+// prepares its samples: the posterior concentrations, one base draw
+// from r (sample i then owns substream (base, i)) and the result slots.
+// It takes one Uint64 from r, as MetricCredible does.
+func (m *DirichletMultinomial) NewCredible(metrics []core.Metric, n int, level float64, r *rng.RNG) (*Credible, error) {
 	if len(metrics) == 0 {
 		return nil, fmt.Errorf("bayes: no metrics to summarize")
 	}
@@ -194,54 +234,72 @@ func (m *DirichletMultinomial) MetricCredible(ctx context.Context, metrics []cor
 	if n <= 0 {
 		return nil, fmt.Errorf("bayes: need n > 0 samples, got %d", n)
 	}
-	space := m.counts.Space()
-	outcomes := m.counts.Outcomes()
-	k := len(outcomes)
 	alphaPost, groupTotals := m.posteriorParams()
-	base := r.Uint64()
+	return &Credible{
+		metrics:     metrics,
+		space:       m.counts.Space(),
+		outcomes:    m.counts.Outcomes(),
+		alphaPost:   alphaPost,
+		groupTotals: groupTotals,
+		n:           n,
+		level:       level,
+		base:        r.Uint64(),
+		vals:        make([]float64, len(metrics)*n),
+	}, nil
+}
 
-	type scratch struct {
-		rng   *rng.RNG
-		probs []float64
-		cpt   *core.CPT
-		x     core.RateExtrema
-		res   []core.MetricResult
-	}
-	// vals[j*n+i] is metric j's value on sample i.
-	vals := make([]float64, len(metrics)*n)
-	err := par.DoCtx(ctx, workers, n, func() *scratch {
-		return &scratch{
-			rng:   rng.New(0),
-			probs: make([]float64, k),
-			cpt:   core.MustCPT(space, outcomes),
-			x:     core.NewRateExtrema(k),
-			res:   make([]core.MetricResult, len(metrics)),
-		}
-	}, func(s *scratch, i int) error {
-		s.rng.SeedStream(base, uint64(i))
-		if err := sampleInto(s.cpt, s.rng, s.probs, alphaPost, groupTotals); err != nil {
-			return err
-		}
-		if err := core.EvalMetrics(metrics, s.cpt, &s.x, s.res); err != nil {
-			return fmt.Errorf("bayes: %w", err)
-		}
-		for j, r := range s.res {
-			vals[j*n+i] = r.Value
-		}
-		return nil
-	})
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, err
-	}
+// Samples returns n, the number of Draw indices.
+func (cr *Credible) Samples() int { return cr.n }
 
-	out := make([]EpsilonPosterior, len(metrics))
-	for j, metric := range metrics {
+// Scratch is one worker's sample buffers, reused across every Draw it
+// runs.
+type Scratch struct {
+	rng   *rng.RNG
+	probs []float64
+	cpt   *core.CPT
+	x     core.RateExtrema
+	res   []core.MetricResult
+}
+
+// NewScratch returns fresh sample buffers for one worker.
+func (cr *Credible) NewScratch() *Scratch {
+	k := len(cr.outcomes)
+	return &Scratch{
+		rng:   rng.New(0),
+		probs: make([]float64, k),
+		cpt:   core.MustCPT(cr.space, cr.outcomes),
+		x:     core.NewRateExtrema(k),
+		res:   make([]core.MetricResult, len(cr.metrics)),
+	}
+}
+
+// Draw runs posterior sample i, for i in [0, Samples()): θ is drawn from
+// substream (base, i) into the scratch CPT, and every metric's value on
+// it lands in slot i. Draws with distinct i may run concurrently, each
+// with its own Scratch.
+func (cr *Credible) Draw(s *Scratch, i int) error {
+	s.rng.SeedStream(cr.base, uint64(i))
+	if err := sampleInto(s.cpt, s.rng, s.probs, cr.alphaPost, cr.groupTotals); err != nil {
+		return err
+	}
+	if err := core.EvalMetrics(cr.metrics, s.cpt, &s.x, s.res); err != nil {
+		return fmt.Errorf("bayes: %w", err)
+	}
+	for j, r := range s.res {
+		cr.vals[j*cr.n+i] = r.Value
+	}
+	return nil
+}
+
+// Posteriors summarizes the samples into one posterior per metric, in
+// the order of the metrics. Call it once, after Draw has returned nil
+// for every sample; the summaries own the sorted sample slots.
+func (cr *Credible) Posteriors() []EpsilonPosterior {
+	out := make([]EpsilonPosterior, len(cr.metrics))
+	for j, metric := range cr.metrics {
 		// Capped so that appending to one summary's Samples cannot
 		// overwrite the next metric's values.
-		samples := vals[j*n : (j+1)*n : (j+1)*n]
+		samples := cr.vals[j*cr.n : (j+1)*cr.n : (j+1)*cr.n]
 		sum := 0.0
 		sup := samples[0]
 		for _, v := range samples {
@@ -252,16 +310,16 @@ func (m *DirichletMultinomial) MetricCredible(ctx context.Context, metrics []cor
 		}
 		sort.Float64s(samples)
 		out[j] = EpsilonPosterior{
-			Mean:    sum / float64(n),
+			Mean:    sum / float64(cr.n),
 			Median:  quantileSorted(samples, 0.5),
-			Lo:      quantileSorted(samples, (1-level)/2),
-			Hi:      quantileSorted(samples, 1-(1-level)/2),
-			Level:   level,
+			Lo:      quantileSorted(samples, (1-cr.level)/2),
+			Hi:      quantileSorted(samples, 1-(1-cr.level)/2),
+			Level:   cr.level,
 			Samples: samples,
 			Sup:     sup,
 		}
 	}
-	return out, nil
+	return out
 }
 
 // quantileSorted returns the q-quantile of sorted values by linear

@@ -153,11 +153,31 @@ func TestTable3ShapeOnSmallConfig(t *testing.T) {
 		}
 	}
 	// Headline shape: withholding all protected attributes yields the
-	// (near-)lowest ε; using all three yields a higher ε.
+	// (near-)lowest ε; using all three yields a higher ε. One 8,000-row
+	// sample does not show it reliably: a sparse group can decide both
+	// values and tie them, and over census seeds 40–69 the order held in
+	// 25 of 30 samples. So the order is checked on the mean over this
+	// sample and the four after it.
 	none := byKey["none"].Epsilon
-	all := byKey["gender,race,nationality"].Epsilon
-	if none >= all {
-		t.Errorf("eps(none)=%.3f should be below eps(all)=%.3f", none, all)
+	sumNone, sumAll := none, byKey["gender,race,nationality"].Epsilon
+	for seed := cfg.Census.Seed + 1; seed < cfg.Census.Seed+5; seed++ {
+		more := cfg
+		more.Census.Seed = seed
+		r, err := Table3(more)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range r.Rows {
+			switch row.Features {
+			case "none":
+				sumNone += row.Epsilon
+			case "gender,race,nationality":
+				sumAll += row.Epsilon
+			}
+		}
+	}
+	if sumNone >= sumAll {
+		t.Errorf("mean eps(none)=%.3f over five samples should be below mean eps(all)=%.3f", sumNone/5, sumAll/5)
 	}
 	for key, row := range byKey {
 		if row.Epsilon < none-0.30 {

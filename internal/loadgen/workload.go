@@ -99,21 +99,26 @@ func (c *WorkloadConfig) validate() error {
 	if c.BatchSize < 1 {
 		return fmt.Errorf("loadgen: batch size must be positive, got %d", c.BatchSize)
 	}
-	if c.MonitorSkew < 0 || c.GroupSkew < 0 {
-		return fmt.Errorf("loadgen: skew exponents must be non-negative")
+	// Each check is written so that NaN, which fails every comparison,
+	// fails it too.
+	if !nonNegativeFinite(c.MonitorSkew) || !nonNegativeFinite(c.GroupSkew) {
+		return fmt.Errorf("loadgen: skew exponents must be non-negative and finite")
 	}
-	if c.Mix.Observe < 0 || c.Mix.Decide < 0 || c.Mix.Report < 0 {
-		return fmt.Errorf("loadgen: mix weights must be non-negative")
+	if !nonNegativeFinite(c.Mix.Observe) || !nonNegativeFinite(c.Mix.Decide) || !nonNegativeFinite(c.Mix.Report) {
+		return fmt.Errorf("loadgen: mix weights must be non-negative and finite")
 	}
 	if c.Mix.Observe+c.Mix.Decide+c.Mix.Report <= 0 {
 		return fmt.Errorf("loadgen: mix weights sum to zero")
 	}
-	if c.BaseRate < 0 || c.BaseRate > 1 || c.BaseRate+c.RateSpread < 0 || c.BaseRate+c.RateSpread > 1 {
-		return fmt.Errorf("loadgen: outcome rate ramp [%g, %g] leaves [0,1]",
-			c.BaseRate, c.BaseRate+c.RateSpread)
+	lo, hi := c.BaseRate, c.BaseRate+c.RateSpread
+	if !(lo >= 0 && lo <= 1 && hi >= 0 && hi <= 1) {
+		return fmt.Errorf("loadgen: outcome rate ramp [%g, %g] leaves [0,1]", lo, hi)
 	}
 	return nil
 }
+
+// nonNegativeFinite reports whether x is in [0, +Inf).
+func nonNegativeFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // zipfWeights returns weights w_i ∝ 1/(i+1)^s.
 func zipfWeights(n int, s float64) []float64 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -191,6 +192,15 @@ func TestWorkloadValidation(t *testing.T) {
 		func(c *WorkloadConfig) { c.Mix = Mix{} },
 		func(c *WorkloadConfig) { c.Mix.Decide = -1 },
 		func(c *WorkloadConfig) { c.BaseRate = 0.9; c.RateSpread = 0.5 },
+		// NaN fails every comparison, so each check must reject it
+		// explicitly, and an infinite skew or weight too.
+		func(c *WorkloadConfig) { c.GroupSkew = math.NaN() },
+		func(c *WorkloadConfig) { c.MonitorSkew = math.NaN() },
+		func(c *WorkloadConfig) { c.GroupSkew = math.Inf(1) },
+		func(c *WorkloadConfig) { c.Mix.Observe = math.NaN() },
+		func(c *WorkloadConfig) { c.Mix.Report = math.Inf(1) },
+		func(c *WorkloadConfig) { c.BaseRate = math.NaN() },
+		func(c *WorkloadConfig) { c.RateSpread = math.NaN() },
 	}
 	for i, mutate := range cases {
 		cfg := base

@@ -14,7 +14,9 @@
 // bit-identical regardless of GOMAXPROCS. ε and every other requested
 // metric share one draw per replicate, and core.EvalMetrics scores them
 // all on it: one validated scan per replicate table, and Eval only for
-// metrics without an extrema form.
+// metrics without an extrema form. Bootstrap exposes the engine's
+// three steps (prepare, draw i, summarize) so that an audit can draw
+// its replicates on one fan-out with its posterior samples.
 package resample
 
 import (
@@ -82,86 +84,141 @@ func EpsilonBootstrap(ctx context.Context, c *core.Counts, alpha float64, b int,
 // level, r) every interval is independent of GOMAXPROCS, workers and
 // the other metrics requested alongside it, and equals the interval a
 // one-metric call with an identically-seeded RNG returns.
+//
+// It is NewBootstrap, then Draw for every replicate on a par.DoCtx
+// fan-out, then Intervals.
 func MetricBootstrap(ctx context.Context, ms []core.Metric, c *core.Counts, alpha float64, b int, level float64, r *rng.RNG, workers int) ([]Interval, error) {
+	bt, err := NewBootstrap(ms, c, alpha, b, level, r)
+	if err != nil {
+		return nil, err
+	}
+	if err := par.DoCtx(ctx, workers, b, bt.NewScratch, bt.Draw); err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, err
+	}
+	return bt.Intervals(), nil
+}
+
+// Bootstrap is one MetricBootstrap call split into its three steps, so
+// that a caller can run its replicates on a fan-out it shares with
+// other work: NewBootstrap validates and seeds, Draw runs one replicate,
+// and Intervals summarizes once every replicate has been drawn.
+type Bootstrap struct {
+	ms       []core.Metric
+	space    *core.Space
+	outcomes []string
+	// weights are the original cell counts, the multinomial weights of
+	// every replicate. It is a live view of the counts; Draw only reads
+	// it.
+	weights []float64
+	n       int
+	alpha   float64
+	b       int
+	level   float64
+	points  []float64
+	base    uint64
+	// reps[j*b+i] is metric j's score on replicate i.
+	reps []float64
+}
+
+// NewBootstrap validates the arguments of a MetricBootstrap call and
+// prepares its replicates: the metrics' point values on c, one base
+// draw from r (replicate i then owns substream (base, i), so results do
+// not depend on which worker runs it) and the result slots. It takes
+// one Uint64 from r, as MetricBootstrap does. c must not change until
+// the last Draw has returned.
+func NewBootstrap(ms []core.Metric, c *core.Counts, alpha float64, b int, level float64, r *rng.RNG) (*Bootstrap, error) {
 	n, points, err := validateBootstrap(ms, c, alpha, b, level)
 	if err != nil {
 		return nil, err
 	}
+	return &Bootstrap{
+		ms:       ms,
+		space:    c.Space(),
+		outcomes: c.Outcomes(),
+		weights:  c.Cells(),
+		n:        n,
+		alpha:    alpha,
+		b:        b,
+		level:    level,
+		points:   points,
+		base:     r.Uint64(),
+		reps:     make([]float64, len(ms)*b),
+	}, nil
+}
 
-	// The original cell counts are the multinomial weights. Cells() is a
-	// live view; every replicate only reads it.
-	space := c.Space()
-	outcomes := c.Outcomes()
-	weights := c.Cells()
+// Replicates returns B, the number of Draw indices.
+func (bt *Bootstrap) Replicates() int { return bt.b }
 
-	// One base draw from the caller's generator keeps the public contract
-	// "seeded by r"; replicate i then owns substream (base, i) so results
-	// do not depend on which worker runs it.
-	base := r.Uint64()
+// Scratch is one worker's replicate buffers, reused across every Draw
+// it runs.
+type Scratch struct {
+	boot *core.Counts
+	cpt  *core.CPT
+	rng  *rng.RNG
+	x    core.RateExtrema
+	res  []core.MetricResult
+}
 
-	type scratch struct {
-		boot *core.Counts
-		cpt  *core.CPT
-		rng  *rng.RNG
-		x    core.RateExtrema
-		res  []core.MetricResult
+// NewScratch returns fresh replicate buffers for one worker.
+func (bt *Bootstrap) NewScratch() *Scratch {
+	return &Scratch{
+		boot: core.MustCounts(bt.space, bt.outcomes),
+		cpt:  core.MustCPT(bt.space, bt.outcomes),
+		rng:  rng.New(0),
+		x:    core.NewRateExtrema(len(bt.outcomes)),
+		res:  make([]core.MetricResult, len(bt.ms)),
 	}
-	// reps[j*b+i] is metric j's score on replicate i.
-	reps := make([]float64, len(ms)*b)
-	err = par.DoCtx(ctx, workers, b, func() *scratch {
-		return &scratch{
-			boot: core.MustCounts(space, outcomes),
-			cpt:  core.MustCPT(space, outcomes),
-			rng:  rng.New(0),
-			x:    core.NewRateExtrema(len(outcomes)),
-			res:  make([]core.MetricResult, len(ms)),
-		}
-	}, func(s *scratch, i int) error {
-		s.rng.SeedStream(base, uint64(i))
-		// One multinomial draw fills every cell of the replicate table:
-		// O(cells), allocation-free.
-		s.rng.Multinomial(s.boot.Cells(), n, weights)
-		if alpha > 0 {
-			if err := s.boot.SmoothedInto(s.cpt, alpha, false); err != nil {
-				return err
-			}
-		} else {
-			if err := s.boot.EmpiricalInto(s.cpt); err != nil {
-				return err
-			}
-		}
-		err := core.EvalMetrics(ms, s.cpt, &s.x, s.res)
-		if errors.Is(err, core.ErrDegenerateSupport) {
-			// The resample concentrated all mass in fewer than two
-			// groups: legitimately the most-unfair representable value
-			// of every metric, not a failure.
-			for j, m := range ms {
-				reps[j*b+i] = m.WorstValue()
-			}
-			return nil
-		}
-		if err != nil {
-			// Anything else is a real bug (invalid probabilities, shape
-			// mismatch) and must not be silently scored as worst.
-			return err
-		}
-		for j, r := range s.res {
-			reps[j*b+i] = r.Value
+}
+
+// Draw runs replicate i, for i in [0, Replicates()): one multinomial
+// draw from substream (base, i) fills every cell of the replicate table
+// (O(cells), allocation-free), and every metric's score lands in slot i.
+// Draws with distinct i may run concurrently, each with its own Scratch.
+func (bt *Bootstrap) Draw(s *Scratch, i int) error {
+	s.rng.SeedStream(bt.base, uint64(i))
+	s.rng.Multinomial(s.boot.Cells(), bt.n, bt.weights)
+	var err error
+	if bt.alpha > 0 {
+		err = s.boot.SmoothedInto(s.cpt, bt.alpha, false)
+	} else {
+		err = s.boot.EmpiricalInto(s.cpt)
+	}
+	if err != nil {
+		return fmt.Errorf("resample: replicate failed: %w", err)
+	}
+	err = core.EvalMetrics(bt.ms, s.cpt, &s.x, s.res)
+	if errors.Is(err, core.ErrDegenerateSupport) {
+		// The resample concentrated all mass in fewer than two groups:
+		// legitimately the most-unfair representable value of every
+		// metric, not a failure.
+		for j, m := range bt.ms {
+			bt.reps[j*bt.b+i] = m.WorstValue()
 		}
 		return nil
-	})
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("resample: replicate failed: %w", err)
 	}
+	if err != nil {
+		// Anything else is a real bug (invalid probabilities, shape
+		// mismatch) and must not be silently scored as worst.
+		return fmt.Errorf("resample: replicate failed: %w", err)
+	}
+	for j, r := range s.res {
+		bt.reps[j*bt.b+i] = r.Value
+	}
+	return nil
+}
 
-	out := make([]Interval, len(ms))
-	for j := range ms {
+// Intervals summarizes the replicates into one interval per metric, in
+// the order of the metrics. Call it once, after Draw has returned nil
+// for every replicate; the intervals own the sorted replicate slots.
+func (bt *Bootstrap) Intervals() []Interval {
+	out := make([]Interval, len(bt.ms))
+	for j := range bt.ms {
 		// Capped so that appending to one interval's Replicates cannot
 		// overwrite the next metric's values.
-		vals := reps[j*b : (j+1)*b : (j+1)*b]
+		vals := bt.reps[j*bt.b : (j+1)*bt.b : (j+1)*bt.b]
 		infinite := 0
 		for _, v := range vals {
 			if math.IsInf(v, 0) {
@@ -170,15 +227,15 @@ func MetricBootstrap(ctx context.Context, ms []core.Metric, c *core.Counts, alph
 		}
 		sort.Float64s(vals)
 		out[j] = Interval{
-			Point:         points[j],
-			Lo:            percentile(vals, (1-level)/2),
-			Hi:            percentile(vals, 1-(1-level)/2),
-			Level:         level,
+			Point:         bt.points[j],
+			Lo:            percentile(vals, (1-bt.level)/2),
+			Hi:            percentile(vals, 1-(1-bt.level)/2),
+			Level:         bt.level,
 			Replicates:    vals,
-			InfiniteShare: float64(infinite) / float64(b),
+			InfiniteShare: float64(infinite) / float64(bt.b),
 		}
 	}
-	return out, nil
+	return out
 }
 
 // validateBootstrap checks the bootstrap arguments and returns the

@@ -1,5 +1,7 @@
 package rng
 
+import "math"
+
 // Alias is a Walker/Vose alias table for O(1) sampling from a fixed
 // discrete distribution. It is used on the census generator's hot path,
 // where millions of categorical draws are made per dataset.
@@ -10,7 +12,7 @@ type Alias struct {
 
 // NewAlias builds an alias table from the given non-negative weights,
 // which need not be normalized. It panics if weights is empty, contains a
-// negative or non-finite entry, or sums to zero.
+// negative or non-finite entry, or sums to zero or overflows to +Inf.
 func NewAlias(weights []float64) *Alias {
 	n := len(weights)
 	if n == 0 {
@@ -18,13 +20,16 @@ func NewAlias(weights []float64) *Alias {
 	}
 	var total float64
 	for _, w := range weights {
-		if !(w >= 0) || w != w {
-			panic("rng: NewAlias with negative or NaN weight")
+		if !(w >= 0) || math.IsInf(w, 1) {
+			panic("rng: NewAlias with negative, NaN or infinite weight")
 		}
 		total += w
 	}
 	if total <= 0 {
 		panic("rng: NewAlias with zero total weight")
+	}
+	if math.IsInf(total, 1) {
+		panic("rng: NewAlias with infinite total weight")
 	}
 	a := &Alias{
 		prob:  make([]float64, n),

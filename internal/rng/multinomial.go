@@ -4,11 +4,14 @@ import "math"
 
 // Binomial returns a draw from Binomial(n, p): the number of successes in
 // n independent trials of probability p. It runs in O(1) expected time
-// when n·min(p,1−p) is large (the BTPE rejection sampler of
-// Kachitvichyanukul & Schmeiser, 1988) and O(n·p) expected time otherwise
-// (CDF inversion), so conditional-binomial multinomial splitting over k
-// cells costs O(k) rather than O(n) category draws. It panics on n < 0 or
-// p outside [0, 1].
+// when n·min(p,1−p) is large (Hörmann's BTRS transformed-rejection
+// sampler, 1993) and O(n·p) expected time otherwise (CDF inversion), so
+// conditional-binomial multinomial splitting over k cells costs O(k)
+// rather than O(n) category draws. BTRS's setup is a square root and two
+// divisions, which matters there: every call of the split has a fresh
+// (n, p). It panics on n < 0 or p outside [0, 1].
+//
+//df:hotpath
 func (r *RNG) Binomial(n int, p float64) int {
 	if n < 0 {
 		panic("rng: Binomial with negative n")
@@ -31,10 +34,10 @@ func (r *RNG) Binomial(n int, p float64) int {
 		flipped = true
 	}
 	var k int
-	if float64(n)*q < btpeThreshold {
+	if float64(n)*q < btrsThreshold {
 		k = r.binomialInversion(n, q)
 	} else {
-		k = r.binomialBTPE(n, q)
+		k = r.binomialBTRS(n, q)
 	}
 	if flipped {
 		k = n - k
@@ -42,14 +45,16 @@ func (r *RNG) Binomial(n int, p float64) int {
 	return k
 }
 
-// btpeThreshold is the n·p value above which BTPE beats inversion; 30 is
-// the cut-over used by the reference implementations (e.g. NumPy).
-const btpeThreshold = 30
+// btrsThreshold is the n·p value from which BTRS is used: Hörmann
+// states its constants for n·p ≥ 10.
+const btrsThreshold = 10
 
 // binomialInversion is the BINV algorithm: walk the CDF from 0, taking
 // O(n·p) expected steps. Requires 0 < p <= 1/2. Since it is only called
-// with n·p < btpeThreshold, q^n = exp(n·log1p(−p)) ≥ exp(−2·btpeThreshold)
+// with n·p < btrsThreshold, q^n = exp(n·log1p(−p)) ≥ exp(−2·btrsThreshold)
 // cannot underflow.
+//
+//df:hotpath
 func (r *RNG) binomialInversion(n int, p float64) int {
 	q := 1 - p
 	s := p / q
@@ -72,127 +77,78 @@ func (r *RNG) binomialInversion(n int, p float64) int {
 	}
 }
 
-// binomialBTPE is the BTPE algorithm (Binomial, Triangle, Parallelogram,
-// Exponential): an O(1) expected-time rejection sampler whose envelope is
-// a triangle over the mode, two parallelogram shoulders, and exponential
-// tails. Requires 0 < p <= 1/2 and n·p >= btpeThreshold.
-func (r *RNG) binomialBTPE(n int, p float64) int {
-	var (
-		nf  = float64(n)
-		q   = 1 - p
-		npq = nf * p * q
-
-		fm = nf*p + p
-		m  = math.Floor(fm) // mode
-
-		// Envelope geometry.
-		p1 = math.Floor(2.195*math.Sqrt(npq)-4.6*q) + 0.5
-		xm = m + 0.5
-		xl = xm - p1
-		xr = xm + p1
-		c  = 0.134 + 20.5/(15.3+m)
-	)
-	a := (fm - xl) / (fm - xl*p)
-	lamL := a * (1 + a/2)
-	a = (xr - fm) / (xr * q)
-	lamR := a * (1 + a/2)
-	p2 := p1 * (1 + 2*c)
-	p3 := p2 + c/lamL
-	p4 := p3 + c/lamR
-
+// binomialBTRS is Hörmann's BTRS ("The generation of binomial random
+// variates", J. Statist. Comput. Simul. 46, 1993): transformed
+// rejection with a squeeze. A uniform pair (u, v) maps through a
+// hat built around the mean to a candidate k; a box around the hat's
+// centre accepts most pairs at once, and the rest are accepted when
+// ln(v·α/(a/us² + b)) ≤ ln f(k)/f(m), the log-ratio of the pmf at k to
+// the pmf at the mode m. Requires 0 < p <= 1/2 and n·p >= btrsThreshold.
+//
+//df:hotpath
+func (r *RNG) binomialBTRS(n int, p float64) int {
+	nf := float64(n)
+	spq := math.Sqrt(nf * p * (1 - p))
+	b := 1.15 + 2.53*spq
+	a := -0.0873 + 0.0248*b + 0.01*p
+	c := nf*p + 0.5
+	vr := 0.92 - 4.2/b
 	for {
-		u := r.Float64() * p4
+		u := r.Float64() - 0.5
 		v := r.Float64()
-		var y float64
-		switch {
-		case u <= p1:
-			// Triangular central region: accept immediately.
-			return int(math.Floor(xm - p1*v + u))
-		case u <= p2:
-			// Parallelogram shoulders.
-			x := xl + (u-p1)/c
-			v = v*c + 1 - math.Abs(m-x+0.5)/p1
-			if v > 1 || v <= 0 {
-				continue
-			}
-			y = math.Floor(x)
-		case u <= p3:
-			// Left exponential tail.
-			y = math.Floor(xl + math.Log(v)/lamL)
-			if y < 0 {
-				continue
-			}
-			v = v * (u - p2) * lamL
-		default:
-			// Right exponential tail.
-			y = math.Floor(xr - math.Log(v)/lamR)
-			if y > nf {
-				continue
-			}
-			v = v * (u - p3) * lamR
-		}
-
-		// Squeeze-free acceptance test for v against f(y)/f(m).
-		k := math.Abs(y - m)
-		if k <= 20 || k >= npq/2-1 {
-			// Evaluate f(y)/f(m) by the recurrence — cheap because k is
-			// small (or the tail makes rejection likely anyway).
-			s := p / q
-			aa := s * (nf + 1)
-			f := 1.0
-			switch {
-			case m < y:
-				for i := m + 1; i <= y; i++ {
-					f *= aa/i - s
-				}
-			case m > y:
-				for i := y + 1; i <= m; i++ {
-					f /= aa/i - s
-				}
-			}
-			if v <= f {
-				return int(y)
-			}
+		us := 0.5 - math.Abs(u)
+		k := math.Floor((2*a/us+b)*u + c)
+		if k < 0 || k > nf {
 			continue
 		}
-		// Squeeze on log scale, then the full Stirling-corrected test.
-		rho := (k / npq) * ((k*(k/3+0.625)+1.0/6)/npq + 0.5)
-		t := -k * k / (2 * npq)
-		logV := math.Log(v)
-		if logV < t-rho {
-			return int(y)
+		if us >= 0.07 && v <= vr {
+			return int(k)
 		}
-		if logV > t+rho {
-			continue
-		}
-		x1 := y + 1
-		f1 := m + 1
-		z := nf + 1 - m
-		w := nf - y + 1
-		// ln(f(y)/f(m)) = lnΓ(f1) − lnΓ(x1) + lnΓ(z) − lnΓ(w)
-		// + (y−m)·ln(p/q); expanding each lnΓ by Stirling gives the
-		// closed terms below plus remainders φ entering with the same
-		// signs as their lnΓ — so φ(x1) and φ(w) are SUBTRACTED. (The
-		// published BTPE listing adds all four, which overestimates the
-		// bound by 2(φ(x1)+φ(w)) and over-accepts in the tails; the
-		// signed form here matches math.Lgamma to ~1e-12.)
-		if logV <= xm*math.Log(f1/x1)+
-			(nf-m+0.5)*math.Log(z/w)+
-			(y-m)*math.Log(w*p/(x1*q))+
-			stirlingCorrection(f1)+stirlingCorrection(z)-
-			stirlingCorrection(x1)-stirlingCorrection(w) {
-			return int(y)
+		alpha := (2.83 + 5.1/b) * spq
+		if math.Log(v*alpha/(a/(us*us)+b)) <= binomialLogRatio(nf, p, k) {
+			return int(k)
 		}
 	}
 }
 
-// stirlingCorrection returns φ(x), the Stirling remainder of ln Γ(x):
-// lnΓ(x) = (x−1/2)·ln x − x + ln√(2π) + φ(x), with
-// φ(x) ≈ (13860 − (462 − (132 − (99 − 140/x²)/x²)/x²)/x²)/(x·166320)
-// = 1/(12x) − 1/(360x³) + 1/(1260x⁵) − 1/(1680x⁷).
-func stirlingCorrection(x float64) float64 {
-	x2 := x * x
-	return (13860 - (462-(132-(99-140/x2)/x2)/x2)/x2) / x / 166320
+// binomialLogRatio returns ln f(k)/f(m) for the Binomial(n, p) pmf f and
+// its mode m = ⌊(n+1)p⌋: with r = p/(1−p), that is ln m! + ln(n−m)! −
+// ln k! − ln(n−k)! + (k−m)·ln r. Writing ln j! = (j+½)·ln(j+1) − (j+1) +
+// ½·ln 2π + stirlingTail(j), the linear and constant terms cancel, and
+// the eight remaining logs (ln r counted twice) combine into three.
+//
+//df:hotpath
+func binomialLogRatio(n, p, k float64) float64 {
+	m := math.Floor((n + 1) * p)
+	r := p / (1 - p)
+	return (m+0.5)*math.Log((m+1)/(r*(n-m+1))) +
+		(n+1)*math.Log((n-m+1)/(n-k+1)) +
+		(k+0.5)*math.Log(r*(n-k+1)/(k+1)) +
+		stirlingTail(m) + stirlingTail(n-m) - stirlingTail(k) - stirlingTail(n-k)
+}
+
+// stirlingTail returns ln k! − ((k+½)·ln(k+1) − (k+1) + ½·ln 2π) for a
+// whole number k ≥ 0: from a table for k ≤ 9, and above that from the
+// series (1/12 − 1/(360(k+1)²) + 1/(1260(k+1)⁴))/(k+1), whose next
+// term, −1/(1680(k+1)⁷), is below 4e-11 from k = 10 on.
+//
+//df:hotpath
+func stirlingTail(k float64) float64 {
+	if k <= 9 {
+		return stirlingTails[int(k)]
+	}
+	k1 := k + 1
+	k1sq := k1 * k1
+	return (1.0/12 - (1.0/360-1.0/1260/k1sq)/k1sq) / k1
+}
+
+// stirlingTails are ln k! − ((k+½)·ln(k+1) − (k+1) + ½·ln 2π) for
+// k = 0..9, from math.Lgamma; TestStirlingTail checks them.
+var stirlingTails = [10]float64{
+	0.08106146679532733, 0.04134069595540946, 0.02767792568499894,
+	0.020790672103765395, 0.016644691189822147, 0.013876128823071987,
+	0.011896709945892425, 0.010411265261971892, 0.009255462182711227,
+	0.008330563433363025,
 }
 
 // Multinomial draws one Multinomial(n, weights) vector, writing the
@@ -203,6 +159,8 @@ func stirlingCorrection(x float64) float64 {
 // binomial samples instead of the O(n) category draws of repeated alias
 // sampling. It panics on mismatched lengths, n < 0, or weights that are
 // negative, NaN, or sum to zero.
+//
+//df:hotpath
 func (r *RNG) Multinomial(dst []float64, n int, weights []float64) {
 	if len(dst) != len(weights) || len(weights) == 0 {
 		panic("rng: Multinomial length mismatch")

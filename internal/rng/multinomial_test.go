@@ -52,22 +52,35 @@ func chiSquareCritical(df int) float64 {
 }
 
 // TestBinomialChiSquare checks goodness of fit against the exact pmf in
-// both sampler regimes: CDF inversion (n·p < 30) and BTPE (n·p >= 30).
+// every sampler regime: CDF inversion (n·p < 10), BTRS from the
+// boundary up, the mirrored p > 1/2 path, and the split a bootstrap
+// replicate makes of a census-sized table over 320 cells. Each case
+// also checks that it reaches the sampler it is named for. The BTRS
+// cases pin its acceptance step: a slip in the log-ratio bound (a
+// missing log, a wrong Stirling tail) changes the accepted mass and
+// fails them.
 func TestBinomialChiSquare(t *testing.T) {
 	cases := []struct {
 		name string
 		n    int
 		p    float64
+		btrs bool
 	}{
-		{"inversion-small", 50, 0.3},      // n·p = 15
-		{"inversion-tiny-p", 2000, 0.005}, // n·p = 10
-		{"btpe-moderate", 400, 0.25},      // n·p = 100
-		{"btpe-large", 5000, 0.4},         // n·p = 2000
-		{"btpe-mirrored", 300, 0.8},       // p > 1/2 path
+		{"inversion-np3", 30, 0.1, false},                  // n·p = 3
+		{"inversion-np9.5", 1900, 0.005, false},            // n·p = 9.5
+		{"btrs-boundary-np10", 2000, 0.005, true},          // n·p = 10
+		{"btrs-moderate", 400, 0.25, true},                 // n·p = 100
+		{"btrs-large", 5000, 0.4, true},                    // n·p = 2000
+		{"btrs-p-half", 1000, 0.5, true},                   // n·p = 500
+		{"btrs-mirrored", 300, 0.8, true},                  // n·(1−p) = 60
+		{"btrs-bootstrap-split", 200_000, 1.0 / 320, true}, // n·p = 625
 	}
 	const draws = 200000
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if btrs := float64(tc.n)*math.Min(tc.p, 1-tc.p) >= btrsThreshold; btrs != tc.btrs {
+				t.Fatalf("Binomial(%d, %v) reaches BTRS = %v, want %v", tc.n, tc.p, btrs, tc.btrs)
+			}
 			r := New(12345)
 			obs := make([]float64, tc.n+1)
 			for i := 0; i < draws; i++ {
@@ -87,6 +100,45 @@ func TestBinomialChiSquare(t *testing.T) {
 				t.Fatalf("chi-square %v exceeds critical %v (df=%d)", stat, crit, df)
 			}
 		})
+	}
+}
+
+// TestStirlingTail checks the log-factorial remainder behind BTRS's
+// acceptance step against math.Lgamma, across the table and the series.
+func TestStirlingTail(t *testing.T) {
+	for k := 0; k <= 2000; k++ {
+		kf := float64(k)
+		lg, _ := math.Lgamma(kf + 1)
+		want := lg - ((kf+0.5)*math.Log(kf+1) - (kf + 1) + 0.5*math.Log(2*math.Pi))
+		if got := stirlingTail(kf); math.Abs(got-want) > 1e-10 {
+			t.Fatalf("stirlingTail(%d) = %v, want %v", k, got, want)
+		}
+	}
+}
+
+// TestBinomialLogRatio checks BTRS's log-ratio ln f(k)/f(m) against the
+// pmf's exact logs from math.Lgamma, from tiny to bootstrap-sized n and
+// across the support.
+func TestBinomialLogRatio(t *testing.T) {
+	logPMF := func(n, p, k float64) float64 {
+		ln, _ := math.Lgamma(n + 1)
+		lk, _ := math.Lgamma(k + 1)
+		lnk, _ := math.Lgamma(n - k + 1)
+		return ln - lk - lnk + k*math.Log(p) + (n-k)*math.Log1p(-p)
+	}
+	for _, tc := range []struct{ n, p float64 }{
+		{40, 0.25}, {1000, 0.5}, {5000, 0.4}, {200_000, 1.0 / 320},
+	} {
+		m := math.Floor((tc.n + 1) * tc.p)
+		for _, k := range []float64{0, 1, m - 7, m, m + 3, 2 * m, tc.n} {
+			if k < 0 || k > tc.n {
+				continue
+			}
+			want := logPMF(tc.n, tc.p, k) - logPMF(tc.n, tc.p, m)
+			if got := binomialLogRatio(tc.n, tc.p, k); math.Abs(got-want) > 1e-8*math.Max(1, math.Abs(want)) {
+				t.Errorf("binomialLogRatio(%v, %v, %v) = %v, want %v", tc.n, tc.p, k, got, want)
+			}
+		}
 	}
 }
 
@@ -228,15 +280,16 @@ func TestSubstreams(t *testing.T) {
 		t.Fatalf("adjacent substreams collided on %d of 16 draws", same)
 	}
 
-	// SeedStream must clear the cached Box-Muller spare so re-seeded
-	// generators are bit-identical to freshly constructed ones.
+	// A re-seeded generator must be bit-identical to a freshly
+	// constructed one, also for NormFloat64, which draws a variable
+	// number of uniforms per deviate.
 	e := NewStream(11, 0)
-	e.NormFloat64() // leaves a spare cached
+	e.NormFloat64()
 	e.SeedStream(11, 9)
 	f := NewStream(11, 9)
 	for i := 0; i < 8; i++ {
 		if e.NormFloat64() != f.NormFloat64() {
-			t.Fatal("SeedStream did not reset normal cache")
+			t.Fatal("SeedStream did not reset the normal stream")
 		}
 	}
 }

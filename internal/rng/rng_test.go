@@ -1,7 +1,9 @@
 package rng
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +116,143 @@ func TestNormalMoments(t *testing.T) {
 	}
 	if math.Abs(variance-4) > 0.1 {
 		t.Errorf("normal variance = %v, want about 4", variance)
+	}
+}
+
+// ksCritical is the asymptotic one-sample Kolmogorov–Smirnov critical
+// value at significance 0.001 for n draws.
+func ksCritical(n int) float64 { return 1.9495 / math.Sqrt(float64(n)) }
+
+// ksStat returns the Kolmogorov–Smirnov distance between the empirical
+// distribution of xs and cdf. It sorts xs.
+func ksStat(xs []float64, cdf func(float64) float64) float64 {
+	sort.Float64s(xs)
+	n := float64(len(xs))
+	var d float64
+	for i, x := range xs {
+		f := cdf(x)
+		d = math.Max(d, math.Max(float64(i+1)/n-f, f-float64(i)/n))
+	}
+	return d
+}
+
+// TestZigguratTables recomputes NormFloat64's tables from Marsaglia &
+// Tsang's recurrence: x_127 = zigR, x_{i−1} = √(−2·ln(zigV/x_i + f(x_i))).
+// The tolerance only absorbs last-bit differences between platforms'
+// math.Log and math.Exp.
+func TestZigguratTables(t *testing.T) {
+	f := func(x float64) float64 { return math.Exp(-0.5 * x * x) }
+	var x [128]float64
+	x[127] = zigR
+	for i := 126; i >= 1; i-- {
+		x[i] = math.Sqrt(-2 * math.Log(zigV/x[i+1]+f(x[i+1])))
+	}
+	// zigR and zigV are consistent: the top strip, over [0, x_1), has
+	// area zigV too.
+	if top := x[1] * (1 - f(x[1])); math.Abs(top-zigV) > 1e-8*zigV {
+		t.Fatalf("top strip area %v, want %v", top, zigV)
+	}
+	const scale = 1 << 53
+	q := zigV / f(zigR)
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*math.Abs(want) }
+	for i := range zigK {
+		k, w, fx := zigR/q, q, 1.0
+		if i > 0 {
+			k, w, fx = x[i-1]/x[i], x[i], f(x[i])
+		}
+		if math.Abs(float64(zigK[i])-math.Floor(k*scale)) > 1e-12*scale {
+			t.Errorf("zigK[%d] = %d, want %v", i, zigK[i], math.Floor(k*scale))
+		}
+		if !near(zigW[i], w/scale) {
+			t.Errorf("zigW[%d] = %v, want %v", i, zigW[i], w/scale)
+		}
+		if !near(zigF[i], fx) {
+			t.Errorf("zigF[%d] = %v, want %v", i, zigF[i], fx)
+		}
+	}
+}
+
+// TestNormFloat64KS checks 10⁶ ziggurat deviates against Φ with a
+// Kolmogorov–Smirnov test, and checks how often they land beyond zigR:
+// only the base strip's tail puts them there, with probability
+// erfc(zigR/√2) ≈ 5.8e-4, so about 576 of 10⁶, give or take 24.
+func TestNormFloat64KS(t *testing.T) {
+	const n = 1_000_000
+	r := New(71)
+	xs := make([]float64, n)
+	beyond := 0
+	for i := range xs {
+		xs[i] = r.NormFloat64()
+		if math.Abs(xs[i]) > zigR {
+			beyond++
+		}
+	}
+	p := math.Erfc(zigR / math.Sqrt2)
+	mean, sd := n*p, math.Sqrt(n*p*(1-p))
+	if math.Abs(float64(beyond)-mean) > 5*sd {
+		t.Errorf("%d of %d draws beyond zigR, want %.0f ± %.0f", beyond, n, mean, 5*sd)
+	}
+	phi := func(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
+	if d, crit := ksStat(xs, phi), ksCritical(n); d > crit {
+		t.Errorf("KS distance %v exceeds critical %v", d, crit)
+	}
+}
+
+// gammaIntCDF returns the CDF of Gamma(a, 1) for a whole number a ≥ 1:
+// P(X ≤ x) = P(Poisson(x) ≥ a) = 1 − Σ_{k<a} e^{−x}·x^k/k!. The sum
+// starts from its largest term, taken in log space so that e^{−x} cannot
+// underflow, and walks outward by the terms' ratios until they vanish.
+func gammaIntCDF(a int) func(float64) float64 {
+	return func(x float64) float64 {
+		if x <= 0 {
+			return 0
+		}
+		top := min(a-1, int(x))
+		lg, _ := math.Lgamma(float64(top) + 1)
+		scale := math.Exp(-x + float64(top)*math.Log(x) - lg)
+		sum, term := 1.0, 1.0
+		for k := top; k > 0 && term > 1e-18*sum; k-- {
+			term *= float64(k) / x
+			sum += term
+		}
+		term = 1
+		for k := top + 1; k < a && term > 1e-18*sum; k++ {
+			term *= x / float64(k)
+			sum += term
+		}
+		return 1 - scale*sum
+	}
+}
+
+// TestGammaKS checks Gamma against exact CDFs with a Kolmogorov–Smirnov
+// test: shape 0.5 (CDF erf √x) through the shape < 1 boost, and whole
+// shapes up to the thousands that posterior Dirichlet draws reach. Shape
+// 30 takes 10⁶ draws so that a Marsaglia–Tsang constant 1% off, which
+// scales the spread by about 1%, moves the distance past the critical
+// value.
+func TestGammaKS(t *testing.T) {
+	cases := []struct {
+		shape float64
+		n     int
+		cdf   func(float64) float64
+	}{
+		{0.5, 200_000, func(x float64) float64 { return math.Erf(math.Sqrt(math.Max(x, 0))) }},
+		{1, 200_000, gammaIntCDF(1)},
+		{3, 200_000, gammaIntCDF(3)},
+		{30, 1_000_000, gammaIntCDF(30)},
+		{1000, 200_000, gammaIntCDF(1000)},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprint("shape", tc.shape), func(t *testing.T) {
+			r := New(73)
+			xs := make([]float64, tc.n)
+			for i := range xs {
+				xs[i] = r.Gamma(tc.shape)
+			}
+			if d, crit := ksStat(xs, tc.cdf), ksCritical(tc.n); d > crit {
+				t.Errorf("Gamma(%v): KS distance %v exceeds critical %v", tc.shape, d, crit)
+			}
+		})
 	}
 }
 
@@ -300,7 +439,8 @@ func TestAliasSingleCategory(t *testing.T) {
 }
 
 func TestAliasPanics(t *testing.T) {
-	cases := [][]float64{nil, {}, {0, 0}, {-1, 2}, {math.NaN()}}
+	cases := [][]float64{nil, {}, {0, 0}, {-1, 2}, {math.NaN()},
+		{1, math.Inf(1), 2}, {math.Inf(-1), 1}, {math.MaxFloat64, math.MaxFloat64}}
 	for _, w := range cases {
 		func() {
 			defer func() {

@@ -3,6 +3,7 @@ package fairness_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"reflect"
 	"runtime"
@@ -183,15 +184,17 @@ func TestMetricReportDeterministic(t *testing.T) {
 // every registry metric, with ladders, bootstrap and posterior, carries
 // exactly the ε sections of a report without metrics and, per metric,
 // exactly the section of a report requesting that metric alone — the
-// fused engines hand each section its own metric's results.
+// fused engines hand each section its own metric's results. Across the
+// engines too: the replicates and posterior samples share one fan-out,
+// yet every interval section of a two-engine report equals, byte for
+// byte, the section of a bootstrap-only or a credible-only report on
+// the same counts and seed, at any worker cap and GOMAXPROCS.
 func TestAuditMetricSectionsMatchSingleMetricAudits(t *testing.T) {
 	counts := datasets.Admissions()
-	run := func(keys ...string) *fairness.Report {
-		opts := []fairness.Option{
-			fairness.WithBootstrap(60, 0.9),
-			fairness.WithCredible(60, 1, 0.9),
-			fairness.WithSeed(11),
-		}
+	boot := fairness.WithBootstrap(60, 0.9)
+	cred := fairness.WithCredible(60, 1, 0.9)
+	run := func(engines []fairness.Option, workers int, keys ...string) *fairness.Report {
+		opts := append([]fairness.Option{fairness.WithSeed(11), fairness.WithWorkers(workers)}, engines...)
 		if len(keys) > 0 {
 			opts = append(opts, fairness.WithMetrics(keys...))
 		}
@@ -201,8 +204,9 @@ func TestAuditMetricSectionsMatchSingleMetricAudits(t *testing.T) {
 		}
 		return rep
 	}
-	all := run(allMetricKeys...)
-	plain := run()
+	both := []fairness.Option{boot, cred}
+	all := run(both, 0, allMetricKeys...)
+	plain := run(both, 0)
 	if !reflect.DeepEqual(all.Ladder, plain.Ladder) || !reflect.DeepEqual(all.Bootstrap, plain.Bootstrap) ||
 		!reflect.DeepEqual(all.Credible, plain.Credible) {
 		t.Fatal("requesting metrics changed the ε sections")
@@ -211,9 +215,49 @@ func TestAuditMetricSectionsMatchSingleMetricAudits(t *testing.T) {
 		t.Fatalf("got %d metric sections, want %d", len(all.Metrics), len(allMetricKeys))
 	}
 	for i, key := range allMetricKeys {
-		single := run(key)
+		single := run(both, 0, key)
 		if !reflect.DeepEqual(all.Metrics[i], single.Metrics[0]) {
 			t.Fatalf("metric %s: section differs from a single-metric audit:\n%+v\nvs\n%+v", key, all.Metrics[i], single.Metrics[0])
+		}
+	}
+
+	section := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	var want bytes.Buffer
+	if err := all.RenderJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 2, 7} {
+			rep := run(both, workers, allMetricKeys...)
+			bootOnly := run([]fairness.Option{boot}, workers, allMetricKeys...)
+			credOnly := run([]fairness.Option{cred}, workers, allMetricKeys...)
+			var got bytes.Buffer
+			if err := rep.RenderJSON(&got); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("GOMAXPROCS=%d workers=%d changed the report bytes", procs, workers)
+			}
+			if section(rep.Bootstrap) != section(bootOnly.Bootstrap) || section(rep.Credible) != section(credOnly.Credible) {
+				t.Fatalf("GOMAXPROCS=%d workers=%d: an ε interval differs from its one-engine report", procs, workers)
+			}
+			for i, key := range allMetricKeys {
+				if section(rep.Metrics[i].Bootstrap) != section(bootOnly.Metrics[i].Bootstrap) ||
+					section(rep.Metrics[i].Credible) != section(credOnly.Metrics[i].Credible) {
+					t.Fatalf("GOMAXPROCS=%d workers=%d: metric %s's interval differs from its one-engine report", procs, workers, key)
+				}
+			}
+			if bootOnly.Credible != nil || credOnly.Bootstrap != nil {
+				t.Fatal("a one-engine report carries the other engine's section")
+			}
 		}
 	}
 }

@@ -3,7 +3,8 @@
 # benchmark layer. Every BenchmarkHotPath* benchmark (one per annotated
 # hot path: core.Epsilon, core.EvalMetrics with its RateExtrema.Scan,
 # stream Monitor.ObserveBatch, the stream incremental-ε delta-apply path,
-# repair Applier.ApplyBatch, dfserve's binary and JSON batch decodes)
+# repair Applier.ApplyBatch, dfserve's binary and JSON batch decodes,
+# and a report's interval draws through the rng samplers)
 # must report exactly 0 allocs/op in
 # -benchmem output; a single allocation per op on the serving path turns
 # into GC pressure at stream rate. The static half of the same contract
@@ -29,7 +30,7 @@ else
 fi
 
 # Expected hot-path benchmarks; each annotated function has exactly one.
-expected=7
+expected=8
 
 awk -v expected="$expected" '
 /^BenchmarkHotPath/ {
