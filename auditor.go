@@ -19,19 +19,13 @@ import (
 // their arguments at construction time, so a successfully built Auditor
 // never fails on configuration during Run.
 type auditConfig struct {
-	alpha          float64
-	subsets        bool
-	simpson        bool
-	bootstrapB     int
-	bootstrapLevel float64
-	credibleB      int
-	credibleAlpha  float64
-	credibleLevel  float64
-	repairTarget   float64
-	seed           uint64
-	workers        int
-	eqOdds         *core.LabeledCounts
-	metrics        []core.Metric
+	drawConfig
+	subsets      bool
+	simpson      bool
+	repairTarget float64
+	workers      int
+	eqOdds       *core.LabeledCounts
+	metrics      []core.Metric
 }
 
 // Option configures an Auditor. Options are applied in order by
@@ -258,9 +252,9 @@ func NewAuditor(space *Space, outcomes []string, opts ...Option) (*Auditor, erro
 		return nil, fmt.Errorf("fairness: NewAuditor: need at least two outcomes, got %d", len(outcomes))
 	}
 	cfg := auditConfig{
-		subsets: true,
-		simpson: true,
-		seed:    1,
+		drawConfig: drawConfig{seed: 1},
+		subsets:    true,
+		simpson:    true,
 	}
 	for _, opt := range opts {
 		if opt == nil {
@@ -302,7 +296,7 @@ func MustAuditor(space *Space, outcomes []string, opts ...Option) *Auditor {
 // engines, so canceling it makes an in-flight Run return promptly with
 // ctx.Err(). Callers without a deadline pass context.Background().
 func (a *Auditor) Run(ctx context.Context, counts *Counts) (*Report, error) {
-	return a.run(ctx, counts, nil, "")
+	return a.run(ctx, counts, nil, "", nil)
 }
 
 // metrics is the list every engine of a report scores: ε first, then
@@ -317,8 +311,10 @@ func (a *Auditor) metrics() []core.Metric {
 // is measured by one lattice walk over counts. A precomputed ladder must
 // have been measured over the same counts and estimator alpha —
 // Monitor.Audit reads both under one lock hold. ladderSource fills the
-// report field of the same name.
-func (a *Auditor) run(ctx context.Context, counts *Counts, ladders [][]core.SubsetMetric, ladderSource string) (*Report, error) {
+// report field of the same name. memo, when non-nil, is the calling
+// monitor's interval memo: a report whose draw inputs it holds reuses
+// its sections, and a report that draws stores them once it succeeds.
+func (a *Auditor) run(ctx context.Context, counts *Counts, ladders [][]core.SubsetMetric, ladderSource string, memo *intervalMemo) (*Report, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("fairness: Auditor.Run: nil ctx (pass context.Background() if no deadline applies)")
 	}
@@ -378,12 +374,21 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladders [][]core.Subs
 	}
 	full := core.EpsilonResult{Epsilon: values[0].Value, Witness: values[0].Witness, Finite: values[0].Finite}
 
-	// Prepare the interval engines in report order, then start their
-	// draws on one fan-out while this goroutine assembles the ladder
-	// and metric sections. An engine's preparation error is held until
-	// the ladder has run, so errors keep the report's precedence:
-	// ladder, then bootstrap, then credible.
-	draws, bootErr, credErr := a.prepareDraws(metrics, counts)
+	// Reuse the memo's intervals when it holds draws of exactly these
+	// inputs. Otherwise prepare the interval engines in report order,
+	// then start their draws on one fan-out while this goroutine
+	// assembles the ladder and metric sections. An engine's preparation
+	// error is held until the ladder has run, so errors keep the
+	// report's precedence: ladder, then bootstrap, then credible.
+	if memo != nil && (cfg.bootstrapB == 0 && cfg.credibleB == 0 || !memoizable(metrics)) {
+		memo = nil // a report without intervals neither reads nor fills it
+	}
+	iv, reused := memo.load(cfg.drawConfig, metrics, counts.Cells())
+	var draws intervalDraws
+	var bootErr, credErr error
+	if !reused {
+		draws, bootErr, credErr = a.prepareDraws(metrics, counts)
+	}
 	drawCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	drawn := make(chan error, 1)
@@ -437,20 +442,10 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladders [][]core.Subs
 		return nil, err
 	}
 
-	if draws.boot != nil {
-		ivs := draws.boot.Intervals()
-		rep.Bootstrap = bootstrapReport(cfg.bootstrapB, ivs[0])
-		for j, iv := range ivs[1:] {
-			rep.Metrics[j].Bootstrap = bootstrapReport(cfg.bootstrapB, iv)
-		}
+	if !reused {
+		iv = draws.summarize(cfg)
 	}
-	if draws.cred != nil {
-		posts := draws.cred.Posteriors()
-		rep.Credible = credibleReport(cfg, posts[0])
-		for j, post := range posts[1:] {
-			rep.Metrics[j].Credible = credibleReport(cfg, post)
-		}
-	}
+	iv.setOn(rep)
 
 	if cfg.simpson && space.NumAttrs() == 2 {
 		if err := ctx.Err(); err != nil {
@@ -520,6 +515,9 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladders [][]core.Subs
 		rep.EqualizedOdds = eor
 	}
 
+	if !reused {
+		memo.store(cfg.drawConfig, metrics, counts.Cells(), iv)
+	}
 	return rep, nil
 }
 
@@ -668,9 +666,29 @@ func (d *intervalDraws) draw(s *drawScratch, i int) error {
 	return nil
 }
 
+// summarize builds the report sections of the drawn intervals.
+func (d *intervalDraws) summarize(cfg auditConfig) intervals {
+	var iv intervals
+	if d.boot != nil {
+		ivs := d.boot.Intervals()
+		iv.boot = make([]BootstrapReport, len(ivs))
+		for j, x := range ivs {
+			iv.boot[j] = bootstrapReport(cfg.bootstrapB, x)
+		}
+	}
+	if d.cred != nil {
+		posts := d.cred.Posteriors()
+		iv.cred = make([]CredibleReport, len(posts))
+		for j, post := range posts {
+			iv.cred[j] = credibleReport(cfg, post)
+		}
+	}
+	return iv
+}
+
 // bootstrapReport is the report section of one bootstrap interval.
-func bootstrapReport(replicates int, iv resample.Interval) *BootstrapReport {
-	return &BootstrapReport{
+func bootstrapReport(replicates int, iv resample.Interval) BootstrapReport {
+	return BootstrapReport{
 		Replicates:    replicates,
 		Level:         JSONFloat(iv.Level),
 		Lo:            JSONFloat(iv.Lo),
@@ -680,8 +698,8 @@ func bootstrapReport(replicates int, iv resample.Interval) *BootstrapReport {
 }
 
 // credibleReport is the report section of one posterior summary.
-func credibleReport(cfg auditConfig, post bayes.EpsilonPosterior) *CredibleReport {
-	return &CredibleReport{
+func credibleReport(cfg auditConfig, post bayes.EpsilonPosterior) CredibleReport {
+	return CredibleReport{
 		Samples:    cfg.credibleB,
 		PriorAlpha: JSONFloat(cfg.credibleAlpha),
 		Level:      JSONFloat(post.Level),

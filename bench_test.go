@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	fairness "repro"
 
@@ -802,7 +803,9 @@ func BenchmarkAuditor(b *testing.B) {
 // key. "report" is the full report shape a dashboard pulls: four metric
 // sections with ladders, 50 bootstrap replicates and 50 posterior
 // samples, all drawn once and scored by ε and every metric. "monitor"
-// serves that report from a live monitor (benchMonitorReport).
+// serves that report from a live monitor (benchMonitorReport), and
+// "monitor-mix" replays the repository benchmark's audit stream of
+// observes and reports (benchMonitorMix).
 // scripts/bench_json.sh tracks this as BENCH_metrics.json across PRs.
 func BenchmarkMetricAudit(b *testing.B) {
 	train, _, err := census.Generate(census.DefaultConfig())
@@ -848,6 +851,7 @@ func BenchmarkMetricAudit(b *testing.B) {
 		})
 	}
 	b.Run("monitor", benchMonitorReport)
+	b.Run("monitor-mix", benchMonitorMix)
 }
 
 // benchMonitorReport replays the repository benchmark's audit request
@@ -881,6 +885,72 @@ func benchMonitorReport(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchMonitorMix replays the repository benchmark's audit stream in
+// process: two tumbling monitors on the 160-group audit space, each
+// warmed with a census-sized 32,561-decision batch, then loadgen's
+// Mix{Observe: 3, Report: 1} over both monitors with 64-decision
+// batches and the served report options. An op is one report with the
+// observes the stream sends before it. A report on a monitor that has
+// seen no decision since its previous report reuses that report's
+// intervals; hits/report is the share that did, and ns/report the time
+// spent in Monitor.Audit and rendering alone. benchMonitorReport, where
+// every report follows observes, is the always-miss control.
+func benchMonitorMix(b *testing.B) {
+	space := auditSpace()
+	cfg := loadgen.WorkloadConfig{
+		Space: space, Outcomes: 2, Monitors: 2, GroupSkew: 0.5,
+		BatchSize: 32561, Mix: loadgen.Mix{Observe: 1},
+		BaseRate: 0.2, RateSpread: 0.5, Seed: 1,
+	}
+	warm, err := loadgen.NewSynth(cfg, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var req loadgen.Request
+	mons := make([]*fairness.Monitor, cfg.Monitors)
+	for i := range mons {
+		if mons[i], err = fairness.NewTumblingMonitor(space, []string{"y0", "y1"}, 1<<30, 1); err != nil {
+			b.Fatal(err)
+		}
+		warm.Next(&req)
+		if err := mons[i].ObserveBatch(req.Groups, req.Outcomes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg.BatchSize, cfg.Mix = 64, loadgen.Mix{Observe: 3, Report: 1}
+	feed, err := loadgen.NewSynth(cfg, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := servedReportOptions()
+	var reporting time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for feed.Next(&req); req.Op != loadgen.OpReport; feed.Next(&req) {
+			if err := mons[req.Monitor].ObserveBatch(req.Groups, req.Outcomes); err != nil {
+				b.Fatal(err)
+			}
+		}
+		start := time.Now()
+		rep, err := mons[req.Monitor].Audit(context.Background(), opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := rep.RenderJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		reporting += time.Since(start)
+	}
+	b.StopTimer()
+	hits := 0
+	for _, mon := range mons {
+		hits += fairness.IntervalMemoHits(mon)
+	}
+	b.ReportMetric(float64(reporting.Nanoseconds())/float64(b.N), "ns/report")
+	b.ReportMetric(float64(hits)/float64(b.N), "hits/report")
 }
 
 // servedReportOptions request the repository benchmark's audit report:

@@ -654,12 +654,28 @@ func (r *registry) snapshotNow() {
 }
 
 // closeStore runs the clean-shutdown sequence: a final snapshot (so the
-// next boot replays nothing) and a synced WAL close.
+// next boot replays nothing) and a synced WAL close. A degraded server
+// writes no final snapshot: its memory can hold what its log never
+// recorded, such as the decide tickets a batch refused with a 503
+// claimed, so its next boot recovers from the log alone, as after an
+// abrupt stop.
 func (r *registry) closeStore() {
 	d := r.store
 	if d == nil || d.log == nil {
 		return
 	}
+	if d.degraded() == "" {
+		r.finalSnapshot()
+	}
+	if err := d.log.Close(); err != nil {
+		log.Printf("dfserve: wal close: %v", err)
+	}
+}
+
+// finalSnapshot writes the clean-shutdown snapshot when records arrived
+// since the last one.
+func (r *registry) finalSnapshot() {
+	d := r.store
 	d.snapMu.Lock()
 	r.persistMu.Lock()
 	seq := d.log.Seq()
@@ -678,9 +694,6 @@ func (r *registry) closeStore() {
 		log.Printf("dfserve: final snapshot capture failed: %v", err)
 	}
 	d.snapMu.Unlock()
-	if err := d.log.Close(); err != nil {
-		log.Printf("dfserve: wal close: %v", err)
-	}
 }
 
 // ---- boot ----

@@ -200,52 +200,83 @@ func TestCleanShutdownSnapshotsAndRecovers(t *testing.T) {
 // that is killed and rebooted mid-sequence: every response after the
 // restart must match the control byte for byte — the restored plan
 // resumes its decide ticket clock, so the applier's deterministic
-// randomized rounding stays aligned.
+// randomized rounding stays aligned. In the second case the space has a
+// third group that no observation covers, so the plan does not cover it
+// either, and a decide batch naming it is rejected before the restart:
+// a rejected batch writes no WAL record, so it must claim no tickets. In
+// the third case the durable server's WAL fails, a decide is refused
+// with a 503 (the control never sees it), and the degraded server then
+// shuts down cleanly: its restart must not resume the refused batch's
+// ticket claim either.
 func TestDecideContinuityAcrossRestart(t *testing.T) {
-	control := httptest.NewServer(newMux(serverConfig{workers: 1, maxBody: 1 << 20}))
-	defer control.Close()
-	dir := t.TempDir()
-	durable, _ := durableServer(t, dir, 6)
+	for _, tc := range []struct {
+		name     string
+		values   string
+		rejected string // a decide body both servers answer 400 just before the restart
+		degraded bool   // the durable server degrades, refuses a decide and shuts down cleanly
+	}{
+		{"covered groups", `["a", "b"]`, "", false},
+		{"rejected uncovered group", `["a", "b", "c"]`, `{"groups": [0,2,1,2], "decisions": [1,0,0,1]}`, false},
+		{"refused while degraded", `["a", "b"]`, "", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			control := httptest.NewServer(newMux(serverConfig{workers: 1, maxBody: 1 << 20}))
+			defer control.Close()
+			dir := t.TempDir()
+			durable, sv := durableServer(t, dir, 6)
 
-	setup := func(srv *httptest.Server) {
-		mustReq(t, srv, http.MethodPut, "/v1/monitors/m",
-			`{"space": [{"name": "g", "values": ["a", "b"]}],
-			  "outcomes": ["deny", "approve"], "window": {"size": 100000}, "alpha": 0}`,
-			http.StatusCreated)
-		mustReq(t, srv, http.MethodPost, "/v1/monitors/m/observe",
-			`{"groups": [0,0,0,0,0,0,1,1,1,1,1,1], "outcomes": [1,1,1,1,1,0,0,0,0,0,0,1]}`,
-			http.StatusOK)
-		mustReq(t, srv, http.MethodPost, "/v1/monitors/m/repair",
-			`{"target_epsilon": 0.3, "seed": 42}`, http.StatusOK)
-	}
-	setup(control)
-	setup(durable)
+			setup := func(srv *httptest.Server) {
+				mustReq(t, srv, http.MethodPut, "/v1/monitors/m",
+					`{"space": [{"name": "g", "values": `+tc.values+`}],
+					  "outcomes": ["deny", "approve"], "window": {"size": 100000}, "alpha": 0}`,
+					http.StatusCreated)
+				mustReq(t, srv, http.MethodPost, "/v1/monitors/m/observe",
+					`{"groups": [0,0,0,0,0,0,1,1,1,1,1,1], "outcomes": [1,1,1,1,1,0,0,0,0,0,0,1]}`,
+					http.StatusOK)
+				mustReq(t, srv, http.MethodPost, "/v1/monitors/m/repair",
+					`{"target_epsilon": 0.3, "seed": 42}`, http.StatusOK)
+			}
+			setup(control)
+			setup(durable)
 
-	decide := func(i int) string {
-		return fmt.Sprintf(`{"groups": [0,1,0,1], "decisions": [%d,%d,1,0]}`, i%2, (i+1)%2)
-	}
-	for i := 0; i < 5; i++ {
-		want := mustReq(t, control, http.MethodPost, "/v1/monitors/m/decide", decide(i), http.StatusOK)
-		got := mustReq(t, durable, http.MethodPost, "/v1/monitors/m/decide", decide(i), http.StatusOK)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("decide %d diverged before restart:\n got: %s\nwant: %s", i, got, want)
-		}
-	}
+			decide := func(i int) string {
+				return fmt.Sprintf(`{"groups": [0,1,0,1], "decisions": [%d,%d,1,0]}`, i%2, (i+1)%2)
+			}
+			for i := 0; i < 5; i++ {
+				want := mustReq(t, control, http.MethodPost, "/v1/monitors/m/decide", decide(i), http.StatusOK)
+				got := mustReq(t, durable, http.MethodPost, "/v1/monitors/m/decide", decide(i), http.StatusOK)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("decide %d diverged before restart:\n got: %s\nwant: %s", i, got, want)
+				}
+			}
+			if tc.rejected != "" {
+				mustReq(t, control, http.MethodPost, "/v1/monitors/m/decide", tc.rejected, http.StatusBadRequest)
+				mustReq(t, durable, http.MethodPost, "/v1/monitors/m/decide", tc.rejected, http.StatusBadRequest)
+			}
+			if tc.degraded {
+				if err := sv.reg.store.log.Close(); err != nil {
+					t.Fatal(err)
+				}
+				mustReq(t, durable, http.MethodPost, "/v1/monitors/m/decide", decide(5), http.StatusServiceUnavailable)
+				sv.reg.closeStore()
+			}
 
-	durable.Close() // SIGKILL-equivalent for the registry: no closeStore
-	durable2, _ := durableServer(t, dir, 6)
+			durable.Close() // SIGKILL-equivalent for the registry unless closeStore ran
+			durable2, _ := durableServer(t, dir, 6)
 
-	for i := 5; i < 12; i++ {
-		want := mustReq(t, control, http.MethodPost, "/v1/monitors/m/decide", decide(i), http.StatusOK)
-		got := mustReq(t, durable2, http.MethodPost, "/v1/monitors/m/decide", decide(i), http.StatusOK)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("decide %d diverged after restart:\n got: %s\nwant: %s", i, got, want)
-		}
-	}
-	want := mustReq(t, control, http.MethodGet, "/v1/monitors/m/report?stream=served&seed=1", "", http.StatusOK)
-	got := mustReq(t, durable2, http.MethodGet, "/v1/monitors/m/report?stream=served&seed=1", "", http.StatusOK)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("served report diverged after restart:\n got: %s\nwant: %s", got, want)
+			for i := 5; i < 12; i++ {
+				want := mustReq(t, control, http.MethodPost, "/v1/monitors/m/decide", decide(i), http.StatusOK)
+				got := mustReq(t, durable2, http.MethodPost, "/v1/monitors/m/decide", decide(i), http.StatusOK)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("decide %d diverged after restart:\n got: %s\nwant: %s", i, got, want)
+				}
+			}
+			want := mustReq(t, control, http.MethodGet, "/v1/monitors/m/report?stream=served&seed=1", "", http.StatusOK)
+			got := mustReq(t, durable2, http.MethodGet, "/v1/monitors/m/report?stream=served&seed=1", "", http.StatusOK)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("served report diverged after restart:\n got: %s\nwant: %s", got, want)
+			}
+		})
 	}
 }
 

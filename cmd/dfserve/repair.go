@@ -356,14 +356,26 @@ func (r *registry) handleDecide(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("empty decide batch"))
 		return
 	}
-	// ApplyAt validates the whole batch (group coverage, binary
-	// decisions) before mutating anything; it repairs a copy so the raw
-	// proposals remain for the monitor. The ticket base is claimed from
-	// the plan's own clock (not the applier's) so it can be written to
-	// the WAL: the record carries everything replay needs — ticket base,
-	// raw and repaired decisions — without re-running the applier.
+	// The ticket base is claimed from the plan's own clock (not the
+	// applier's) so it can be written to the WAL: the record carries
+	// everything replay needs — ticket base, raw and repaired decisions —
+	// without re-running the applier. The batch is validated (group
+	// coverage, binary decisions) before the claim: a rejected batch
+	// writes no record, so a claim it made would be lost on an abrupt
+	// restart and every later batch would draw from other substreams
+	// than on a server that never restarted. The two later refusals keep
+	// their claim safely. A 409 means the entry was replaced, so its plan
+	// and clock are unreachable. A 503 means the commit failed and the
+	// server is degraded for good: this process serves no later decide
+	// from the clock, and a degraded server writes no final snapshot
+	// (closeStore), so a restart resumes the clock from the log alone.
+	// ApplyAt repairs a copy so the raw proposals remain for the monitor.
 	repaired := make([]int, len(decisions))
 	copy(repaired, decisions)
+	if err := lp.app.Validate(groups, repaired); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	n := uint64(len(groups))
 	ticket := lp.tickets.Add(n) - n
 	changed, err := lp.app.ApplyAt(ticket, groups, repaired)

@@ -97,24 +97,29 @@ func DoCtx[S any](ctx context.Context, workers, n int, newState func() S, task f
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	errs := make([]error, n)
+	// Only the lowest failed index and its error are kept, so the call
+	// holds O(1) memory at any n; failures are rare, so the lock is
+	// taken only off the success path.
+	var mu sync.Mutex
+	first, firstErr := n, error(nil)
 	done := ctx.Done()
 	run(workers, n, newState, func(s S, i int) bool {
 		select {
 		case <-done:
 			return false
 		default:
-			errs[i] = task(s, i)
-			return true
 		}
+		if err := task(s, i); err != nil {
+			mu.Lock()
+			if i < first {
+				first, firstErr = i, err
+			}
+			mu.Unlock()
+		}
+		return true
 	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return firstErr
 }

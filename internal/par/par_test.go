@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -153,4 +154,42 @@ func TestDoCtxBackgroundRunsEveryTaskOnce(t *testing.T) {
 			t.Fatalf("task %d ran %d times", i, h)
 		}
 	}
+}
+
+// TestDoCtxMemoryIndependentOfN: DoCtx keeps only the lowest failed
+// index and its error, so neither its allocation count nor the bytes it
+// allocates grow with the number of tasks. testing.AllocsPerRun counts
+// allocations; one slice of n errors would be a single allocation at any
+// n, so the bytes are measured the same way, from runtime.MemStats.
+func TestDoCtxMemoryIndependentOfN(t *testing.T) {
+	newState := func() struct{} { return struct{}{} }
+	task := func(_ struct{}, i int) error { return nil }
+	call := func(n int) func() {
+		return func() {
+			if err := DoCtx(context.Background(), 1, n, newState, task); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const small, large = 10, 100_000
+	if a, b := testing.AllocsPerRun(20, call(small)), testing.AllocsPerRun(20, call(large)); b > a {
+		t.Errorf("allocations grow with n: %v at n=%d, %v at n=%d", a, small, b, large)
+	}
+	if a, b := bytesPerRun(20, call(small)), bytesPerRun(20, call(large)); b > a+64 {
+		t.Errorf("allocated bytes grow with n: %d at n=%d, %d at n=%d", a, small, b, large)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for allocated bytes: the average
+// over runs calls of f, after one warm-up call, with GOMAXPROCS at 1.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

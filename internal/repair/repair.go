@@ -381,7 +381,7 @@ func (a *Applier) Seed() uint64 { return a.seed }
 //
 //df:hotpath
 func (a *Applier) ApplyBatch(ticket uint64, groups, decisions []int) (int, error) {
-	if err := a.validateBatch(groups, decisions); err != nil {
+	if err := a.Validate(groups, decisions); err != nil {
 		return 0, err
 	}
 	changed := 0
@@ -408,11 +408,13 @@ func (a *Applier) ApplyBatch(ticket uint64, groups, decisions []int) (int, error
 	return changed, nil
 }
 
-// validateBatch is ApplyBatch's cold prologue, kept out of the annotated
-// hot function so its error formatting never costs the success path an
-// allocation: when the batch is valid (the steady state) it touches only
-// the index arrays; errors allocate, but only on the reject path.
-func (a *Applier) validateBatch(groups, decisions []int) error {
+// Validate reports the error ApplyBatch would return for the batch,
+// without changing anything. It is ApplyBatch's cold prologue, kept out
+// of the annotated hot function so its error formatting never costs the
+// success path an allocation: when the batch is valid (the steady state)
+// it touches only the index arrays; errors allocate, but only on the
+// reject path.
+func (a *Applier) Validate(groups, decisions []int) error {
 	if len(groups) != len(decisions) {
 		return fmt.Errorf("repair: ApplyBatch got %d groups vs %d decisions", len(groups), len(decisions))
 	}

@@ -27,6 +27,9 @@ type Monitor struct {
 	space    *Space
 	outcomes []string
 	alpha    float64
+	// memo holds the interval sections of the last report that drew
+	// any; see Audit.
+	memo intervalMemo
 }
 
 // NewMonitor creates an exponentially-decayed streaming monitor.
@@ -227,6 +230,20 @@ func MonitorShards() int { return stream.DefaultShards() }
 // applicable to those snapshots (the bootstrap requires integer counts
 // and will reject it) — use WithCredible there. Tumbling and sliding
 // windows hold integral counts, and the bootstrap applies.
+//
+// A monitor keeps the bootstrap and credible sections of its last report
+// that drew any. A report with the same draw options (replicate and
+// sample counts, levels, prior, seed, estimator alpha and metric values;
+// WithWorkers does not matter) over bit-identical cells reuses them
+// instead of drawing again. The draws are a deterministic function of
+// exactly those inputs, so the reused sections are the ones a fresh draw
+// would produce, and the report stays byte-identical; an idle monitor
+// polled with one query draws once. The cost is one copy of the
+// monitor's cells plus a few summaries, allocated by the first report
+// that asks for intervals. The memo holds intervals rather than rendered
+// bytes: the draws are most of a report's CPU and their summaries take a
+// few KB whatever the lattice size, while a report's bytes grow with the
+// lattice. Auditor.Run never memoizes.
 func (m *Monitor) Audit(ctx context.Context, opts ...Option) (*Report, error) {
 	auditor, err := NewAuditor(m.space, m.outcomes, append([]Option{WithAlpha(m.alpha)}, opts...)...)
 	if err != nil {
@@ -235,7 +252,7 @@ func (m *Monitor) Audit(ctx context.Context, opts ...Option) (*Report, error) {
 	if auditor.cfg.subsets && auditor.cfg.alpha == m.alpha {
 		counts, ladders, err := m.inner.MetricSubsets(auditor.metrics())
 		if err == nil {
-			return auditor.run(ctx, counts, ladders, LadderSourceIncremental)
+			return auditor.run(ctx, counts, ladders, LadderSourceIncremental, &m.memo)
 		}
 		if !errors.Is(err, stream.ErrIncrementalUnavailable) {
 			return nil, err
@@ -245,5 +262,5 @@ func (m *Monitor) Audit(ctx context.Context, opts ...Option) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fairness: Monitor.Audit: %w", err)
 	}
-	return auditor.run(ctx, snap, nil, LadderSourceSnapshot)
+	return auditor.run(ctx, snap, nil, LadderSourceSnapshot, &m.memo)
 }

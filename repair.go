@@ -225,10 +225,14 @@ type Applier struct {
 }
 
 // Apply post-processes decisions[i] of groups[i] in place and returns
-// the number of decisions changed. The batch claims the next
-// len(groups) tickets; sequential callers therefore get the exact
-// decision stream a single big batch would produce.
+// the number of decisions changed. A valid batch claims the next
+// len(groups) tickets and a rejected one claims none; sequential callers
+// therefore get the exact decision stream a single big batch of their
+// valid batches would produce.
 func (a *Applier) Apply(groups, decisions []int) (int, error) {
+	if err := a.Validate(groups, decisions); err != nil {
+		return 0, err
+	}
 	n := uint64(len(groups))
 	t := a.ticket.Add(n) - n
 	return a.inner.ApplyBatch(t, groups, decisions)
@@ -240,6 +244,13 @@ func (a *Applier) Apply(groups, decisions []int) (int, error) {
 func (a *Applier) ApplyAt(ticket uint64, groups, decisions []int) (int, error) {
 	return a.inner.ApplyBatch(ticket, groups, decisions)
 }
+
+// Validate reports the error Apply and ApplyAt would return for the
+// batch — mismatched lengths, a group outside the space or not covered
+// by the plan, a non-binary decision — without claiming tickets or
+// changing anything. Callers that claim their own ticket bases validate
+// first, so a rejected batch claims none.
+func (a *Applier) Validate(groups, decisions []int) error { return a.inner.Validate(groups, decisions) }
 
 // Tickets returns the number of tickets claimed by Apply so far.
 func (a *Applier) Tickets() uint64 { return a.ticket.Load() }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -200,6 +201,57 @@ func TestRepairPlanJSONRoundTrip(t *testing.T) {
 		if d1[i] != d2[i] {
 			t.Fatalf("decision %d diverged after JSON round trip", i)
 		}
+	}
+}
+
+// TestApplierRejectedBatchClaimsNoTickets: Validate and a rejected Apply
+// leave the ticket counter alone, so the decisions after a rejected
+// batch are the ones a fresh applier produces.
+func TestApplierRejectedBatchClaimsNoTickets(t *testing.T) {
+	rep, counts := admissionsRepairer(t)
+	plan, err := rep.Plan(context.Background(), counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := plan.Applier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := plan.Applier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 512
+	groups := make([]int, n)
+	got := make([]int, n)
+	r := rng.New(7)
+	for i := range groups {
+		groups[i] = r.Intn(4)
+		got[i] = r.Intn(2)
+	}
+	want := append([]int(nil), got...)
+	bad := append([]int(nil), got...)
+	bad[n/2] = 2 // not a binary decision
+	if err := app.Validate(groups, bad); err == nil {
+		t.Fatal("Validate accepted a non-binary decision")
+	}
+	if _, err := app.Apply(groups, bad); err == nil {
+		t.Fatal("Apply accepted a non-binary decision")
+	}
+	if err := app.Validate(groups, got); err != nil {
+		t.Fatal(err)
+	}
+	if c := app.Tickets(); c != 0 {
+		t.Fatalf("rejected batch and Validate claimed %d tickets", c)
+	}
+	if _, err := app.Apply(groups, got); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Apply(groups, want); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("decisions after a rejected batch differ from a fresh applier's")
 	}
 }
 

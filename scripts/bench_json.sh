@@ -4,7 +4,10 @@
 # trajectory is tracked across PRs (CI uploads every BENCH_*.json as an
 # artifact):
 #   {"name": ..., "iterations": N, "ns_per_op": ..., "bytes_per_op": ...,
-#    "allocs_per_op": ...}
+#    "allocs_per_op": ..., "metrics": {"hits/report": ..., ...}}
+#
+# "metrics" holds the units a benchmark adds with b.ReportMetric and is
+# present only when it adds any.
 #
 # Usage:
 #   scripts/bench_json.sh output.json pattern package              # runs the benchmarks
@@ -44,15 +47,17 @@ fi
 awk -v pat="^(${pattern})" '
 BEGIN { print "["; first = 1 }
 /^Benchmark/ {
-  name = $1; iters = $2; ns = ""; bytes = ""; allocs = ""
+  name = $1; iters = $2; ns = ""; bytes = ""; allocs = ""; extra = ""
   # Strip the -GOMAXPROCS suffix Go appends on multi-core hosts so
   # names join across runners with different core counts.
   sub(/-[0-9]+$/, "", name)
   if (name !~ pat) next
-  for (i = 3; i <= NF; i++) {
-    if ($(i+1) == "ns/op")     ns = $i
-    if ($(i+1) == "B/op")      bytes = $i
-    if ($(i+1) == "allocs/op") allocs = $i
+  for (i = 3; i < NF; i += 2) {
+    unit = $(i+1)
+    if (unit == "ns/op")          ns = $i
+    else if (unit == "B/op")      bytes = $i
+    else if (unit == "allocs/op") allocs = $i
+    else extra = extra (extra == "" ? "" : ", ") sprintf("\"%s\": %s", unit, $i)
   }
   if (ns == "") next
   if (!first) printf(",\n")
@@ -60,6 +65,7 @@ BEGIN { print "["; first = 1 }
   printf("  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, iters, ns)
   if (bytes != "")  printf(", \"bytes_per_op\": %s", bytes)
   if (allocs != "") printf(", \"allocs_per_op\": %s", allocs)
+  if (extra != "")  printf(", \"metrics\": {%s}", extra)
   printf("}")
 }
 END { print "\n]" }
