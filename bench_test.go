@@ -2,7 +2,7 @@ package fairness_test
 
 // Benchmark harness: one benchmark per paper table/figure (regenerating
 // the analysis), plus component-level and ablation benchmarks for the
-// design choices called out in DESIGN.md. Run with:
+// repository's design choices. Run with:
 //
 //	go test -bench=. -benchmem .
 
@@ -465,7 +465,7 @@ func BenchmarkBootstrap(b *testing.B) {
 // BenchmarkMonitorObserve measures the streaming monitor's per-decision
 // cost (O(1) amortized) on the sharded engine.
 func BenchmarkMonitorObserve(b *testing.B) {
-	m, err := stream.NewMonitor(census.Space(), census.IncomeValues, 5000, 0)
+	m, err := stream.New(census.Space(), census.IncomeValues, stream.Config{Policy: stream.Exponential{HalfLife: 5000}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func BenchmarkMonitorObserveParallel(b *testing.B) {
 	}
 	offsets := pool/batch - 1
 	newMonitor := func(b *testing.B) *stream.Monitor {
-		m, err := stream.NewMonitor(space, census.IncomeValues, 5000, 0)
+		m, err := stream.New(space, census.IncomeValues, stream.Config{Policy: stream.Exponential{HalfLife: 5000}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -633,7 +633,7 @@ func BenchmarkWatchObserveBatchChecked(b *testing.B) {
 // 64k observations.
 func BenchmarkMonitorSnapshot(b *testing.B) {
 	space := census.Space()
-	m, err := stream.NewMonitor(space, census.IncomeValues, 5000, 1)
+	m, err := stream.New(space, census.IncomeValues, stream.Config{Policy: stream.Exponential{HalfLife: 5000}, Alpha: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -705,8 +705,7 @@ func BenchmarkEqualizedOdds(b *testing.B) {
 // the batched evaluation path (dist.BatchPDF) the Figure 2 density sweep
 // and the noisy-threshold quadrature run on. The batch kernels hoist the
 // normalizing constants, the per-point division, and the interface
-// dispatch out of the loop, and split large inputs across a worker pool
-// when more than one CPU is available.
+// dispatch out of the loop; both paths run on one goroutine.
 func BenchmarkDistBatch(b *testing.B) {
 	const points = 1 << 15
 	xs := dist.Grid(0, 20, points)
@@ -715,8 +714,8 @@ func BenchmarkDistBatch(b *testing.B) {
 		name string
 		d    dist.Dist
 	}{
-		{"normal", dist.MustNormal(10, 2)},
-		{"laplace", dist.MustLaplace(10, 1.5)},
+		{"normal", dist.Normal{Mu: 10, Sigma: 2}},
+		{"laplace", dist.Laplace{Mu: 10, B: 1.5}},
 	}
 	for _, f := range families {
 		b.Run(f.name+"/scalar", func(b *testing.B) {
@@ -741,7 +740,7 @@ func BenchmarkDistBatch(b *testing.B) {
 // BenchmarkDistBatchDensityGrid measures the full Figure 2-style sweep:
 // grid construction plus batched density evaluation.
 func BenchmarkDistBatchDensityGrid(b *testing.B) {
-	d := dist.MustNormal(10, 1)
+	d := dist.Normal{Mu: 10, Sigma: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, pdf := dist.DensityGrid(d, 4, 16, 4096); len(pdf) != 4096 {

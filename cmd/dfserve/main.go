@@ -177,8 +177,13 @@ type serverConfig struct {
 	// posterior samples: each replicate slot is allocated up front, so an
 	// unbounded request could OOM the server with a 60-byte body.
 	maxResamples int
-	// maxMonitors and maxMonitorCells bound the registry's memory:
-	// monitors are long-lived server state, unlike audit requests.
+	// maxMonitors and maxMonitorCells cap what the registry admits:
+	// monitors are long-lived server state, unlike audit requests. The
+	// cell cap counts groups × outcomes × shards per stream, not the
+	// subset lattice a monitor's first report attaches (3^p marginal
+	// groups over p binary attributes), so neither bounds the
+	// registry's memory; ROADMAP.md's subset-lattice item tracks that
+	// cap.
 	maxMonitors     int
 	maxMonitorCells int
 	// dataDir, when set, arms the durability layer (persist.go): the

@@ -1,5 +1,5 @@
 // Command dfvet is the repository's custom static-analysis suite: a
-// multichecker that runs the five project-specific analyzers over the
+// multichecker that runs the six project-specific analyzers over the
 // module and reports every invariant violation with file:line
 // positions, vet-style.
 //
@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis/ctxflow"
+	"repro/internal/analysis/deadexport"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/hotpath"
@@ -41,6 +42,7 @@ var analyzers = []*framework.Analyzer{
 	ctxflow.Analyzer,
 	hotpath.Analyzer,
 	optvalidate.Analyzer,
+	deadexport.Analyzer,
 }
 
 func main() {

@@ -50,8 +50,8 @@ func TestAnalyzerNamesUnique(t *testing.T) {
 			t.Errorf("analyzer %s has no doc", a.Name)
 		}
 	}
-	if len(seen) != 5 {
-		t.Errorf("expected the 5-analyzer suite, have %d", len(seen))
+	if len(seen) != 6 {
+		t.Errorf("expected the 6-analyzer suite, have %d", len(seen))
 	}
 }
 
@@ -123,5 +123,24 @@ func TestRunFlagsSeededViolation(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "finding(s)") {
 		t.Errorf("stderr missing findings summary: %q", errOut.String())
+	}
+}
+
+// TestRunFlagsTestOnlyExports runs dfvet inside the deadexport fixture
+// module, whose internal package declares three exported symbols that
+// no non-test code references: dfvet must exit 1 and name each of them.
+func TestRunFlagsTestOnlyExports(t *testing.T) {
+	t.Chdir(filepath.Join("..", "..", "internal", "analysis", "deadexport", "testdata", "src", "mod"))
+	var out, errOut bytes.Buffer
+	if code := run([]string{"./..."}, &out, &errOut); code != 1 {
+		t.Fatalf("exited %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
+	}
+	for _, name := range []string{"OnlyTests", "SelfOnly", "Node"} {
+		if !strings.Contains(out.String(), "[deadexport] "+name+" ") {
+			t.Errorf("no deadexport finding for %s:\n%s", name, out.String())
+		}
+	}
+	if n := strings.Count(out.String(), "\n"); n != 3 {
+		t.Errorf("got %d findings, want 3:\n%s", n, out.String())
 	}
 }

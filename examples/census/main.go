@@ -27,7 +27,7 @@ func main() {
 		logistic.Epochs = 80
 	}
 
-	fmt.Println("Case study on the synthetic census (stand-in for UCI Adult; see DESIGN.md).")
+	fmt.Println("Case study on the synthetic census (stand-in for UCI Adult; see the internal/census package doc).")
 	fmt.Println()
 
 	table2, err := experiments.Table2(cfg)

@@ -24,6 +24,7 @@ type Package struct {
 	Dir        string
 	GoFiles    []string
 	Module     string // module path; "" for fixture packages
+	ModuleDir  string // module root directory; "" for fixture packages
 
 	Fset      *token.FileSet
 	Syntax    []*ast.File
@@ -39,7 +40,7 @@ type listedPackage struct {
 	Export     string
 	GoFiles    []string
 	DepOnly    bool
-	Module     *struct{ Path string }
+	Module     *struct{ Path, Dir string }
 	Error      *struct{ Err string }
 }
 
@@ -160,7 +161,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, err
 		}
 		if p.Module != nil {
-			pkg.Module = p.Module.Path
+			pkg.Module, pkg.ModuleDir = p.Module.Path, p.Module.Dir
 		}
 		out = append(out, pkg)
 	}

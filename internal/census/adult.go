@@ -18,7 +18,7 @@ import (
 //
 // This lets every analysis in the repository run on the genuine dataset
 // when available; the offline build environment uses the synthetic
-// generator instead (see DESIGN.md).
+// generator instead (see the package doc).
 func LoadAdult(r io.Reader) ([]Person, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 1<<16), 1<<20)

@@ -3,7 +3,7 @@
 //
 // The build environment is offline, so the UCI file cannot be fetched;
 // instead this generator reproduces the statistical structure the
-// paper's analysis depends on (see DESIGN.md "Substitutions"):
+// paper's analysis depends on:
 //
 //   - the protected attributes after the paper's preprocessing: gender
 //     (binary), race (five categories merged to four: Amer-Indian joined
@@ -136,16 +136,6 @@ func IncomeRate(gender, race, nationality int) float64 {
 		rate *= nonUSIncomeMul
 	}
 	return math.Min(0.95, math.Max(0.01, rate))
-}
-
-// CellWeight returns the generating population share of the
-// (gender, race, nationality) intersection.
-func CellWeight(gender, race, nationality int) float64 {
-	w := raceNatWeight[race][nationality]
-	if gender == Male {
-		return w * maleShare
-	}
-	return w * (1 - maleShare)
 }
 
 // Space returns the protected-attribute space of the case study, in the

@@ -63,12 +63,22 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
+// cellWeight returns the generating population share of the
+// (gender, race, nationality) intersection.
+func cellWeight(gender, race, nationality int) float64 {
+	w := raceNatWeight[race][nationality]
+	if gender == Male {
+		return w * maleShare
+	}
+	return w * (1 - maleShare)
+}
+
 func TestCellWeightsSumToOne(t *testing.T) {
 	var sum float64
 	for g := 0; g < 2; g++ {
 		for r := 0; r < 4; r++ {
 			for n := 0; n < 2; n++ {
-				sum += CellWeight(g, r, n)
+				sum += cellWeight(g, r, n)
 			}
 		}
 	}
@@ -124,7 +134,7 @@ func TestEmpiricalRatesConvergeToGenerator(t *testing.T) {
 		if math.Abs(got-want) > 0.02 {
 			t.Errorf("cell (%d,%d,%d): empirical %v vs generating %v", c.g, c.r, c.n, got, want)
 		}
-		wantShare := CellWeight(c.g, c.r, c.n)
+		wantShare := cellWeight(c.g, c.r, c.n)
 		if gotShare := tot / 200000; math.Abs(gotShare-wantShare) > 0.01 {
 			t.Errorf("cell (%d,%d,%d): share %v vs %v", c.g, c.r, c.n, gotShare, wantShare)
 		}
@@ -359,8 +369,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if g.NumRows() != 200 {
 		t.Fatalf("round-trip rows %d", g.NumRows())
 	}
-	if g.MustColumn("income").Kind != table.Categorical {
-		t.Fatal("income column kind wrong after round trip")
+	if c, err := g.Column("income"); err != nil || c.Kind != table.Categorical {
+		t.Fatal("income column missing or kind wrong after round trip")
 	}
 }
 

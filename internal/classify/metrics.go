@@ -3,7 +3,6 @@ package classify
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrorRate returns the fraction of mismatched predictions.
@@ -21,114 +20,6 @@ func ErrorRate(yTrue, yPred []int) (float64, error) {
 		}
 	}
 	return float64(wrong) / float64(len(yTrue)), nil
-}
-
-// Confusion is a binary confusion matrix.
-type Confusion struct {
-	TP, FP, TN, FN int
-}
-
-// ConfusionMatrix tallies binary outcomes.
-func ConfusionMatrix(yTrue, yPred []int) (Confusion, error) {
-	if len(yTrue) != len(yPred) {
-		return Confusion{}, fmt.Errorf("classify: %d labels vs %d predictions", len(yTrue), len(yPred))
-	}
-	var c Confusion
-	for i := range yTrue {
-		switch {
-		case yTrue[i] == 1 && yPred[i] == 1:
-			c.TP++
-		case yTrue[i] == 0 && yPred[i] == 1:
-			c.FP++
-		case yTrue[i] == 0 && yPred[i] == 0:
-			c.TN++
-		default:
-			c.FN++
-		}
-	}
-	return c, nil
-}
-
-// Accuracy returns (TP+TN)/total.
-func (c Confusion) Accuracy() float64 {
-	total := c.TP + c.FP + c.TN + c.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(total)
-}
-
-// Precision returns TP/(TP+FP), or 0 when undefined.
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall returns the true-positive rate TP/(TP+FN), or 0 when undefined.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// FalsePositiveRate returns FP/(FP+TN), or 0 when undefined.
-func (c Confusion) FalsePositiveRate() float64 {
-	if c.FP+c.TN == 0 {
-		return 0
-	}
-	return float64(c.FP) / float64(c.FP+c.TN)
-}
-
-// F1 returns the harmonic mean of precision and recall.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
-// AUC computes the area under the ROC curve from scores, using the
-// rank-based (Mann-Whitney) formulation with midrank tie handling.
-func AUC(yTrue []int, scores []float64) (float64, error) {
-	if len(yTrue) != len(scores) {
-		return 0, fmt.Errorf("classify: %d labels vs %d scores", len(yTrue), len(scores))
-	}
-	n := len(yTrue)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && scores[idx[j+1]] == scores[idx[i]] {
-			j++
-		}
-		mid := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = mid
-		}
-		i = j + 1
-	}
-	var nPos, nNeg int
-	var rankSum float64
-	for i, y := range yTrue {
-		if y == 1 {
-			nPos++
-			rankSum += ranks[i]
-		} else {
-			nNeg++
-		}
-	}
-	if nPos == 0 || nNeg == 0 {
-		return 0, fmt.Errorf("classify: AUC needs both classes present")
-	}
-	return (rankSum - float64(nPos)*float64(nPos+1)/2) / (float64(nPos) * float64(nNeg)), nil
 }
 
 // CalibrationBin summarizes predictions whose scores fall in one bin.

@@ -1,26 +1,10 @@
 package dist
 
-import (
-	"runtime"
-	"sync"
-)
-
-// batchPDFer is implemented by families with a vectorized density
-// kernel: per-point divisions, normalizing constants, and interface
-// dispatch are hoisted out of the loop. BatchPDF falls back to the
-// generic per-point loop for distributions without one.
-type batchPDFer interface {
-	batchPDF(xs, dst []float64)
-}
-
-// parallelThreshold is the input size below which the worker pool costs
-// more than it saves and BatchPDF stays on one goroutine.
-const parallelThreshold = 1 << 14
-
 // BatchPDF evaluates d.PDF at every point of xs into dst and returns
 // dst. When dst is nil a new slice is allocated; otherwise its length
-// must equal len(xs). Large inputs are split across a worker pool sized
-// to GOMAXPROCS; results are identical to the scalar loop either way.
+// must equal len(xs). Each family's kernel hoists per-point divisions
+// and normalizing constants out of the loop, so results agree with the
+// scalar PDF up to the last ulps.
 func BatchPDF(d Dist, xs, dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, len(xs))
@@ -28,52 +12,8 @@ func BatchPDF(d Dist, xs, dst []float64) []float64 {
 	if len(dst) != len(xs) {
 		panic("dist: BatchPDF dst length does not match xs")
 	}
-	kernel := pdfKernel(d)
-	parallelChunks(len(xs), func(lo, hi int) {
-		kernel(xs[lo:hi], dst[lo:hi])
-	})
+	d.batchPDF(xs, dst)
 	return dst
-}
-
-// pdfKernel returns the tight evaluation loop for d: the specialized
-// batch kernel when the family has one, else a generic loop.
-func pdfKernel(d Dist) func(xs, dst []float64) {
-	if b, ok := d.(batchPDFer); ok {
-		return b.batchPDF
-	}
-	return func(xs, dst []float64) {
-		for i, x := range xs {
-			dst[i] = d.PDF(x)
-		}
-	}
-}
-
-// parallelChunks runs fn over [0, n) split into contiguous chunks, one
-// goroutine per chunk, when the input is large enough and more than one
-// CPU is available; otherwise it runs fn(0, n) inline.
-func parallelChunks(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if n < parallelThreshold || workers < 2 {
-		fn(0, n)
-		return
-	}
-	if max := (n + parallelThreshold/2 - 1) / (parallelThreshold / 2); workers > max {
-		workers = max
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // Grid returns n evenly spaced points from lo to hi inclusive. n must be

@@ -2,20 +2,13 @@ package dist
 
 import (
 	"math"
-	"runtime"
 	"testing"
 )
 
 func TestBatchPDFMatchesScalar(t *testing.T) {
-	e, err := NewEmpirical([]float64{1, 2, 2, 3, 5, 8, 13}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dists := map[string]Dist{
-		"normal":      MustNormal(10, 2),
-		"laplace":     MustLaplace(-1, 0.5),
-		"exponential": MustExponential(1.5),
-		"empirical":   e, // no specialized kernel: exercises the generic path
+		"normal":  Normal{Mu: 10, Sigma: 2},
+		"laplace": Laplace{Mu: -1, B: 0.5},
 	}
 	xs := Grid(-5, 20, 1001)
 	for name, d := range dists {
@@ -44,7 +37,7 @@ func ulpClose(got, want float64) bool {
 }
 
 func TestBatchPDFReusesDst(t *testing.T) {
-	d := MustNormal(0, 1)
+	d := Normal{Mu: 0, Sigma: 1}
 	xs := Grid(-3, 3, 64)
 	dst := make([]float64, len(xs))
 	if got := BatchPDF(d, xs, dst); &got[0] != &dst[0] {
@@ -56,22 +49,6 @@ func TestBatchPDFReusesDst(t *testing.T) {
 		}
 	}()
 	BatchPDF(d, xs, make([]float64, 3))
-}
-
-// TestBatchPDFParallelPath forces the worker-pool branch with an input
-// past the threshold and checks it agrees with the scalar loop exactly.
-func TestBatchPDFParallelPath(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Log("single CPU: worker pool will run inline, still verifying results")
-	}
-	d := MustLaplace(2, 1.25)
-	xs := Grid(-40, 40, parallelThreshold*2+17)
-	got := BatchPDF(d, xs, nil)
-	for i, x := range xs {
-		if want := d.PDF(x); !ulpClose(got[i], want) {
-			t.Fatalf("parallel BatchPDF[%d] = %v, want %v", i, got[i], want)
-		}
-	}
 }
 
 func TestGrid(t *testing.T) {
@@ -96,7 +73,7 @@ func TestGrid(t *testing.T) {
 }
 
 func TestDensityGrid(t *testing.T) {
-	d := MustNormal(10, 1)
+	d := Normal{Mu: 10, Sigma: 1}
 	xs, pdf := DensityGrid(d, 4, 16, 49)
 	if len(xs) != len(pdf) {
 		t.Fatalf("DensityGrid lengths differ: %d vs %d", len(xs), len(pdf))

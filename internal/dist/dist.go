@@ -5,16 +5,14 @@
 // Every distribution is a small immutable value constructed through a
 // validating New* function; once constructed, every method is total — no
 // method on a validated distribution panics or returns an error. The
-// package provides the continuous families the paper's mechanisms need
-// (Normal and Laplace for the Figure 2 threshold mechanism and the
-// Laplace privacy mechanism, Exponential for one-sided noise) plus an
-// Empirical distribution built from observed samples, so mechanisms can
-// be evaluated against real score data and not only closed forms.
+// package provides the two continuous families the paper's mechanisms
+// need: Normal for the Figure 2 threshold mechanism and Laplace for the
+// noise route to differential fairness.
 //
 // For hot paths that evaluate a density over many points (the Figure 2
 // density sweep, the noisy-threshold quadrature), BatchPDF and
 // DensityGrid provide a vectorized evaluation path with per-family
-// kernels and a worker pool; see batch.go.
+// kernels; see batch.go.
 package dist
 
 import (
@@ -44,6 +42,11 @@ type Dist interface {
 	Quantile(p float64) float64
 	// Sample draws one deviate using r.
 	Sample(r *rng.RNG) float64
+
+	// batchPDF writes PDF(xs[i]) into dst[i], the family's kernel behind
+	// BatchPDF. It is unexported, so every Dist is one of this package's
+	// families.
+	batchPDF(xs, dst []float64)
 }
 
 // invSqrt2Pi is 1/sqrt(2*pi), the normalizing constant of the standard

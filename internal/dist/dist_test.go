@@ -44,56 +44,10 @@ func TestNewLaplaceValidation(t *testing.T) {
 	}
 }
 
-func TestNewExponentialValidation(t *testing.T) {
-	for _, rate := range []float64{0, -2, math.NaN(), math.Inf(1)} {
-		if _, err := NewExponential(rate); err == nil {
-			t.Errorf("NewExponential accepted rate=%v", rate)
-		}
-	}
-	if _, err := NewExponential(0.7); err != nil {
-		t.Errorf("NewExponential rejected valid rate: %v", err)
-	}
-}
-
-func TestNewEmpiricalValidation(t *testing.T) {
-	if _, err := NewEmpirical(nil, 0); err == nil {
-		t.Error("NewEmpirical accepted empty sample set")
-	}
-	if _, err := NewEmpirical([]float64{1}, 0); err == nil {
-		t.Error("NewEmpirical accepted a single sample")
-	}
-	if _, err := NewEmpirical([]float64{1, math.NaN()}, 0); err == nil {
-		t.Error("NewEmpirical accepted a NaN sample")
-	}
-	if _, err := NewEmpirical([]float64{2, 2, 2}, 0); err == nil {
-		t.Error("NewEmpirical accepted zero-spread samples")
-	}
-	if _, err := NewEmpirical([]float64{1, 2}, -1); err == nil {
-		t.Error("NewEmpirical accepted negative bin count")
-	}
-}
-
-func TestMustConstructorsPanicOnInvalid(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"MustNormal":      func() { MustNormal(0, 0) },
-		"MustLaplace":     func() { MustLaplace(0, -1) },
-		"MustExponential": func() { MustExponential(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic on invalid input", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 // --- Golden closed-form values ---
 
 func TestNormalGoldenValues(t *testing.T) {
-	std := MustNormal(0, 1)
+	std := Normal{Mu: 0, Sigma: 1}
 	approx(t, "std.PDF(0)", std.PDF(0), 0.3989422804014327, 1e-15)
 	approx(t, "std.PDF(1)", std.PDF(1), 0.24197072451914337, 1e-15)
 	approx(t, "std.LogPDF(0)", std.LogPDF(0), -0.9189385332046727, 1e-14)
@@ -103,7 +57,7 @@ func TestNormalGoldenValues(t *testing.T) {
 	approx(t, "std.SurvivalAbove(1)", std.SurvivalAbove(1), 1-0.8413447460685429, 1e-14)
 	approx(t, "std.Quantile(0.975)", std.Quantile(0.975), 1.959963984540054, 1e-12)
 
-	d := MustNormal(10, 2)
+	d := Normal{Mu: 10, Sigma: 2}
 	approx(t, "N(10,2).PDF(10)", d.PDF(10), 0.19947114020071635, 1e-15)
 	approx(t, "N(10,2).CDF(10)", d.CDF(10), 0.5, 1e-15)
 	approx(t, "N(10,2).Quantile(0.5)", d.Quantile(0.5), 10, 1e-12)
@@ -114,7 +68,7 @@ func TestNormalGoldenValues(t *testing.T) {
 }
 
 func TestLaplaceGoldenValues(t *testing.T) {
-	std := MustLaplace(0, 1)
+	std := Laplace{Mu: 0, B: 1}
 	approx(t, "Lap(0,1).PDF(0)", std.PDF(0), 0.5, 1e-15)
 	approx(t, "Lap(0,1).CDF(0)", std.CDF(0), 0.5, 1e-15)
 	approx(t, "Lap(0,1).CDF(1)", std.CDF(1), 1-0.5*math.Exp(-1), 1e-15)
@@ -122,106 +76,18 @@ func TestLaplaceGoldenValues(t *testing.T) {
 	approx(t, "Lap(0,1).Quantile(0.75)", std.Quantile(0.75), math.Ln2, 1e-15)
 	approx(t, "Lap(0,1).LogPDF(3)", std.LogPDF(3), -3-math.Log(2), 1e-14)
 
-	d := MustLaplace(2, 3)
+	d := Laplace{Mu: 2, B: 3}
 	approx(t, "Lap(2,3).PDF(2)", d.PDF(2), 1.0/6, 1e-16)
 	approx(t, "Lap(2,3).Quantile(0.5)", d.Quantile(0.5), 2, 1e-12)
 	approx(t, "Lap(2,3).Variance", d.Variance(), 18, 1e-12)
-}
-
-func TestExponentialGoldenValues(t *testing.T) {
-	d := MustExponential(2)
-	approx(t, "Exp(2).PDF(0)", d.PDF(0), 2, 0)
-	approx(t, "Exp(2).PDF(1)", d.PDF(1), 2*math.Exp(-2), 1e-16)
-	approx(t, "Exp(2).CDF(math.Ln2/2)", d.CDF(math.Ln2/2), 0.5, 1e-15)
-	approx(t, "Exp(2).SurvivalAbove(1)", d.SurvivalAbove(1), math.Exp(-2), 1e-16)
-	approx(t, "Exp(2).Quantile(0.5)", d.Quantile(0.5), math.Ln2/2, 1e-15)
-	approx(t, "Exp(2).Mean", d.Mean(), 0.5, 0)
-	if got := d.PDF(-1); got != 0 {
-		t.Errorf("Exp(2).PDF(-1) = %v, want 0", got)
-	}
-	if got := d.CDF(-1); got != 0 {
-		t.Errorf("Exp(2).CDF(-1) = %v, want 0", got)
-	}
-	if got := d.SurvivalAbove(-1); got != 1 {
-		t.Errorf("Exp(2).SurvivalAbove(-1) = %v, want 1", got)
-	}
-	if got := d.LogPDF(-1); !math.IsInf(got, -1) {
-		t.Errorf("Exp(2).LogPDF(-1) = %v, want -Inf", got)
-	}
-}
-
-func TestEmpiricalGoldenValues(t *testing.T) {
-	e, err := NewEmpirical([]float64{5, 1, 3, 2, 4}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "emp.CDF(3)", e.CDF(3), 0.5, 1e-15)
-	approx(t, "emp.Quantile(0.5)", e.Quantile(0.5), 3, 1e-15)
-	approx(t, "emp.Quantile(0)", e.Quantile(0), 1, 0)
-	approx(t, "emp.Quantile(1)", e.Quantile(1), 5, 0)
-	approx(t, "emp.Quantile(0.25)", e.Quantile(0.25), 2, 1e-15)
-	approx(t, "emp.CDF(2.5)", e.CDF(2.5), 0.375, 1e-15)
-	approx(t, "emp.Mean", e.Mean(), 3, 1e-15)
-	if got := e.CDF(0); got != 0 {
-		t.Errorf("emp.CDF(0) = %v, want 0", got)
-	}
-	if got := e.CDF(9); got != 1 {
-		t.Errorf("emp.CDF(9) = %v, want 1", got)
-	}
-	if got := e.PDF(0); got != 0 {
-		t.Errorf("emp.PDF(0) = %v, want 0", got)
-	}
-	if got := e.PDF(3); got <= 0 {
-		t.Errorf("emp.PDF(3) = %v, want positive", got)
-	}
-	if e.Min() != 1 || e.Max() != 5 || e.N() != 5 {
-		t.Errorf("emp summary = (%v, %v, %v), want (1, 5, 5)", e.Min(), e.Max(), e.N())
-	}
-}
-
-// TestEmpiricalTiedSamples: tied mass must count in full — CDF resolves
-// ties to the rightmost order statistic, keeping it the right-inverse of
-// Quantile ("smallest x with CDF(x) >= p").
-func TestEmpiricalTiedSamples(t *testing.T) {
-	e, err := NewEmpirical([]float64{1, 1, 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "tied-min CDF(1)", e.CDF(1), 0.5, 1e-15)
-	approx(t, "tied-min SurvivalAbove(1)", e.SurvivalAbove(1), 0.5, 1e-15)
-	if got := e.CDF(0.999); got != 0 {
-		t.Errorf("CDF below min = %v, want 0", got)
-	}
-
-	e, err = NewEmpirical([]float64{1, 2, 2, 2, 3}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "tied-mid CDF(2)", e.CDF(2), 0.75, 1e-15)
-	approx(t, "tied-mid Quantile(0.5)", e.Quantile(0.5), 2, 1e-15)
-	// Quantile(p) must be the smallest x with CDF(x) >= p across the
-	// tied block.
-	for _, p := range []float64{0.25, 0.5, 0.75} {
-		x := e.Quantile(p)
-		if e.CDF(x) < p {
-			t.Errorf("CDF(Quantile(%v)) = %v < p", p, e.CDF(x))
-		}
-	}
-	// Round trip still exact on either side of the tie.
-	for _, x := range []float64{1.5, 2.5} {
-		if back := e.Quantile(e.CDF(x)); math.Abs(back-x) > 1e-12 {
-			t.Errorf("Quantile(CDF(%v)) = %v", x, back)
-		}
-	}
 }
 
 // --- Shared-contract properties ---
 
 func continuousDists() map[string]Dist {
 	return map[string]Dist{
-		"normal":      MustNormal(3, 2),
-		"laplace":     MustLaplace(-1, 1.5),
-		"exponential": MustExponential(0.7),
+		"normal":  Normal{Mu: 3, Sigma: 2},
+		"laplace": Laplace{Mu: -1, B: 1.5},
 	}
 }
 
@@ -242,31 +108,6 @@ func TestQuantileCDFRoundTrip(t *testing.T) {
 			if back := d.Quantile(d.CDF(x)); math.Abs(back-x) > 1e-6*(1+math.Abs(x)) {
 				t.Errorf("%s: Quantile(CDF(%v)) = %v", name, x, back)
 			}
-		}
-	}
-}
-
-func TestEmpiricalQuantileCDFRoundTrip(t *testing.T) {
-	r := rng.New(7)
-	samples := make([]float64, 500)
-	src := MustNormal(0, 1)
-	for i := range samples {
-		samples[i] = src.Sample(r)
-	}
-	e, err := NewEmpirical(samples, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := e.Quantile(0.05), e.Quantile(0.95)
-	for i := 0; i <= 50; i++ {
-		x := lo + float64(i)/50*(hi-lo)
-		if back := e.Quantile(e.CDF(x)); math.Abs(back-x) > 1e-9 {
-			t.Errorf("empirical: Quantile(CDF(%v)) = %v", x, back)
-		}
-	}
-	for _, p := range []float64{0, 0.1, 0.5, 0.9, 1} {
-		if back := e.CDF(e.Quantile(p)); math.Abs(back-p) > 1e-9 {
-			t.Errorf("empirical: CDF(Quantile(%v)) = %v", p, back)
 		}
 	}
 }
@@ -301,13 +142,7 @@ func TestLogPDFMatchesPDF(t *testing.T) {
 }
 
 func TestCDFMonotone(t *testing.T) {
-	dists := continuousDists()
-	e, err := NewEmpirical([]float64{0, 1, 1, 2, 5, 8}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dists["empirical"] = e
-	for name, d := range dists {
+	for name, d := range continuousDists() {
 		prev := math.Inf(-1)
 		for i := -30; i <= 30; i++ {
 			x := float64(i) / 3
@@ -343,9 +178,8 @@ func TestSampleMoments(t *testing.T) {
 		d        Dist
 		mean, sd float64
 	}{
-		{"normal", MustNormal(5, 2), 5, 2},
-		{"laplace", MustLaplace(0, 1), 0, math.Sqrt2},
-		{"exponential", MustExponential(2), 0.5, 0.5},
+		{"normal", Normal{Mu: 5, Sigma: 2}, 5, 2},
+		{"laplace", Laplace{Mu: 0, B: 1}, 0, math.Sqrt2},
 	}
 	for _, c := range cases {
 		r := rng.New(42)
@@ -363,43 +197,5 @@ func TestSampleMoments(t *testing.T) {
 		if math.Abs(sd-c.sd) > 0.05*c.sd {
 			t.Errorf("%s: sample sd %v, want %v", c.name, sd, c.sd)
 		}
-	}
-}
-
-func TestEmpiricalSampleStaysInRange(t *testing.T) {
-	e, err := NewEmpirical([]float64{2, 4, 6, 9}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(3)
-	for i := 0; i < 2000; i++ {
-		v := e.Sample(r)
-		if v < e.Min() || v > e.Max() {
-			t.Fatalf("sample %v outside [%v, %v]", v, e.Min(), e.Max())
-		}
-	}
-}
-
-// TestEmpiricalApproximatesSource: an empirical distribution fitted to
-// normal draws should agree with the source CDF to sampling error.
-func TestEmpiricalApproximatesSource(t *testing.T) {
-	src := MustNormal(10, 2)
-	r := rng.New(11)
-	samples := make([]float64, 20000)
-	for i := range samples {
-		samples[i] = src.Sample(r)
-	}
-	e, err := NewEmpirical(samples, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{7, 9, 10, 11, 13} {
-		if diff := math.Abs(e.CDF(x) - src.CDF(x)); diff > 0.02 {
-			t.Errorf("CDF mismatch at %v: %v", x, diff)
-		}
-	}
-	// The histogram density should be near the true density in the bulk.
-	if diff := math.Abs(e.PDF(10) - src.PDF(10)); diff > 0.03 {
-		t.Errorf("PDF mismatch at the mode: %v vs %v", e.PDF(10), src.PDF(10))
 	}
 }

@@ -28,16 +28,6 @@ func NewLaplace(mu, b float64) (Laplace, error) {
 	return Laplace{Mu: mu, B: b}, nil
 }
 
-// MustLaplace is NewLaplace for statically known parameters; it panics
-// on invalid input.
-func MustLaplace(mu, b float64) Laplace {
-	d, err := NewLaplace(mu, b)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // String describes the distribution for reports.
 func (d Laplace) String() string { return fmt.Sprintf("Laplace(mu=%g, b=%g)", d.Mu, d.B) }
 

@@ -27,16 +27,6 @@ func NewNormal(mu, sigma float64) (Normal, error) {
 	return Normal{Mu: mu, Sigma: sigma}, nil
 }
 
-// MustNormal is NewNormal for statically known parameters; it panics on
-// invalid input.
-func MustNormal(mu, sigma float64) Normal {
-	d, err := NewNormal(mu, sigma)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // String describes the distribution for reports.
 func (d Normal) String() string { return fmt.Sprintf("Normal(mu=%g, sigma=%g)", d.Mu, d.Sigma) }
 

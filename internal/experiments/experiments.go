@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation, plus the ablations listed in DESIGN.md. Each experiment
+// evaluation, plus the ablations in extras.go. Each experiment
 // returns a structured result embedding the paper's reported numbers
 // next to the measured ones, and renders itself as an aligned text
 // table. cmd/dfexperiments drives them all; the root bench_test.go wraps

@@ -19,15 +19,6 @@ type Table3Config struct {
 	Alpha float64
 }
 
-// DefaultTable3Config mirrors the paper's setup at full scale.
-func DefaultTable3Config() Table3Config {
-	return Table3Config{
-		Census:   census.DefaultConfig(),
-		Logistic: classify.LogisticConfig{Epochs: 200, LearningRate: 0.8, L2: 1e-4, Momentum: 0.9},
-		Alpha:    1,
-	}
-}
-
 // table3FeatureSets lists the paper's eight feature configurations, in
 // its row order.
 var table3FeatureSets = [][]string{

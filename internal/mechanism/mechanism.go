@@ -1,8 +1,8 @@
 // Package mechanism models the decision mechanisms M(x) of the paper:
 // deterministic score thresholds over per-group score distributions (the
-// Figure 2 worked example), thresholds randomized with Laplace or
-// Gaussian noise (the "noise route" to differential fairness the paper
-// discusses and advises against in §3.2), and the classical randomized-
+// Figure 2 worked example), thresholds randomized with Laplace noise
+// (the "noise route" to differential fairness the paper discusses and
+// advises against in §3.2), and the classical randomized-
 // response mechanism used to calibrate ε in §3.3.
 //
 // Every mechanism reduces to a core.CPT over a protected-attribute space,
@@ -16,13 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 )
-
-// ScoreModel is a per-group distribution over a scalar score x, one of
-// the data distributions θ of Definition 3.1.
-type ScoreModel interface {
-	// OutcomeAbove returns P(x > t | group) under the model.
-	OutcomeAbove(group int, t float64) float64
-}
 
 // GaussianScores models each group's score as a Gaussian, the setting of
 // the paper's Figure 2.
@@ -72,8 +65,7 @@ type Threshold struct {
 // Implementations validate their parameters in Dist, once, before any
 // evaluation runs; Threshold.CPT rejects unusable noise there instead
 // of faulting mid-quadrature. Tail queries go through the returned
-// distribution's SurvivalAbove (the concrete types also expose a
-// TailAbove convenience).
+// distribution's SurvivalAbove.
 type NoiseModel interface {
 	// Dist returns the validated noise distribution, or an error when the
 	// parameters are unusable (e.g. a non-positive scale).
@@ -85,15 +77,6 @@ type NoiseModel interface {
 // LaplaceNoise is zero-mean Laplace noise with scale B.
 type LaplaceNoise struct{ B float64 }
 
-// NewLaplaceNoise returns Laplace noise with the given scale, rejecting
-// b <= 0 at construction time.
-func NewLaplaceNoise(b float64) (LaplaceNoise, error) {
-	if _, err := dist.NewLaplace(0, b); err != nil {
-		return LaplaceNoise{}, fmt.Errorf("mechanism: %w", err)
-	}
-	return LaplaceNoise{B: b}, nil
-}
-
 // Dist returns the validated Laplace(0, B) distribution.
 func (l LaplaceNoise) Dist() (dist.Dist, error) {
 	d, err := dist.NewLaplace(0, l.B)
@@ -103,88 +86,8 @@ func (l LaplaceNoise) Dist() (dist.Dist, error) {
 	return d, nil
 }
 
-// TailAbove returns P(noise > z), or NaN when the scale is invalid —
-// never a panic, and never a garbage "probability".
-func (l LaplaceNoise) TailAbove(z float64) float64 {
-	if !(l.B > 0) || math.IsInf(l.B, 1) {
-		return math.NaN()
-	}
-	return dist.Laplace{Mu: 0, B: l.B}.SurvivalAbove(z)
-}
-
 // Name describes the noise.
 func (l LaplaceNoise) Name() string { return fmt.Sprintf("Laplace(b=%g)", l.B) }
-
-// GaussianNoise is zero-mean Gaussian noise with standard deviation Sigma.
-type GaussianNoise struct{ Sigma float64 }
-
-// NewGaussianNoise returns Gaussian noise with the given standard
-// deviation, rejecting sigma <= 0 at construction time.
-func NewGaussianNoise(sigma float64) (GaussianNoise, error) {
-	if _, err := dist.NewNormal(0, sigma); err != nil {
-		return GaussianNoise{}, fmt.Errorf("mechanism: %w", err)
-	}
-	return GaussianNoise{Sigma: sigma}, nil
-}
-
-// Dist returns the validated N(0, Sigma^2) distribution.
-func (g GaussianNoise) Dist() (dist.Dist, error) {
-	d, err := dist.NewNormal(0, g.Sigma)
-	if err != nil {
-		return nil, fmt.Errorf("mechanism: %w", err)
-	}
-	return d, nil
-}
-
-// TailAbove returns P(noise > z), or NaN when the scale is invalid; see
-// LaplaceNoise.TailAbove.
-func (g GaussianNoise) TailAbove(z float64) float64 {
-	if !(g.Sigma > 0) || math.IsInf(g.Sigma, 1) {
-		return math.NaN()
-	}
-	return dist.Normal{Mu: 0, Sigma: g.Sigma}.SurvivalAbove(z)
-}
-
-// Name describes the noise.
-func (g GaussianNoise) Name() string { return fmt.Sprintf("Gaussian(sigma=%g)", g.Sigma) }
-
-// DistNoise adapts any dist.Dist into a NoiseModel, opening mechanism
-// scenarios beyond the symmetric families — one-sided Exponential score
-// inflation, or Empirical noise estimated from observed perturbations.
-type DistNoise struct {
-	D dist.Dist
-	// Label names the noise in reports; when empty, a fmt.Stringer D
-	// describes itself.
-	Label string
-}
-
-// Dist returns the wrapped distribution (already validated by its
-// constructor).
-func (n DistNoise) Dist() (dist.Dist, error) {
-	if n.D == nil {
-		return nil, fmt.Errorf("mechanism: DistNoise with nil distribution")
-	}
-	return n.D, nil
-}
-
-// TailAbove returns P(noise > z), or NaN when no distribution is set.
-func (n DistNoise) TailAbove(z float64) float64 {
-	if n.D == nil {
-		return math.NaN()
-	}
-	return n.D.SurvivalAbove(z)
-}
-
-// Name describes the noise.
-func (n DistNoise) Name() string {
-	if n.Label != "" {
-		return n.Label
-	}
-	if s, ok := n.D.(fmt.Stringer); ok {
-		return s.String()
-	}
-	return "custom noise"
-}
 
 // CPT evaluates the threshold mechanism against a score model, producing
 // the outcome CPT over the given space with the given group weights

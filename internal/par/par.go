@@ -30,22 +30,8 @@ func Workers(requested, n int) int {
 	return w
 }
 
-// Do runs task(state, i) for every i in [0, n) on `workers` goroutines
-// (0 = one per CPU). Each worker calls newState once and reuses the
-// returned scratch across all tasks it executes, so per-task allocations
-// are amortized to zero. Tasks are claimed dynamically (an atomic cursor),
-// which balances uneven task costs; determinism is the task's job — write
-// results only to slot i and derive any randomness from i, never from the
-// executing worker or claim order.
-func Do[S any](workers, n int, newState func() S, task func(state S, i int)) {
-	run(workers, n, newState, func(s S, i int) bool {
-		task(s, i)
-		return true
-	})
-}
-
-// run is Do for tasks that can stop their worker: a worker whose task
-// returns false claims no further tasks.
+// run is DoCtx's scheduler: it runs task(state, i) for every i in
+// [0, n), and a worker whose task returns false claims no further tasks.
 func run[S any](workers, n int, newState func() S, task func(state S, i int) bool) {
 	if n <= 0 {
 		return
@@ -78,9 +64,16 @@ func run[S any](workers, n int, newState func() S, task func(state S, i int) boo
 	wg.Wait()
 }
 
-// DoCtx is Do for tasks that can fail, with cooperative cancellation:
-// workers stop claiming new tasks as soon as ctx is done, and the call
-// returns ctx.Err(). Cancellation is checked between tasks, not inside
+// DoCtx runs task(state, i) for every i in [0, n) on `workers`
+// goroutines (0 = one per CPU). Each worker calls newState once and
+// reuses the returned scratch across all tasks it executes, so per-task
+// allocations are amortized to zero. Tasks are claimed dynamically (an
+// atomic cursor), which balances uneven task costs; determinism is the
+// task's job — write results only to slot i and derive any randomness
+// from i, never from the executing worker or claim order.
+//
+// Cancellation is cooperative: workers stop claiming new tasks as soon
+// as ctx is done, and the call returns ctx.Err(). Cancellation is checked between tasks, not inside
 // them, so the latency of a cancel is bounded by one task's duration per
 // worker. When ctx is never canceled, every task runs regardless of
 // other tasks' failures (slots stay deterministic) and the error of the

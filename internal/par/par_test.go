@@ -27,9 +27,13 @@ func TestDoRunsEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 0} {
 		const n = 1000
 		hits := make([]int32, n)
-		Do(workers, n, func() struct{} { return struct{}{} }, func(_ struct{}, i int) {
+		err := DoCtx(context.Background(), workers, n, func() struct{} { return struct{}{} }, func(_ struct{}, i int) error {
 			atomic.AddInt32(&hits[i], 1)
+			return nil
 		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: task %d ran %d times", workers, i, h)
@@ -44,12 +48,16 @@ func TestDoWorkerLocalState(t *testing.T) {
 	type scratch struct{ sum int }
 	var created atomic.Int32
 	const n = 500
-	Do(4, n, func() *scratch {
+	err := DoCtx(context.Background(), 4, n, func() *scratch {
 		created.Add(1)
 		return &scratch{}
-	}, func(s *scratch, i int) {
+	}, func(s *scratch, i int) error {
 		s.sum += i
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c := created.Load(); c < 1 || c > 4 {
 		t.Fatalf("created %d states, want 1..4", c)
 	}
@@ -57,9 +65,13 @@ func TestDoWorkerLocalState(t *testing.T) {
 
 func TestDoZeroTasks(t *testing.T) {
 	called := false
-	Do(4, 0, func() struct{} { called = true; return struct{}{} }, func(struct{}, int) {
+	err := DoCtx(context.Background(), 4, 0, func() struct{} { called = true; return struct{}{} }, func(struct{}, int) error {
 		t.Fatal("task ran for n=0")
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if called {
 		t.Fatal("state constructed for n=0")
 	}

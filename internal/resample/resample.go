@@ -61,6 +61,8 @@ type Interval struct {
 // pool size (0 = one per CPU). The interval for a given (counts, alpha,
 // b, level, r) is deterministic and independent of both GOMAXPROCS and
 // workers.
+//
+//df:ignore deadexport — the entry point of BenchmarkEpsilonBootstrap and BenchmarkBootstrap, whose results CI publishes as BENCH_resample.json
 func EpsilonBootstrap(ctx context.Context, c *core.Counts, alpha float64, b int, level float64, r *rng.RNG, workers int) (Interval, error) {
 	ivs, err := MetricBootstrap(ctx, []core.Metric{core.DFEpsilon}, c, alpha, b, level, r, workers)
 	if err != nil {

@@ -63,7 +63,7 @@ func BenchmarkHotPathIncrementalCheck(b *testing.B) {
 // 0 allocs/op (scripts/alloc_gate.sh).
 func BenchmarkHotPathObserveBatch(b *testing.B) {
 	space := core.MustSpace(core.Attr{Name: "g", Values: []string{"a", "b", "c", "d"}})
-	m, err := NewMonitor(space, []string{"no", "yes"}, 10000, 0)
+	m, err := newMonitor(space, []string{"no", "yes"}, 10000, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

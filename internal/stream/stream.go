@@ -143,15 +143,6 @@ func New(space *core.Space, outcomes []string, cfg Config) (*Monitor, error) {
 	}, nil
 }
 
-// NewMonitor creates an exponentially-decayed monitor: halfLife is the
-// number of observations after which an old observation's influence is
-// halved (must be > 0); alpha is the Eq. 7 smoothing applied when
-// reporting ε (0 = empirical). It is the historical constructor,
-// equivalent to New with Exponential{HalfLife: halfLife}.
-func NewMonitor(space *core.Space, outcomes []string, halfLife float64, alpha float64) (*Monitor, error) {
-	return New(space, outcomes, Config{Policy: Exponential{HalfLife: halfLife}, Alpha: alpha})
-}
-
 // Space returns the protected-attribute space.
 func (m *Monitor) Space() *core.Space { return m.space }
 

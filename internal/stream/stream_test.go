@@ -17,16 +17,21 @@ func twoGroupSpace(t *testing.T) *core.Space {
 	return core.MustSpace(core.Attr{Name: "g", Values: []string{"a", "b"}})
 }
 
+// newMonitor is New with an Exponential policy of the given half-life.
+func newMonitor(space *core.Space, outcomes []string, halfLife, alpha float64) (*Monitor, error) {
+	return New(space, outcomes, Config{Policy: Exponential{HalfLife: halfLife}, Alpha: alpha})
+}
+
 func TestNewMonitorValidation(t *testing.T) {
 	s := twoGroupSpace(t)
-	if _, err := NewMonitor(nil, []string{"x", "y"}, 100, 0); err == nil {
+	if _, err := newMonitor(nil, []string{"x", "y"}, 100, 0); err == nil {
 		t.Error("nil space accepted")
 	}
-	if _, err := NewMonitor(s, []string{"x"}, 100, 0); err == nil {
+	if _, err := newMonitor(s, []string{"x"}, 100, 0); err == nil {
 		t.Error("single outcome accepted")
 	}
 	for _, hl := range []float64{0, -1, math.Inf(1)} {
-		if _, err := NewMonitor(s, []string{"x", "y"}, hl, 0); err == nil {
+		if _, err := newMonitor(s, []string{"x", "y"}, hl, 0); err == nil {
 			t.Errorf("half-life %v accepted", hl)
 		}
 	}
@@ -34,7 +39,7 @@ func TestNewMonitorValidation(t *testing.T) {
 	// infinite one would fail every check; both are rejected like a
 	// negative one.
 	for _, alpha := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := NewMonitor(s, []string{"x", "y"}, 100, alpha); err == nil {
+		if _, err := newMonitor(s, []string{"x", "y"}, 100, alpha); err == nil {
 			t.Errorf("alpha %v accepted", alpha)
 		}
 		if _, err := New(s, []string{"x", "y"}, Config{Policy: Tumbling{Window: 8}, Alpha: alpha}); err == nil {
@@ -45,7 +50,7 @@ func TestNewMonitorValidation(t *testing.T) {
 
 func TestObserveValidation(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, _ := NewMonitor(s, []string{"x", "y"}, 100, 0)
+	m, _ := newMonitor(s, []string{"x", "y"}, 100, 0)
 	if err := m.Observe(5, 0); err == nil {
 		t.Error("bad group accepted")
 	}
@@ -58,7 +63,7 @@ func TestObserveValidation(t *testing.T) {
 // stream, the decayed estimate approximates the batch empirical ε.
 func TestStationaryMatchesBatch(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, err := NewMonitor(s, []string{"no", "yes"}, 1e9, 0)
+	m, err := newMonitor(s, []string{"no", "yes"}, 1e9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +96,7 @@ func TestStationaryMatchesBatch(t *testing.T) {
 // would.
 func TestDriftDetection(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, err := NewMonitor(s, []string{"no", "yes"}, 500, 0)
+	m, err := newMonitor(s, []string{"no", "yes"}, 500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +137,7 @@ func TestDriftDetection(t *testing.T) {
 func TestEffectiveCountSaturates(t *testing.T) {
 	s := twoGroupSpace(t)
 	const halfLife = 100.0
-	m, _ := NewMonitor(s, []string{"no", "yes"}, halfLife, 0)
+	m, _ := newMonitor(s, []string{"no", "yes"}, halfLife, 0)
 	for i := 0; i < 10000; i++ {
 		if err := m.Observe(i%2, i%2); err != nil {
 			t.Fatal(err)
@@ -152,7 +157,7 @@ func TestRenormalizePreservesEstimate(t *testing.T) {
 	s := twoGroupSpace(t)
 	// A tiny half-life forces rapid weight growth and many
 	// renormalizations.
-	m, _ := NewMonitor(s, []string{"no", "yes"}, 2, 0)
+	m, _ := newMonitor(s, []string{"no", "yes"}, 2, 0)
 	r := rng.New(17)
 	for i := 0; i < 200000; i++ {
 		g := r.Intn(2)
@@ -175,7 +180,7 @@ func TestRenormalizePreservesEstimate(t *testing.T) {
 
 func TestWatchAlerts(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, _ := NewMonitor(s, []string{"no", "yes"}, 200, 1)
+	m, _ := newMonitor(s, []string{"no", "yes"}, 200, 1)
 	w, err := NewWatch(m, 1.0, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +219,7 @@ func TestWatchAlerts(t *testing.T) {
 
 func TestWatchRespectsMinEffective(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, _ := NewMonitor(s, []string{"no", "yes"}, 200, 1)
+	m, _ := newMonitor(s, []string{"no", "yes"}, 200, 1)
 	w, _ := NewWatch(m, 0.01, 1e6) // unreachable mass
 	r := rng.New(23)
 	for i := 0; i < 1000; i++ {
@@ -231,7 +236,7 @@ func TestWatchRespectsMinEffective(t *testing.T) {
 
 func TestNewWatchValidation(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, _ := NewMonitor(s, []string{"no", "yes"}, 100, 0)
+	m, _ := newMonitor(s, []string{"no", "yes"}, 100, 0)
 	if _, err := NewWatch(nil, 1, 0); err == nil {
 		t.Error("nil monitor accepted")
 	}
@@ -272,7 +277,7 @@ func TestNewWatchValidation(t *testing.T) {
 // TestEpsilonSteadyStateAllocFree: after the first report builds the
 // reusable buffers, Epsilon must not allocate.
 func TestEpsilonSteadyStateAllocFree(t *testing.T) {
-	m, err := NewMonitor(twoGroupSpace(t), []string{"x", "y"}, 100, 0)
+	m, err := newMonitor(twoGroupSpace(t), []string{"x", "y"}, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +305,7 @@ func TestEpsilonSteadyStateAllocFree(t *testing.T) {
 // TestSnapshotIsCallerOwned: mutating a returned snapshot must not leak
 // into the monitor's internal reporting buffers.
 func TestSnapshotIsCallerOwned(t *testing.T) {
-	m, err := NewMonitor(twoGroupSpace(t), []string{"x", "y"}, 100, 0)
+	m, err := newMonitor(twoGroupSpace(t), []string{"x", "y"}, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +335,7 @@ func TestSnapshotIsCallerOwned(t *testing.T) {
 
 func TestObserveBatchValidation(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, _ := NewMonitor(s, []string{"x", "y"}, 100, 0)
+	m, _ := newMonitor(s, []string{"x", "y"}, 100, 0)
 	if err := m.ObserveBatch([]int{0, 1}, []int{0}); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
@@ -360,7 +365,7 @@ func TestObserveValues(t *testing.T) {
 		core.Attr{Name: "gender", Values: []string{"M", "F"}},
 		core.Attr{Name: "race", Values: []string{"A", "B"}},
 	)
-	m, err := NewMonitor(s, []string{"deny", "approve"}, 100, 0)
+	m, err := newMonitor(s, []string{"deny", "approve"}, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,7 +731,7 @@ func TestExponentialBatchChunking(t *testing.T) {
 // Monitor.Epsilon still surfaces it for callers that ask directly.
 func TestWatchDegenerateSupportIsNotAnError(t *testing.T) {
 	s := twoGroupSpace(t)
-	m, _ := NewMonitor(s, []string{"no", "yes"}, 100, 0)
+	m, _ := newMonitor(s, []string{"no", "yes"}, 100, 0)
 	w, err := NewWatch(m, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)

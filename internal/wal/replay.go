@@ -14,7 +14,7 @@ import (
 )
 
 // maxScanRecord bounds a single record during recovery and replay,
-// independently of the WithMaxRecordBytes the log was opened with: a
+// independently of the record limit the log was opened with: a
 // log written under a larger limit must still recover, and a corrupt
 // length field must never drive a multi-gigabyte allocation.
 const maxScanRecord = 1 << 30

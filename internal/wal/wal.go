@@ -34,7 +34,7 @@
 //     survive process crashes (kill -9) but not machine crashes.
 //
 // Transient fsync and rotation failures are retried with bounded
-// exponential backoff (WithRetryBackoff); exhausting the retries marks
+// exponential backoff (1, 2, 4 and 8 ms); exhausting the retries marks
 // the log permanently failed, after which every Append/Sync fails fast
 // so the caller can fail into a degraded read-only mode instead of
 // silently dropping acknowledged writes.
@@ -60,11 +60,11 @@ const (
 
 	defaultSegmentBytes = 64 << 20
 	defaultMaxRecord    = 16 << 20
-	defaultRetries      = 4
-	defaultRetryBase    = time.Millisecond
 
-	// maxBackoff caps one backoff sleep regardless of attempt count.
-	maxBackoff = 500 * time.Millisecond
+	// retries is how often a transient fsync or rotation failure is
+	// retried; the sleep before retry k is retryBase << (k-1).
+	retries   = 4
+	retryBase = time.Millisecond
 )
 
 // castagnoli is the CRC32C polynomial table shared by all framing.
@@ -114,33 +114,33 @@ type options struct {
 	segmentBytes int64
 	maxRecord    int
 	policy       SyncPolicy
-	retries      int
-	retryBase    time.Duration
 }
 
 // Option configures Open. Every option validates its arguments at
 // construction so a misconfigured log fails at the call site.
 type Option func(*options) error
 
-// WithSegmentBytes sets the rotation threshold: a segment is closed once
+// withSegmentBytes sets the rotation threshold: a segment is closed once
 // appending the next record would push it past n bytes. n must be at
 // least 1 KiB (a zero or tiny threshold would rotate on every record).
-func WithSegmentBytes(n int64) Option {
+// It is a test seam: production logs rotate at defaultSegmentBytes.
+func withSegmentBytes(n int64) Option {
 	return func(o *options) error {
 		if n < 1<<10 {
-			return fmt.Errorf("wal: WithSegmentBytes(%d): segment size must be at least %d bytes", n, 1<<10)
+			return fmt.Errorf("wal: withSegmentBytes(%d): segment size must be at least %d bytes", n, 1<<10)
 		}
 		o.segmentBytes = n
 		return nil
 	}
 }
 
-// WithMaxRecordBytes sets the largest accepted payload. n must be in
+// withMaxRecordBytes sets the largest accepted payload. n must be in
 // (0, 1 GiB]; oversized appends are rejected before touching the disk.
-func WithMaxRecordBytes(n int) Option {
+// It is a test seam: production logs accept up to defaultMaxRecord.
+func withMaxRecordBytes(n int) Option {
 	return func(o *options) error {
 		if n <= 0 || n > 1<<30 {
-			return fmt.Errorf("wal: WithMaxRecordBytes(%d): max record size must be in (0, %d]", n, 1<<30)
+			return fmt.Errorf("wal: withMaxRecordBytes(%d): max record size must be in (0, %d]", n, 1<<30)
 		}
 		o.maxRecord = n
 		return nil
@@ -154,24 +154,6 @@ func WithSyncPolicy(p SyncPolicy) Option {
 			return fmt.Errorf("wal: WithSyncPolicy(%d): unknown policy", uint8(p))
 		}
 		o.policy = p
-		return nil
-	}
-}
-
-// WithRetryBackoff bounds the exponential backoff applied to transient
-// fsync/rotation errors: up to attempts retries sleeping base, 2·base,
-// 4·base, … (capped at 500ms per sleep). attempts must be at least 1
-// and base a positive interval no longer than one second.
-func WithRetryBackoff(attempts int, base time.Duration) Option {
-	return func(o *options) error {
-		if attempts < 1 || attempts > 16 {
-			return fmt.Errorf("wal: WithRetryBackoff: attempts must be in [1, 16], got %d", attempts)
-		}
-		if base <= 0 || base > time.Second {
-			return fmt.Errorf("wal: WithRetryBackoff: base must be a positive interval of at most 1s, got %v", base)
-		}
-		o.retries = attempts
-		o.retryBase = base
 		return nil
 	}
 }
@@ -228,8 +210,6 @@ func Open(dir string, opts ...Option) (*Log, error) {
 		segmentBytes: defaultSegmentBytes,
 		maxRecord:    defaultMaxRecord,
 		policy:       SyncBatch,
-		retries:      defaultRetries,
-		retryBase:    defaultRetryBase,
 	}
 	for _, opt := range opts {
 		if err := opt(&o); err != nil {
@@ -456,19 +436,15 @@ func (l *Log) rotateLocked() error {
 // attempts marks the log permanently failed.
 func (l *Log) retry(what string, op func() error) error {
 	var err error
-	for attempt := 0; attempt <= l.opt.retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
-			backoff := l.opt.retryBase << (attempt - 1)
-			if backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-			time.Sleep(backoff)
+			time.Sleep(retryBase << (attempt - 1))
 		}
 		if err = op(); err == nil {
 			return nil
 		}
 	}
-	l.failLocked(fmt.Errorf("wal: %s failed after %d attempts: %w", what, l.opt.retries+1, err))
+	l.failLocked(fmt.Errorf("wal: %s failed after %d attempts: %w", what, retries+1, err))
 	return l.err
 }
 

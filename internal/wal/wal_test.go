@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // appendAll appends payloads and syncs, failing the test on any error.
@@ -97,7 +96,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 func TestReplayAfterSkipsDeliveredRecords(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithSegmentBytes(1<<10))
+	l, err := Open(dir, withSegmentBytes(1<<10))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -118,7 +117,7 @@ func TestReplayAfterSkipsDeliveredRecords(t *testing.T) {
 
 func TestRotationAndPrune(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithSegmentBytes(1<<10))
+	l, err := Open(dir, withSegmentBytes(1<<10))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -241,7 +240,7 @@ func TestZeroFilledTailIsNotRecords(t *testing.T) {
 
 func TestMidLogCorruptionDropsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithSegmentBytes(1<<10))
+	l, err := Open(dir, withSegmentBytes(1<<10))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -299,7 +298,7 @@ func TestMidLogCorruptionDropsLaterSegments(t *testing.T) {
 
 func TestSegmentGapStopsReplay(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithSegmentBytes(1<<10))
+	l, err := Open(dir, withSegmentBytes(1<<10))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -334,7 +333,7 @@ func TestSegmentGapStopsReplay(t *testing.T) {
 
 func TestAppendValidation(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithMaxRecordBytes(64))
+	l, err := Open(dir, withMaxRecordBytes(64))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -355,13 +354,10 @@ func TestOptionValidation(t *testing.T) {
 		name string
 		opt  Option
 	}{
-		{"segment too small", WithSegmentBytes(512)},
-		{"zero max record", WithMaxRecordBytes(0)},
-		{"oversized max record", WithMaxRecordBytes(1<<30 + 1)},
+		{"segment too small", withSegmentBytes(512)},
+		{"zero max record", withMaxRecordBytes(0)},
+		{"oversized max record", withMaxRecordBytes(1<<30 + 1)},
 		{"unknown policy", WithSyncPolicy(SyncPolicy(9))},
-		{"zero attempts", WithRetryBackoff(0, time.Millisecond)},
-		{"zero base", WithRetryBackoff(3, 0)},
-		{"huge base", WithRetryBackoff(3, 2*time.Second)},
 	}
 	for _, tc := range cases {
 		if _, err := Open(t.TempDir(), tc.opt); err == nil {
@@ -404,7 +400,7 @@ func TestSyncPolicies(t *testing.T) {
 
 func TestConcurrentAppendSync(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, WithSegmentBytes(1<<10))
+	l, err := Open(dir, withSegmentBytes(1<<10))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

@@ -3,7 +3,10 @@
 #
 #   1. go vet (stock toolchain checks);
 #   2. dfvet — the project's own go/analysis-style suite (determinism,
-#      jsonfloat, ctxflow, hotpath, optvalidate; see cmd/dfvet);
+#      jsonfloat, ctxflow, hotpath, optvalidate, deadexport; see
+#      cmd/dfvet). deadexport fails on an exported package-level symbol
+#      of an internal/ package that only tests reference, counting
+#      references from this module and from perfbench/;
 #   3. a dead-package check: every package under internal/ must be
 #      imported by a non-test package of the module, except test-helper
 #      packages (name ending in "test", e.g. internal/analysis/
