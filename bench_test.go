@@ -542,11 +542,11 @@ func BenchmarkMonitorObserveParallel(b *testing.B) {
 
 // BenchmarkWatchObserveBatchChecked is the headline incremental-ε
 // benchmark: per-batch checked ingest on a census-scale watch (9 binary
-// protected attributes, 512 intersectional groups). "incremental" is the
-// shipping path — each check drains the shards' dirty-cell logs and
-// rescans only the touched groups; "snapshot" is the retained
-// authoritative baseline that re-merges every shard and recomputes ε
-// from scratch per check (Watch.CheckFull). The "limits" cases arm
+// protected attributes, 512 intersectional groups). "incremental" is a
+// window monitor's path — each check drains the shards' dirty-cell logs
+// and rescans only the touched groups; "snapshot" re-merges every shard
+// and recomputes ε from scratch per check (Watch.CheckFull, the check an
+// exponential monitor's watch runs). The "limits" cases arm
 // perfbench's four metric limits next to ε, at 64- and 1,024-decision
 // batches, each paired with CheckFull on an identically armed watch. The
 // shard count is pinned so the baseline's O(shards × cells) merge cost

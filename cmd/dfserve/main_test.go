@@ -547,6 +547,54 @@ func TestMonitorLimits(t *testing.T) {
 	}
 }
 
+// TestOversizedSpacesAreBadRequests: a space or stored-cell count whose
+// size overflows int is a 400 on PUT and on /v1/audit, with the flag
+// defaults' caps. Unchecked, 62 or 63 binary attributes (or a sliding
+// window of 2^59 buckets) wrapped a slice length and panicked the
+// handler, and 64 wrapped the group count to 0 and built an empty
+// monitor.
+func TestOversizedSpacesAreBadRequests(t *testing.T) {
+	srv := httptest.NewServer(newMux(serverConfig{
+		workers: 1, maxBody: 32 << 20, maxResamples: 100_000,
+		maxMonitors: 1024, maxMonitorCells: 1 << 20,
+	}))
+	defer srv.Close()
+	binarySpace := func(p int) string {
+		attrs := make([]string, p)
+		for i := range attrs {
+			attrs[i] = fmt.Sprintf(`{"name": "a%d", "values": ["0", "1"]}`, i)
+		}
+		return "[" + strings.Join(attrs, ", ") + "]"
+	}
+	type request struct{ method, path, body string }
+	var cases []request
+	for _, p := range []int{62, 63, 64} {
+		cases = append(cases,
+			request{http.MethodPut, "/v1/monitors/m", `{"space": ` + binarySpace(p) + `, "outcomes": ["x", "y"], "window": {"size": 64}}`},
+			request{http.MethodPost, "/v1/audit", `{"space": ` + binarySpace(p) + `, "outcomes": ["x", "y"], "counts": [[1, 1], [1, 1]]}`})
+	}
+	cases = append(cases, request{http.MethodPut, "/v1/monitors/m", `{"space": [{"name": "g", "values": ["a", "b"]}], "outcomes": ["x", "y"],
+		"window": {"size": 576460752303423488, "buckets": 576460752303423488}}`})
+	for i, tc := range cases {
+		req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatalf("case %d (%s %s): %v", i, tc.method, tc.path, err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("case %d (%s %s): status = %d, want 400: %s", i, tc.method, tc.path, resp.StatusCode, b)
+		}
+	}
+	if code, body := doReq(t, srv, http.MethodGet, "/v1/monitors", ""); code != http.StatusOK || !strings.Contains(string(body), `"monitors":[]`) {
+		t.Fatalf("listing after the refused PUTs: %d %s", code, body)
+	}
+}
+
 func TestMonitorObserveForms(t *testing.T) {
 	srv := testServer(t)
 	resp := putMonitor(t, srv, "m", `{"space": [{"name": "g", "values": ["a", "b"]}],

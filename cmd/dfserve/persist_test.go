@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/wal"
 )
 
@@ -275,6 +276,79 @@ func TestDecideContinuityAcrossRestart(t *testing.T) {
 			got := mustReq(t, durable2, http.MethodGet, "/v1/monitors/m/report?stream=served&seed=1", "", http.StatusOK)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("served report diverged after restart:\n got: %s\nwant: %s", got, want)
+			}
+		})
+	}
+}
+
+// TestWatchedExponentialObserveAcrossRestart runs a watched exponential
+// monitor (half-life 50, α = 1, an armed ε threshold) against an
+// in-memory control server and a durable server that is killed after 20
+// observe batches and rebooted from its WAL alone or from a snapshot
+// plus the WAL tail: each of the 40 observe responses after the restart,
+// with their effective_count and alert, must match the control byte for
+// byte. Its Watch checks the merged shards, the state WriteState
+// captures and replay rebuilds, so nothing it answers depends on the
+// restart.
+func TestWatchedExponentialObserveAcrossRestart(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		snapInterval int
+	}{
+		{"wal only", 1 << 30},
+		{"snapshot every 7 records", 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			control := httptest.NewServer(newMux(serverConfig{workers: 1, maxBody: 1 << 20}))
+			defer control.Close()
+			dir := t.TempDir()
+			durable, _ := durableServer(t, dir, tc.snapInterval)
+			spec := `{"space": [{"name": "g", "values": ["a", "b", "c"]}, {"name": "h", "values": ["x", "y"]}],
+			  "outcomes": ["deny", "approve"], "half_life": 50, "alpha": 1, "threshold": 0.9}`
+			mustReq(t, control, http.MethodPut, "/v1/monitors/m", spec, http.StatusCreated)
+			mustReq(t, durable, http.MethodPut, "/v1/monitors/m", spec, http.StatusCreated)
+
+			r := rng.New(15)
+			batch := func() string {
+				n := 1 + r.Intn(32)
+				groups := make([]string, n)
+				outcomes := make([]string, n)
+				for i := range groups {
+					g := r.Intn(6)
+					y := 0
+					if r.Float64() < 0.2+0.1*float64(g) {
+						y = 1
+					}
+					groups[i], outcomes[i] = fmt.Sprint(g), fmt.Sprint(y)
+				}
+				return `{"groups": [` + strings.Join(groups, ",") + `], "outcomes": [` + strings.Join(outcomes, ",") + `]}`
+			}
+			alerts := 0
+			observe := func(srv *httptest.Server, i int) {
+				body := batch()
+				want := mustReq(t, control, http.MethodPost, "/v1/monitors/m/observe", body, http.StatusOK)
+				got := mustReq(t, srv, http.MethodPost, "/v1/monitors/m/observe", body, http.StatusOK)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("observe %d diverged:\n got: %s\nwant: %s", i, got, want)
+				}
+				if bytes.Contains(want, []byte(`"alert"`)) {
+					alerts++
+				}
+			}
+			for i := 0; i < 20; i++ {
+				observe(durable, i)
+			}
+			durable.Close() // abrupt: no closeStore
+			durable2, sv2 := durableServer(t, dir, tc.snapInterval)
+			if reason := sv2.reg.store.degraded(); reason != "" {
+				t.Fatalf("restart came up degraded: %s", reason)
+			}
+			alerts = 0
+			for i := 20; i < 60; i++ {
+				observe(durable2, i)
+			}
+			if alerts == 0 {
+				t.Fatal("no observe after the restart alerted; the alert comparison exercised nothing")
 			}
 		})
 	}

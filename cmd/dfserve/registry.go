@@ -143,13 +143,19 @@ func (s *monitorSpec) build(maxCells int) (*fairness.Monitor, *fairness.Watch, e
 	if maxCells > 0 {
 		// The stored cells are replicated per ingest shard (and per
 		// bucket for sliding windows), so the cap compares against the
-		// real allocation, not just the logical table size.
-		cells := space.Size() * len(s.Outcomes) * fairness.MonitorShards()
+		// real allocation, not just the logical table size. Each factor
+		// is checked against the cap before it multiplies, so the product
+		// never passes maxCells and cannot wrap past math.MaxInt.
+		factors := []int{len(s.Outcomes), fairness.MonitorShards()}
 		if s.Window != nil && s.Window.Buckets > 1 {
-			cells *= s.Window.Buckets
+			factors = append(factors, s.Window.Buckets)
 		}
-		if cells > maxCells {
-			return nil, nil, fmt.Errorf("monitor needs %d stored cells (including shard/bucket replication), exceeding this server's limit of %d", cells, maxCells)
+		cells := space.Size()
+		for _, f := range factors {
+			if f > 0 && cells > maxCells/f {
+				return nil, nil, fmt.Errorf("monitor needs more stored cells (groups × outcomes × shards × buckets) than this server's limit of %d", maxCells)
+			}
+			cells *= f
 		}
 	}
 	var mon *fairness.Monitor

@@ -1,9 +1,9 @@
 // Package classify is the machine-learning substrate of the case study
 // (paper Section 6): a from-scratch binary logistic regression trained
-// with batch gradient descent, a categorical naive-Bayes baseline,
-// standard evaluation metrics, and a differential-fairness-regularized
-// logistic regression implementing the learning-algorithm direction the
-// paper lists as future work (Section 8, following Berk et al.).
+// with batch gradient descent, its error rate and calibration, and a
+// differential-fairness-regularized logistic regression implementing the
+// learning-algorithm direction the paper lists as future work (Section
+// 8, following Berk et al.).
 package classify
 
 import "fmt"

@@ -27,11 +27,24 @@ func NewCounts(space *Space, outcomes []string) (*Counts, error) {
 	if len(outcomes) < 2 {
 		return nil, fmt.Errorf("core: need at least two outcomes, got %d", len(outcomes))
 	}
+	cells, err := tableCells(space, len(outcomes))
+	if err != nil {
+		return nil, err
+	}
 	return &Counts{
 		space:    space,
 		outcomes: append([]string(nil), outcomes...),
-		n:        make([]float64, space.Size()*len(outcomes)),
+		n:        make([]float64, cells),
 	}, nil
+}
+
+// tableCells returns groups × outcomes, the cell count of a table over
+// space, or an error when the product overflows int.
+func tableCells(space *Space, outcomes int) (int, error) {
+	if space.Size() > math.MaxInt/outcomes {
+		return 0, fmt.Errorf("core: %d groups × %d outcomes is more cells than an int can count", space.Size(), outcomes)
+	}
+	return space.Size() * outcomes, nil
 }
 
 // MustCounts is NewCounts but panics on error.

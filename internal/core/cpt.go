@@ -41,10 +41,14 @@ func NewCPT(space *Space, outcomes []string) (*CPT, error) {
 		}
 		seen[o] = true
 	}
+	cells, err := tableCells(space, len(outcomes))
+	if err != nil {
+		return nil, err
+	}
 	return &CPT{
 		space:    space,
 		outcomes: append([]string(nil), outcomes...),
-		p:        make([]float64, space.Size()*len(outcomes)),
+		p:        make([]float64, cells),
 		weight:   make([]float64, space.Size()),
 	}, nil
 }

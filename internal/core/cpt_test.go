@@ -24,6 +24,27 @@ func TestNewCPTValidation(t *testing.T) {
 	}
 }
 
+// TestTableCellsOverflow: groups × outcomes past math.MaxInt is an error
+// from NewCounts and NewCPT, not a wrapped length that panics make.
+func TestTableCellsOverflow(t *testing.T) {
+	for _, c := range []struct {
+		attrs    int
+		outcomes []string
+	}{
+		{62, []string{"a", "b"}},           // 2^62 × 2 = 2^63
+		{61, []string{"a", "b", "c", "d"}}, // 2^61 × 4 = 2^63
+		{62, []string{"a", "b", "c"}},      // 2^62 × 3
+	} {
+		s := MustSpace(binaryAttrs(c.attrs)...)
+		if _, err := NewCounts(s, c.outcomes); err == nil {
+			t.Errorf("NewCounts accepted 2^%d groups × %d outcomes", c.attrs, len(c.outcomes))
+		}
+		if _, err := NewCPT(s, c.outcomes); err == nil {
+			t.Errorf("NewCPT accepted 2^%d groups × %d outcomes", c.attrs, len(c.outcomes))
+		}
+	}
+}
+
 func TestSetRowValidation(t *testing.T) {
 	s := binarySpace(t)
 	c := MustCPT(s, []string{"no", "yes"})

@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -55,7 +56,8 @@ type Space struct {
 }
 
 // NewSpace builds a Space from the given attributes. Every attribute must
-// have a unique non-empty name and at least one value.
+// have a unique non-empty name and at least one value, and the number of
+// groups must fit in an int.
 func NewSpace(attrs ...Attr) (*Space, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("core: space needs at least one attribute")
@@ -79,6 +81,9 @@ func NewSpace(attrs ...Attr) (*Space, error) {
 				return nil, fmt.Errorf("core: attribute %q has duplicate value %q", a.Name, v)
 			}
 			vseen[v] = true
+		}
+		if size > math.MaxInt/len(a.Values) {
+			return nil, fmt.Errorf("core: space has more groups than an int can count (at attribute %q)", a.Name)
 		}
 		size *= len(a.Values)
 	}

@@ -29,12 +29,32 @@ func TestNewSpaceValidation(t *testing.T) {
 		{"no values", []Attr{{Name: "x", Values: nil}}},
 		{"dup attr", []Attr{{Name: "x", Values: []string{"a"}}, {Name: "x", Values: []string{"b"}}}},
 		{"dup value", []Attr{{Name: "x", Values: []string{"a", "a"}}}},
+		// 2^63 and 2^64 groups: the product wraps to a negative size or 0.
+		{"63 binary attributes", binaryAttrs(63)},
+		{"64 binary attributes", binaryAttrs(64)},
 	}
 	for _, c := range cases {
 		if _, err := NewSpace(c.attrs...); err == nil {
 			t.Errorf("%s: NewSpace accepted invalid input", c.name)
 		}
 	}
+	// 2^62 groups still fit in an int; a Space allocates nothing per group.
+	s, err := NewSpace(binaryAttrs(62)...)
+	if err != nil {
+		t.Fatalf("62 binary attributes: %v", err)
+	}
+	if s.Size() != 1<<62 {
+		t.Fatalf("62 binary attributes: Size() = %d, want 2^62", s.Size())
+	}
+}
+
+// binaryAttrs returns p binary attributes a0 … a(p−1).
+func binaryAttrs(p int) []Attr {
+	attrs := make([]Attr, p)
+	for i := range attrs {
+		attrs[i] = Attr{Name: fmt.Sprintf("a%d", i), Values: []string{"0", "1"}}
+	}
+	return attrs
 }
 
 func TestSpaceSize(t *testing.T) {

@@ -1,34 +1,33 @@
 package stream
 
-// Incremental ε maintenance: instead of re-merging every shard into a
-// snapshot and recomputing ε from scratch on each threshold check
-// (O(shards × cells) per check), the monitor keeps a running aggregate
-// that is advanced by the *deltas* each batch produced:
+// Incremental ε maintenance for the window policies: instead of
+// re-merging every shard into a snapshot and recomputing ε from scratch
+// on each threshold check (O(shards × cells) per check), a tumbling or
+// sliding monitor keeps a running aggregate that is advanced by the
+// *deltas* each batch produced:
 //
 //  1. Every shard appends (cell, ticket) pairs to a fixed-capacity dirty
 //     log as observations land (a couple of stores under the shard lock
 //     it already holds).
 //  2. A check drains the logs and folds the entries into one aggregate
 //     table — O(cells touched since the last check), not O(lattice).
-//     Windowed policies mirror the engine's epoch ring so bucket
-//     evictions emit negative deltas; exponential decay is a uniform
-//     rescale, handled by anchoring the aggregate at a weight basis and
-//     rebasing exactly like the shards themselves.
+//     The aggregate mirrors the engine's epoch ring, so bucket
+//     evictions emit negative deltas.
 //  3. The table caches each outcome's rate extrema over the supported
 //     groups (core.RateExtrema, with core.Epsilon's min-index
 //     tie-breaks); a refresh folds in only the groups the drain touched.
 //     ε and every metric limit with an extrema form
-//     (core.ExtremaMetric) are judged from those extrema, so for the
-//     integer-count window policies the incremental result is
-//     bit-identical to the full recompute. Other metrics are evaluated
-//     on a CPT filled from the aggregate — O(cells), but still no shard
-//     merge.
+//     (core.ExtremaMetric) are judged from those extrema. Other metrics
+//     are evaluated on a CPT filled from the aggregate — O(cells), but
+//     still no shard merge.
 //
-// The aggregate is *derived* state: a log overflow, a ReadState restore,
-// or the periodic rebuild interval all trigger a full rebuild from the
-// authoritative per-shard engine state, which bounds floating-point
-// drift for the exponential policy and makes WriteState/ReadState
-// byte-identical by construction (nothing incremental is serialized).
+// Window counts are integers, so every aggregate cell is an exact sum
+// of ±1 deltas and equals the merged snapshot's cell bit for bit: the
+// incremental result is the full recompute's, not an approximation of
+// it. The aggregate is *derived* state: a log overflow or a ReadState
+// restore triggers a full rebuild from the authoritative per-shard
+// engine state, and WriteState/ReadState stay byte-identical by
+// construction (nothing incremental is serialized).
 //
 // MetricSubsets extends the same machinery down the attribute-subset
 // lattice: deltas applied to the full table accumulate in a pending set
@@ -39,16 +38,15 @@ package stream
 // Every marginal caches its own rate extrema, from which ε and each
 // extrema-form metric get their ladder.
 //
-// The smoothed estimator is not invariant under the exponential policy's
-// uniform rescale (the α pseudo-count does not decay), so cached extrema
-// cannot survive decay there; the exponential policy instead re-scans
-// the aggregate for the extrema on every check (still O(cells), never
-// O(shards × cells)) and does not offer the incremental subset ladder.
+// The exponential policy has no incremental engine: its decayed
+// weights are not integers, so an aggregate folded in drain order would
+// round differently from the shard merge that its reports, Epsilon and
+// WriteState read. Its Watch checks merge the shards (Watch.CheckFull),
+// and MetricSubsets declines it.
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 
@@ -56,11 +54,9 @@ import (
 )
 
 // ErrIncrementalUnavailable is returned by Monitor.MetricSubsets for
-// monitors whose ladders it does not maintain: the exponential policy
-// (under Dirichlet smoothing the α pseudo-count does not decay with the
-// counts, so subset rates change on every tick even where no mass
-// landed) and spaces of more than maxIncAttrs attributes. Callers walk
-// the snapshot ladder instead.
+// monitors whose ladders it does not maintain: the exponential policy,
+// which has no incremental engine, and spaces of more than maxIncAttrs
+// attributes. Callers walk the snapshot ladder instead.
 var ErrIncrementalUnavailable = errors.New("stream: incremental subset ladder not available for this monitor")
 
 // maxIncAttrs caps the attributes whose subset lattice MetricSubsets
@@ -75,12 +71,6 @@ const maxIncAttrs = 16
 // triggers is no worse than the snapshot the caller would have paid
 // anyway.
 const defaultDirtyLogCap = 4096
-
-// defaultRebuildEvery bounds floating-point drift: after this many
-// drains the aggregate is rebuilt from the authoritative shard state.
-// Windowed policies are exact regardless (integer counts); the interval
-// exists for the exponential policy's accumulated rounding.
-const defaultRebuildEvery = 1 << 15
 
 // dirtyLog is one shard's append-only delta record: the cells its engine
 // touched and the tickets that touched them, recorded under the shard
@@ -186,9 +176,8 @@ func (t *incTable) reset() {
 }
 
 // addCell applies one delta to a cell, maintaining group totals, the
-// supported count and the dirty-group set. Deltas are ±integers for the
-// window policies (entries and bucket evictions) and decayed weights for
-// the exponential policy.
+// supported count and the dirty-group set. Deltas are ±integers: entries
+// and bucket evictions.
 //
 //df:hotpath
 func (t *incTable) addCell(cell int, d float64) {
@@ -361,18 +350,16 @@ type incBucket struct {
 	cells []float64
 }
 
-// incEngine is the incremental consumer attached to a Monitor: it drains
-// the shards' dirty logs into a running aggregate and derives ε (and the
-// subset ladder) from it. All state is guarded by mu; the lock order is
-// Monitor.incMu → incEngine.mu → shard mutexes.
+// incEngine is the incremental consumer attached to a window monitor: it
+// drains the shards' dirty logs into a running aggregate and derives ε
+// (and the subset ladder) from it. All state is guarded by mu; the lock
+// order is Monitor.incMu → incEngine.mu → shard mutexes.
 type incEngine struct {
 	mu sync.Mutex
 	m  *Monitor
 
-	logCap       int
-	rebuildEvery int
-	drains       int  // drains since the last rebuild
-	valid        bool // false forces a rebuild on the next sync
+	logCap int
+	valid  bool // false forces a rebuild on the next sync
 
 	// scratch for draining one shard's log outside its lock
 	scCells []int32
@@ -385,14 +372,6 @@ type incEngine struct {
 	counts *core.Counts
 	cpt    *core.CPT
 
-	// exponential policy
-	exp   bool
-	eeng  *expEngine
-	basis int64 // ticket the aggregate's weight scale is anchored at
-	invH  float64
-	invD  float64
-
-	// window policies
 	weng *winEngine
 	span int64
 	win  int
@@ -406,62 +385,50 @@ type incEngine struct {
 	pend        *cellDelta // deltas applied to full since last propagation
 }
 
-func newIncEngine(m *Monitor, logCap, rebuildEvery int) *incEngine {
+func newIncEngine(m *Monitor, eng *winEngine, logCap int) *incEngine {
 	inc := &incEngine{
-		m:            m,
-		logCap:       logCap,
-		rebuildEvery: rebuildEvery,
-		scCells:      make([]int32, logCap),
-		scTicks:      make([]int64, logCap),
-		full:         newIncTable(m.space.Size(), len(m.outcomes), m.alpha),
+		m:       m,
+		logCap:  logCap,
+		scCells: make([]int32, logCap),
+		scTicks: make([]int64, logCap),
+		full:    newIncTable(m.space.Size(), len(m.outcomes), m.alpha),
 	}
-	inc.bind(m.eng)
+	inc.bind(eng)
 	return inc
 }
 
-// bind points the engine at the monitor's current sharded engine; called
+// bind points the engine at the monitor's current window engine; called
 // at construction and again by ReadState, which swaps the engine out.
-func (inc *incEngine) bind(eng engine) {
-	switch e := eng.(type) {
-	case *expEngine:
-		inc.exp = true
-		inc.eeng = e
-		inc.invH = e.invH
-		inc.invD = e.invD
-	case *winEngine:
-		inc.weng = e
-		inc.span = e.span
-		inc.win = e.win
-		if inc.ring == nil {
-			inc.ring = make([]incBucket, e.win)
-			cells := inc.m.space.Size() * len(inc.m.outcomes)
-			for i := range inc.ring {
-				inc.ring[i] = incBucket{epoch: -1, cells: make([]float64, cells)}
-			}
+func (inc *incEngine) bind(e *winEngine) {
+	inc.weng = e
+	inc.span = e.span
+	inc.win = e.win
+	if inc.ring == nil {
+		inc.ring = make([]incBucket, e.win)
+		cells := inc.m.space.Size() * len(inc.m.outcomes)
+		for i := range inc.ring {
+			inc.ring[i] = incBucket{epoch: -1, cells: make([]float64, cells)}
 		}
 	}
 	inc.valid = false
 }
 
 // rebind is bind under the engine's own lock, for ReadState.
-func (inc *incEngine) rebind(eng engine) {
+func (inc *incEngine) rebind(eng *winEngine) {
 	inc.mu.Lock()
 	inc.bind(eng)
 	inc.mu.Unlock()
 }
 
 // sync brings the aggregate up to date with the shards: a rebuild when
-// derived state is missing, stale or drift-bounded out, otherwise a
-// drain of the dirty logs plus window evictions. mu must be held.
+// derived state is missing or a log overflowed, otherwise a drain of the
+// dirty logs plus window evictions. mu must be held.
 func (inc *incEngine) sync(now int64) {
-	inc.drains++
-	if !inc.valid || inc.drains >= inc.rebuildEvery || !inc.drain() {
+	if !inc.valid || !inc.drain() {
 		inc.rebuild(now)
 		return
 	}
-	if !inc.exp {
-		inc.evictTo(now)
-	}
+	inc.evictTo(now)
 }
 
 // drain empties every shard's dirty log into the aggregate. It returns
@@ -469,23 +436,6 @@ func (inc *incEngine) sync(now int64) {
 // must rebuild). Each log is copied out under its shard lock and applied
 // outside it, so ingestion is blocked only for the copy.
 func (inc *incEngine) drain() bool {
-	if inc.exp {
-		for i := range inc.eeng.shards {
-			s := &inc.eeng.shards[i]
-			s.mu.Lock()
-			if s.log.overflow {
-				s.mu.Unlock()
-				return false
-			}
-			n := s.log.n
-			copy(inc.scCells[:n], s.log.cells[:n])
-			copy(inc.scTicks[:n], s.log.tickets[:n])
-			s.log.n = 0
-			s.mu.Unlock()
-			inc.applyExp(inc.scCells[:n], inc.scTicks[:n])
-		}
-		return true
-	}
 	for i := range inc.weng.shards {
 		s := &inc.weng.shards[i]
 		s.mu.Lock()
@@ -501,51 +451,6 @@ func (inc *incEngine) drain() bool {
 		inc.applyWin(inc.scCells[:n], inc.scTicks[:n])
 	}
 	return true
-}
-
-// applyExp folds drained entries into the exponentially-decayed
-// aggregate: entry t contributes 2^((t−basis)/halfLife) in the
-// aggregate's basis, exactly the shard engines' own arithmetic.
-// Consecutive-ticket runs (the common case: one batch drains in order)
-// advance the weight by one multiply instead of an Exp2 each.
-//
-//df:hotpath
-func (inc *incEngine) applyExp(cells []int32, ticks []int64) {
-	t := inc.full
-	i := 0
-	for i < len(cells) {
-		tk := ticks[i]
-		if float64(tk-inc.basis)*inc.invH > rebaseLog2 {
-			inc.rebaseTo(tk - 1)
-		}
-		w := math.Exp2(float64(tk-inc.basis) * inc.invH)
-		t.addCell(int(cells[i]), w)
-		j := i + 1
-		for j < len(cells) && ticks[j] == tk+int64(j-i) &&
-			float64(ticks[j]-inc.basis)*inc.invH <= rebaseLog2 {
-			w *= inc.invD
-			t.addCell(int(cells[j]), w)
-			j++
-		}
-		i = j
-	}
-}
-
-// rebaseTo rescales the aggregate into a weight basis anchored at ticket
-// to, preserving all ratios — the aggregate-side twin of expShard.rebase.
-//
-//df:hotpath
-func (inc *incEngine) rebaseTo(to int64) {
-	factor := math.Exp2(float64(inc.basis-to) * inc.invH)
-	t := inc.full
-	for i := range t.agg {
-		t.agg[i] *= factor
-	}
-	for i := range t.ns {
-		t.ns[i] *= factor
-	}
-	t.total *= factor
-	inc.basis = to
 }
 
 // applyWin folds drained entries into the windowed aggregate via the
@@ -636,78 +541,62 @@ func (inc *incEngine) rebuild(now int64) {
 	inc.pend = nil // the fold below must not re-accumulate pending deltas
 	t := inc.full
 	t.reset()
-	if inc.exp {
-		inc.basis = now
-		for i := range inc.eeng.shards {
-			s := &inc.eeng.shards[i]
-			s.mu.Lock()
-			scale := math.Exp2(float64(s.basis-now) * inc.invH)
-			for c, v := range s.counts.Cells() {
-				if v != 0 {
-					t.addCell(c, v*scale)
-				}
-			}
-			s.log.reset()
-			s.mu.Unlock()
-		}
-	} else {
-		for i := range inc.ring {
-			inc.ring[i].epoch = -1
-			clear(inc.ring[i].cells)
-		}
-		// Merge engine buckets into the mirrored ring with the same
-		// collision rule as applyWin: only the highest epoch per slot can
-		// be inside any window that includes it.
-		for i := range inc.weng.shards {
-			s := &inc.weng.shards[i]
-			s.mu.Lock()
-			for j := range s.ring {
-				eb := &s.ring[j]
-				if eb.epoch < 0 {
-					continue
-				}
-				b := &inc.ring[int(eb.epoch%int64(inc.win))]
-				if b.epoch > eb.epoch {
-					continue
-				}
-				if b.epoch < eb.epoch {
-					clear(b.cells)
-					b.epoch = eb.epoch
-				}
-				for c, v := range eb.counts.Cells() {
-					b.cells[c] += v
-				}
-			}
-			s.log.reset()
-			s.mu.Unlock()
-		}
-		// Drop epochs outside the window ending at now, then fold the
-		// rest into the aggregate. Epochs beyond now (racing ingest that
-		// outran our ticket read) are kept: their log entries were just
-		// cleared, so the ring is their only record.
-		if now > 0 {
-			lo := (now-1)/inc.span - int64(inc.win) + 1
-			for i := range inc.ring {
-				b := &inc.ring[i]
-				if b.epoch >= 0 && b.epoch < lo {
-					clear(b.cells)
-					b.epoch = -1
-				}
-			}
-		}
-		for i := range inc.ring {
-			b := &inc.ring[i]
-			if b.epoch < 0 {
+	for i := range inc.ring {
+		inc.ring[i].epoch = -1
+		clear(inc.ring[i].cells)
+	}
+	// Merge engine buckets into the mirrored ring with the same collision
+	// rule as applyWin: only the highest epoch per slot can be inside any
+	// window that includes it.
+	for i := range inc.weng.shards {
+		s := &inc.weng.shards[i]
+		s.mu.Lock()
+		for j := range s.ring {
+			eb := &s.ring[j]
+			if eb.epoch < 0 {
 				continue
 			}
-			for c, v := range b.cells {
-				if v != 0 {
-					t.addCell(c, v)
-				}
+			b := &inc.ring[int(eb.epoch%int64(inc.win))]
+			if b.epoch > eb.epoch {
+				continue
+			}
+			if b.epoch < eb.epoch {
+				clear(b.cells)
+				b.epoch = eb.epoch
+			}
+			for c, v := range eb.counts.Cells() {
+				b.cells[c] += v
 			}
 		}
-		t.refresh()
+		s.log.reset()
+		s.mu.Unlock()
 	}
+	// Drop epochs outside the window ending at now, then fold the rest
+	// into the aggregate. Epochs beyond now (racing ingest that outran
+	// our ticket read) are kept: their log entries were just cleared, so
+	// the ring is their only record.
+	if now > 0 {
+		lo := (now-1)/inc.span - int64(inc.win) + 1
+		for i := range inc.ring {
+			b := &inc.ring[i]
+			if b.epoch >= 0 && b.epoch < lo {
+				clear(b.cells)
+				b.epoch = -1
+			}
+		}
+	}
+	for i := range inc.ring {
+		b := &inc.ring[i]
+		if b.epoch < 0 {
+			continue
+		}
+		for c, v := range b.cells {
+			if v != 0 {
+				t.addCell(c, v)
+			}
+		}
+	}
+	t.refresh()
 	if inc.nodes != nil {
 		inc.rebuildNodes()
 	}
@@ -715,68 +604,15 @@ func (inc *incEngine) rebuild(now int64) {
 		pend.clear()
 		inc.pend = pend
 	}
-	inc.drains = 0
 	inc.valid = true
-}
-
-// effectiveAt returns the aggregate's total effective mass as of ticket
-// now: the window population for windowed policies, the decayed total
-// for the exponential policy.
-func (inc *incEngine) effectiveAt(now int64) float64 {
-	if inc.exp {
-		return inc.full.total * math.Exp2(float64(inc.basis-now)*inc.invH)
-	}
-	return inc.full.total
-}
-
-// extremaLocked returns the synced aggregate's per-outcome rate
-// extrema, from which ε and every core.ExtremaMetric limit are judged.
-// Windowed policies refresh the cached extrema (O(dirty groups)); the
-// exponential policy re-scans the aggregate with the decay scale applied
-// (O(cells), but still free of the O(shards × cells) merge). mu must be
-// held.
-func (inc *incEngine) extremaLocked(now int64) *core.RateExtrema {
-	if inc.exp {
-		inc.scanExp(now)
-	} else {
-		inc.full.refresh()
-	}
-	return &inc.full.ext
-}
-
-// scanExp recomputes the extrema over the decayed aggregate: effective
-// cell counts are agg×scale, so the smoothed estimator is
-// (c·scale + α)/(ns·scale + kα) and the empirical one is the
-// scale-invariant c/ns. Supported is kept current by addCell.
-func (inc *incEngine) scanExp(now int64) {
-	t := inc.full
-	x := &t.ext
-	scale := math.Exp2(float64(inc.basis-now) * inc.invH)
-	for y := 0; y < t.k; y++ {
-		x.ResetOutcome(y)
-	}
-	for g := 0; g < t.size; g++ {
-		if t.ns[g] <= 0 {
-			continue
-		}
-		for y := 0; y < t.k; y++ {
-			var p float64
-			if t.alpha > 0 {
-				p = (t.agg[g*t.k+y]*scale + t.alpha) / (t.ns[g]*scale + t.kf*t.alpha)
-			} else {
-				p = t.agg[g*t.k+y] / t.ns[g]
-			}
-			x.Observe(y, g, p)
-		}
-	}
 }
 
 // cptLocked fills the engine's CPT buffer from the synced aggregate
 // under the monitor's estimator, for the metric limits that have no
-// extrema form. It costs O(cells) and no shard merge; for the window
-// policies the aggregate equals the merged snapshot cell for cell, so
-// the CPT is the one CheckFull builds. mu must be held.
-func (inc *incEngine) cptLocked(now int64) (*core.CPT, error) {
+// extrema form. It costs O(cells) and no shard merge; the aggregate
+// equals the merged snapshot cell for cell, so the CPT is the one
+// CheckFull builds. mu must be held.
+func (inc *incEngine) cptLocked() (*core.CPT, error) {
 	if inc.cpt == nil {
 		counts, err := core.NewCounts(inc.m.space, inc.m.outcomes)
 		if err != nil {
@@ -788,15 +624,7 @@ func (inc *incEngine) cptLocked(now int64) (*core.CPT, error) {
 		}
 		inc.counts, inc.cpt = counts, cpt
 	}
-	cells := inc.counts.Cells()
-	if inc.exp {
-		scale := math.Exp2(float64(inc.basis-now) * inc.invH)
-		for i, v := range inc.full.agg {
-			cells[i] = v * scale
-		}
-	} else {
-		copy(cells, inc.full.agg)
-	}
+	copy(inc.counts.Cells(), inc.full.agg)
 	return inc.cpt, estimate(inc.counts, inc.cpt, inc.m.alpha)
 }
 

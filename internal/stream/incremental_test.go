@@ -13,13 +13,13 @@ import (
 	"repro/internal/rng"
 )
 
-// The incremental-ε property suite: the incremental engine's contract is
-// that Check ≡ CheckFull (bit-identical for the integer-count window
-// policies, within tight relative tolerance for exponential decay) and
-// MetricSubsets ≡ core.MetricSubsetsCounts over a snapshot, across
-// every policy, estimator, shard count, ingest interleaving, log
-// overflow, periodic rebuild, and a WriteState/ReadState round trip —
-// with the ε threshold and with metric limits armed (limitSets).
+// The incremental-ε property suite: the Watch's contract is that
+// Check ≡ CheckFull bit for bit under every policy (the window policies
+// check from the incremental engine, the exponential policy from the
+// shard merge itself) and MetricSubsets ≡ core.MetricSubsetsCounts over
+// a snapshot, across every estimator, shard count, ingest interleaving,
+// log overflow, and a WriteState/ReadState round trip — with the ε
+// threshold and with metric limits armed (limitSets).
 
 func incTestSpace(t *testing.T) *core.Space {
 	t.Helper()
@@ -115,8 +115,8 @@ func sameAlert(t *testing.T, ctx string, inc, full *Alert) {
 }
 
 // checkBoth runs the incremental and full checks and asserts bit
-// equality (window policies). Returns the incremental pair for callers
-// that want to assert on the trajectory.
+// equality. Returns the incremental pair for callers that want to assert
+// on the trajectory.
 func checkBoth(t *testing.T, ctx string, w *Watch) (*Alert, float64) {
 	t.Helper()
 	ai, ei, erri := w.Check()
@@ -131,67 +131,13 @@ func checkBoth(t *testing.T, ctx string, w *Watch) (*Alert, float64) {
 	return ai, ei
 }
 
-// checkBothExp is checkBoth under relative tolerance, for the
-// exponential policy whose incremental aggregate accumulates weights in
-// a different floating-point order than the shard merge. Returns the
-// incremental alert.
-func checkBothExp(t *testing.T, ctx string, w *Watch, tol float64) *Alert {
-	t.Helper()
-	ai, ei, erri := w.Check()
-	af, ef, errf := w.CheckFull()
-	if (erri == nil) != (errf == nil) {
-		t.Fatalf("%s: error mismatch: incremental %v, full %v", ctx, erri, errf)
-	}
-	if !relEq(ei, ef, tol) {
-		t.Fatalf("%s: effective mass mismatch: incremental %v, full %v", ctx, ei, ef)
-	}
-	if (ai == nil) != (af == nil) {
-		t.Fatalf("%s: alert mismatch: incremental %v, full %v", ctx, ai, af)
-	}
-	if ai != nil {
-		if ai.Metric != af.Metric || ai.Threshold != af.Threshold || ai.SeenAt != af.SeenAt {
-			t.Fatalf("%s: alert mismatch:\n  incremental %+v\n  full        %+v", ctx, ai, af)
-		}
-		if math.IsInf(ai.Epsilon, 1) != math.IsInf(af.Epsilon, 1) || (!math.IsInf(ai.Epsilon, 1) && !relEq(ai.Epsilon, af.Epsilon, tol)) {
-			t.Fatalf("%s: alert ε mismatch: incremental %v, full %v", ctx, ai.Epsilon, af.Epsilon)
-		}
-		if ai.Witness != af.Witness && !(isWorstGap(ai.Metric) && len(w.outcomes) == 2 && mirrored(ai.Witness, af.Witness)) {
-			t.Fatalf("%s: alert witness mismatch: incremental %+v, full %+v", ctx, ai.Witness, af.Witness)
-		}
-	}
-	return ai
-}
-
-// isWorstGap reports whether an alert came from the worst-gap metric,
-// registry or custom form: the one limit whose witness may be mirrored.
-func isWorstGap(key string) bool {
-	return key == fairmetrics.WorstGap{}.Key() || key == plainMetric{fairmetrics.WorstGap{}}.Key()
-}
-
-// mirrored reports whether two witnesses name the same group pair from
-// opposite outcomes. On a binary vocabulary P(0|s) = 1 − P(1|s), so the
-// worst gap's two outcomes tie exactly in real arithmetic and the last
-// rounding bit — which differs between the decayed aggregate and the
-// shard merge — picks the reported one.
-func mirrored(a, b core.Witness) bool {
-	return a.Outcome != b.Outcome && a.GroupHi == b.GroupLo && a.GroupLo == b.GroupHi
-}
-
-func relEq(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	m := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= tol*m
-}
-
 // drive feeds rounds of mixed ingest (checked/unchecked batches and
 // single observations) with group-biased outcomes — group 0 never draws
 // outcome 1, so the empirical estimator periodically hits ε = +Inf and
 // evictions exercise support-loss transitions — comparing the
 // incremental and full checks after every round. It returns the number
 // of rounds that ended in an alert.
-func drive(t *testing.T, w *Watch, r *rng.RNG, rounds int, exp bool) int {
+func drive(t *testing.T, w *Watch, r *rng.RNG, rounds int) int {
 	t.Helper()
 	fired := 0
 	space := w.Space()
@@ -231,13 +177,7 @@ func drive(t *testing.T, w *Watch, r *rng.RNG, rounds int, exp bool) int {
 				}
 			}
 		}
-		var alert *Alert
-		if exp {
-			alert = checkBothExp(t, "round", w, 1e-9)
-		} else {
-			alert, _ = checkBoth(t, "round", w)
-		}
-		if alert != nil {
+		if alert, _ := checkBoth(t, "round", w); alert != nil {
 			fired++
 		}
 	}
@@ -245,21 +185,18 @@ func drive(t *testing.T, w *Watch, r *rng.RNG, rounds int, exp bool) int {
 }
 
 // TestIncrementalMatchesFullRecompute is the core cross-policy property:
-// for every window policy × estimator × shard count × limit set, the
-// incremental check agrees with the authoritative full recompute after
-// arbitrary interleavings of checked and unchecked ingest —
-// bit-identically for the integer-count window policies, within 1e-9
-// relative tolerance for exponential decay.
+// for every policy × estimator × shard count × limit set, Check agrees
+// with the full recompute bit for bit after arbitrary interleavings of
+// checked and unchecked ingest.
 func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	space := incTestSpace(t)
 	policies := []struct {
 		name string
 		pol  Policy
-		exp  bool
 	}{
-		{"exponential", Exponential{HalfLife: 64}, true},
-		{"tumbling", Tumbling{Window: 512}, false},
-		{"sliding", Sliding{Window: 1024, Buckets: 4}, false},
+		{"exponential", Exponential{HalfLife: 64}},
+		{"tumbling", Tumbling{Window: 512}},
+		{"sliding", Sliding{Window: 1024, Buckets: 4}},
 	}
 	seed := uint64(100)
 	fired := map[string]int{}
@@ -285,7 +222,7 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							fired[l.name] += drive(t, l.arm(t, m, 25), rng.New(seed), 60, pc.exp)
+							fired[l.name] += drive(t, l.arm(t, m, 25), rng.New(seed), 60)
 						})
 					}
 				})
@@ -360,8 +297,8 @@ func TestIncrementalLogOverflowRebuilds(t *testing.T) {
 	w := overflowLimits().arm(t, m, 0)
 	// Swap in a consumer whose logs hold only 8 entries.
 	m.incMu.Lock()
-	m.inc = newIncEngine(m, 8, defaultRebuildEvery)
-	m.eng.enableDirty(8)
+	m.inc = newIncEngine(m, m.eng.(*winEngine), 8)
+	m.eng.(*winEngine).enableDirty(8)
 	m.incMu.Unlock()
 
 	r := rng.New(21)
@@ -378,12 +315,11 @@ func TestIncrementalLogOverflowRebuilds(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A 64-entry batch into 8-entry logs must overflow at least one.
-		if eng, ok := m.eng.(*winEngine); ok {
-			for i := range eng.shards {
-				eng.shards[i].mu.Lock()
-				overflowed = overflowed || eng.shards[i].log.overflow
-				eng.shards[i].mu.Unlock()
-			}
+		eng := m.eng.(*winEngine)
+		for i := range eng.shards {
+			eng.shards[i].mu.Lock()
+			overflowed = overflowed || eng.shards[i].log.overflow
+			eng.shards[i].mu.Unlock()
 		}
 		if a, _ := checkBoth(t, "overflow", w); a != nil {
 			fired[a.Metric]++
@@ -410,36 +346,6 @@ func overflowLimits() watchLimits {
 		{fairmetrics.WorstGap{}, 0.3},
 		{core.DFEpsilon, 0.5},
 	}}
-}
-
-// TestIncrementalPeriodicRebuild forces the drift-bounding rebuild every
-// few drains and asserts it is invisible to callers.
-func TestIncrementalPeriodicRebuild(t *testing.T) {
-	space := incTestSpace(t)
-	for _, pc := range []struct {
-		name string
-		pol  Policy
-		exp  bool
-	}{
-		{"exponential", Exponential{HalfLife: 128}, true},
-		{"sliding", Sliding{Window: 512, Buckets: 4}, false},
-	} {
-		t.Run(pc.name, func(t *testing.T) {
-			m, err := New(space, []string{"no", "yes"}, Config{Policy: pc.pol, Alpha: 1, Shards: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := NewWatch(m, 10, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inc := m.ensureInc()
-			inc.mu.Lock()
-			inc.rebuildEvery = 3
-			inc.mu.Unlock()
-			drive(t, w, rng.New(33), 40, pc.exp)
-		})
-	}
 }
 
 // ladderMetrics is every registry metric plus a custom metric without
@@ -498,8 +404,8 @@ func subsetsMatchCore(t *testing.T, space *core.Space, pol Policy, shards, logCa
 	}
 	if logCap != defaultDirtyLogCap {
 		m.incMu.Lock()
-		m.inc = newIncEngine(m, logCap, defaultRebuildEvery)
-		m.eng.enableDirty(logCap)
+		m.inc = newIncEngine(m, m.eng.(*winEngine), logCap)
+		m.eng.(*winEngine).enableDirty(logCap)
 		m.incMu.Unlock()
 	}
 	r := rng.New(55)
@@ -604,10 +510,9 @@ func compareLadders(t *testing.T, key string, got, want []core.SubsetMetric) {
 	}
 }
 
-// TestEpsilonSubsetsExponentialUnavailable: the smoothed estimator is
-// not invariant under decay's uniform rescale, so the exponential policy
-// must refuse the incremental ladder rather than return a wrong one, and
-// so must a space past the attribute cap. Refusing happens before the
+// TestEpsilonSubsetsExponentialUnavailable: the exponential policy has no
+// incremental engine, so it must refuse the incremental ladder rather
+// than return a wrong one, and so must a space past the attribute cap. Refusing happens before the
 // incremental engine is attached: no engine, and no shard logs every
 // later observe would have to record.
 func TestEpsilonSubsetsExponentialUnavailable(t *testing.T) {
@@ -643,17 +548,11 @@ func TestEpsilonSubsetsExponentialUnavailable(t *testing.T) {
 	}
 }
 
-// enabledLogs counts the monitor's shards with a dirty-cell log attached.
+// enabledLogs counts the monitor's shards with a dirty-cell log attached;
+// only the window engine has logs to attach.
 func enabledLogs(m *Monitor) int {
 	n := 0
-	switch e := m.eng.(type) {
-	case *expEngine:
-		for i := range e.shards {
-			if e.shards[i].log.enabled() {
-				n++
-			}
-		}
-	case *winEngine:
+	if e, ok := m.eng.(*winEngine); ok {
 		for i := range e.shards {
 			if e.shards[i].log.enabled() {
 				n++
@@ -678,7 +577,7 @@ func TestReadStateRebuildsIncremental(t *testing.T) {
 	}
 	w1 := limits.arm(t, m1, 0)
 	r := rng.New(77)
-	drive(t, w1, r, 20, false)
+	drive(t, w1, r, 20)
 	if _, _, err := m1.MetricSubsets(ladderMetrics()); err != nil {
 		t.Fatal(err)
 	}
@@ -863,5 +762,138 @@ func TestMinEffectiveGateDefersRefresh(t *testing.T) {
 	inc.mu.Unlock()
 	if nDirty != 0 {
 		t.Fatalf("%d dirty groups left after an above-gate check", nDirty)
+	}
+}
+
+// expWatch builds a watched exponential monitor over the incremental
+// suite's space: half-life 50, α = 1, four shards, and an ε threshold
+// that the biased stream of expBatch crosses now and then.
+func expWatch(t *testing.T) *Watch {
+	t.Helper()
+	m, err := New(incTestSpace(t), []string{"no", "yes"}, Config{Policy: Exponential{HalfLife: 50}, Alpha: 1, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWatch(m, 0.9, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// expBatch draws one batch of 1–64 decisions whose positive rate rises
+// with the group index, so ε sits near expWatch's threshold.
+func expBatch(r *rng.RNG, size int) (groups, outcomes []int) {
+	n := 1 + r.Intn(64)
+	groups = make([]int, n)
+	outcomes = make([]int, n)
+	for i := range groups {
+		g := r.Intn(size)
+		y := 0
+		if r.Float64() < 0.2+0.5*float64(g)/float64(size) {
+			y = 1
+		}
+		groups[i], outcomes[i] = g, y
+	}
+	return groups, outcomes
+}
+
+// TestExponentialWatchAttachesNoEngine: an exponential Watch checks from
+// the shard merge, so building and running it attaches no incremental
+// engine and leaves every shard unlogged.
+func TestExponentialWatchAttachesNoEngine(t *testing.T) {
+	w := expWatch(t)
+	r := rng.New(3)
+	for i := 0; i < 5; i++ {
+		groups, outcomes := expBatch(r, w.Space().Size())
+		if _, _, err := w.ObserveBatchChecked(groups, outcomes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := w.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if w.inc != nil {
+		t.Error("an exponential Watch attached the incremental engine")
+	}
+	if n := enabledLogs(w.Monitor); n != 0 {
+		t.Errorf("an exponential Watch enabled %d shard dirty logs", n)
+	}
+}
+
+// TestExponentialWatchMatchesMonitor: a watched exponential monitor gives
+// one answer per state. After every checked batch, the checked effective
+// mass equals EffectiveCount and an ε alert's value and witness equal
+// Epsilon's, bit for bit.
+func TestExponentialWatchMatchesMonitor(t *testing.T) {
+	w := expWatch(t)
+	r := rng.New(5)
+	alerts := 0
+	for i := 0; i < 60; i++ {
+		groups, outcomes := expBatch(r, w.Space().Size())
+		alert, effective, err := w.ObserveBatchChecked(groups, outcomes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := w.EffectiveCount(); math.Float64bits(effective) != math.Float64bits(want) {
+			t.Fatalf("batch %d: checked effective mass %v, EffectiveCount %v", i, effective, want)
+		}
+		if alert == nil {
+			continue
+		}
+		alerts++
+		want, err := w.Epsilon()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(alert.Epsilon) != math.Float64bits(want.Epsilon) || alert.Witness != want.Witness {
+			t.Fatalf("batch %d: alert ε %v (witness %+v), Epsilon %v (witness %+v)",
+				i, alert.Epsilon, alert.Witness, want.Epsilon, want.Witness)
+		}
+	}
+	if alerts == 0 {
+		t.Fatal("no alert fired; the ε comparison exercised nothing")
+	}
+}
+
+// TestExponentialWatchRepeatsAfterRestore: a watched exponential monitor
+// restored from WriteState into a fresh watched monitor answers every
+// later checked batch exactly as the original does.
+func TestExponentialWatchRepeatsAfterRestore(t *testing.T) {
+	w1 := expWatch(t)
+	r := rng.New(9)
+	size := w1.Space().Size()
+	for i := 0; i < 20; i++ {
+		groups, outcomes := expBatch(r, size)
+		if _, _, err := w1.ObserveBatchChecked(groups, outcomes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := w1.WriteState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	w2 := expWatch(t) // watched before the restore, as dfserve's recovery does
+	if err := w2.ReadState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	alerts := 0
+	for i := 0; i < 40; i++ {
+		groups, outcomes := expBatch(r, size)
+		a1, e1, err1 := w1.ObserveBatchChecked(groups, outcomes)
+		a2, e2, err2 := w2.ObserveBatchChecked(groups, outcomes)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("batch %d: errors %v, %v", i, err1, err2)
+		}
+		if math.Float64bits(e1) != math.Float64bits(e2) {
+			t.Fatalf("batch %d: effective mass %v after restore, %v without", i, e2, e1)
+		}
+		sameAlert(t, fmt.Sprintf("batch %d after restore", i), a2, a1)
+		if a1 != nil {
+			alerts++
+		}
+	}
+	if alerts == 0 {
+		t.Fatal("no alert fired after the restore; the alert comparison exercised nothing")
 	}
 }

@@ -133,10 +133,6 @@ type engine interface {
 	// snapshotInto overwrites dst with the effective counts as of
 	// ticket now.
 	snapshotInto(dst *core.Counts, now int64) error
-	// enableDirty attaches a dirty-cell log of the given capacity to
-	// every shard, so an incremental consumer (incEngine) can drain the
-	// cells each batch touched instead of re-merging all shards.
-	enableDirty(capacity int)
 }
 
 // shardIndex routes a ticket to a shard with a splitmix64-style finalizer
@@ -180,7 +176,6 @@ type expShard struct {
 	mu     sync.Mutex
 	counts *core.Counts
 	basis  int64 // ticket the stored scale is anchored at
-	log    dirtyLog
 	_      shardPad
 }
 
@@ -225,11 +220,7 @@ func (e *expEngine) ingestOne(t int64, group, outcome int) {
 	if float64(t-s.basis)*e.invH > rebaseLog2 {
 		s.rebase(t-1, e.invH)
 	}
-	cell := group*e.k + outcome
-	s.counts.Cells()[cell] += math.Exp2(float64(t-s.basis) * e.invH)
-	if s.log.enabled() {
-		s.log.record(cell, t)
-	}
+	s.counts.Cells()[group*e.k+outcome] += math.Exp2(float64(t-s.basis) * e.invH)
 	s.mu.Unlock()
 }
 
@@ -237,7 +228,6 @@ func (e *expEngine) ingest(t0 int64, groups, outcomes []int) {
 	s := &e.shards[shardIndex(t0+1, e.mask)]
 	s.mu.Lock()
 	cells := s.counts.Cells()
-	logOn := s.log.enabled()
 	i := 0
 	for i < len(groups) {
 		chunk := len(groups) - i
@@ -250,27 +240,12 @@ func (e *expEngine) ingest(t0 int64, groups, outcomes []int) {
 		}
 		w := math.Exp2(float64(t-s.basis) * e.invH)
 		for j := 0; j < chunk; j++ {
-			cell := groups[i+j]*e.k + outcomes[i+j]
-			cells[cell] += w
+			cells[groups[i+j]*e.k+outcomes[i+j]] += w
 			w *= e.invD
-			if logOn {
-				s.log.record(cell, t+int64(j))
-			}
 		}
 		i += chunk
 	}
 	s.mu.Unlock()
-}
-
-// enableDirty attaches (or re-attaches, after ReadState swaps shard
-// state) a dirty log to every shard.
-func (e *expEngine) enableDirty(capacity int) {
-	for i := range e.shards {
-		s := &e.shards[i]
-		s.mu.Lock()
-		s.log.init(capacity)
-		s.mu.Unlock()
-	}
 }
 
 func (e *expEngine) snapshotInto(dst *core.Counts, now int64) error {
@@ -404,7 +379,9 @@ func (e *winEngine) ingest(t0 int64, groups, outcomes []int) {
 }
 
 // enableDirty attaches (or re-attaches, after ReadState swaps shard
-// state) a dirty log to every shard.
+// state) a dirty-cell log of the given capacity to every shard, so the
+// incremental consumer (incEngine) can drain the cells each batch
+// touched instead of re-merging all shards.
 func (e *winEngine) enableDirty(capacity int) {
 	for i := range e.shards {
 		s := &e.shards[i]

@@ -42,8 +42,9 @@ import (
 // tickets drawn), requires the stored policy/alpha/shape to match the
 // monitor's construction config exactly, and validates every structural
 // invariant (shard count a power of two in [1, 1024], bases and epochs
-// consistent with the ticket, cells finite and non-negative) before
-// touching the monitor, so arbitrary bytes can corrupt nothing.
+// consistent with the ticket, cells finite and non-negative, window
+// cells integral) before touching the monitor, so arbitrary bytes can
+// corrupt nothing.
 const stateMagic = "DFM1"
 
 const (
@@ -183,15 +184,17 @@ func (r *stateReader) varint() int64 {
 }
 
 // cells decodes one cell table into dst, rejecting non-finite or
-// negative values (no valid engine state contains either).
-func (r *stateReader) cells(dst []float64) {
+// negative values (no valid engine state contains either) and, when
+// whole is set, non-integral ones: window counts are sums of whole
+// observations, and the incremental engine's exactness relies on it.
+func (r *stateReader) cells(dst []float64, whole bool) {
 	raw := r.bytes(8 * len(dst))
 	if raw == nil {
 		return
 	}
 	for i := range dst {
 		v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || (whole && v != math.Trunc(v)) {
 			r.fail("cell %d holds invalid count %v", i, v)
 			return
 		}
@@ -270,7 +273,7 @@ func (m *Monitor) ReadState(r io.Reader) error {
 		for i := range e.shards {
 			s := &e.shards[i]
 			basis := sr.varint()
-			sr.cells(s.counts.Cells())
+			sr.cells(s.counts.Cells(), false)
 			if sr.err != nil {
 				return sr.err
 			}
@@ -289,7 +292,7 @@ func (m *Monitor) ReadState(r io.Reader) error {
 			for j := range s.ring {
 				b := &s.ring[j]
 				epoch := sr.varint()
-				sr.cells(b.counts.Cells())
+				sr.cells(b.counts.Cells(), true)
 				if sr.err != nil {
 					return sr.err
 				}
@@ -315,13 +318,14 @@ func (m *Monitor) ReadState(r io.Reader) error {
 
 	// Incremental ε state is derived, never serialized (which is what
 	// keeps this format byte-identical across the incremental engine's
-	// existence): if a consumer is already attached, point it at the
-	// rebuilt engine, re-enable the shard logs, and invalidate it so the
-	// next check rebuilds from the restored authoritative counts.
+	// existence): if a window monitor's consumer is already attached,
+	// point it at the rebuilt engine, re-enable the shard logs, and
+	// invalidate it so the next check rebuilds from the restored
+	// authoritative counts.
 	m.incMu.Lock()
-	if m.inc != nil {
-		eng.enableDirty(m.inc.logCap)
-		m.inc.rebind(eng)
+	if e, ok := eng.(*winEngine); ok && m.inc != nil {
+		e.enableDirty(m.inc.logCap)
+		m.inc.rebind(e)
 	}
 	m.incMu.Unlock()
 	return nil

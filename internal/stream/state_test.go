@@ -2,6 +2,8 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -263,6 +265,38 @@ func TestReadStateRejectsMalformedBytes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReadStateRejectsFractionalWindowCounts: window counts are sums of
+// whole observations, so a window state whose last cell reads 0.1 (the
+// last live bucket then holds [0 1 1 0.1]) is malformed and must not
+// restore.
+func TestReadStateRejectsFractionalWindowCounts(t *testing.T) {
+	space := core.MustSpace(core.Attr{Name: "g", Values: []string{"a", "b"}})
+	outcomes := []string{"pos", "neg"}
+	for _, pol := range []Policy{Tumbling{Window: 8}, Sliding{Window: 8, Buckets: 2}} {
+		cfg := Config{Policy: pol, Shards: 1}
+		src, err := New(space, outcomes, cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if err := src.ObserveBatch([]int{0, 1, 0, 1, 0, 1}, []int{1, 0, 1, 0, 1, 0}); err != nil {
+			t.Fatalf("ObserveBatch: %v", err)
+		}
+		state := stateOf(t, src)
+		// The last cell of the state is the last cell of the last ring slot.
+		binary.LittleEndian.PutUint64(state[len(state)-8:], math.Float64bits(0.1))
+		dst, err := New(space, outcomes, cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if err := dst.ReadState(bytes.NewReader(state)); err == nil {
+			t.Errorf("%v: ReadState restored a fractional window count", pol)
+		}
+		if dst.Seen() != 0 || dst.EffectiveCount() != 0 {
+			t.Errorf("%v: failed ReadState mutated the monitor (Seen=%d)", pol, dst.Seen())
+		}
 	}
 }
 

@@ -20,17 +20,20 @@
 //     most recent Window observations, evicted in Window/Buckets-sized
 //     bucket increments.
 //
-// Reporting is two-speed. Snapshots and one-off Epsilon calls merge the
-// shards on demand; Watch threshold checks and MetricSubsets instead
-// run on an incrementally-maintained aggregate (incremental.go) fed by
-// per-shard dirty-cell logs, so a per-batch check costs O(cells touched
-// since the last check) rather than O(shards × cells) — bit-identical
-// to the full recompute for the integer-count window policies. That
-// holds for metric limits too: ε and the metrics with an extrema form
+// Reporting is two-speed for the window policies. Snapshots and one-off
+// Epsilon calls merge the shards on demand; a window monitor's Watch
+// threshold checks and MetricSubsets instead run on an incrementally-
+// maintained aggregate (incremental.go) fed by per-shard dirty-cell
+// logs, so a per-batch check costs O(cells touched since the last
+// check) rather than O(shards × cells) — bit-identical to the full
+// recompute, because window counts are integers. That holds for metric
+// limits too: ε and the metrics with an extrema form
 // (core.ExtremaMetric: epsilon, worst_gap, worst_ratio, alpha_if,
 // demographic_parity) are judged from the aggregate's cached per-outcome
 // rate extrema, and any other metric from a CPT filled from the
-// aggregate in O(cells).
+// aggregate in O(cells). An exponential monitor's checks merge the
+// shards like its reports do, so every answer it gives, checked or not,
+// comes from the one state WriteState captures.
 //
 // Concurrency semantics: counts for the window policies are plain sums,
 // so after all writers finish, a snapshot is exactly the single-threaded
@@ -84,11 +87,12 @@ type Monitor struct {
 	snap  *core.Counts
 	cpt   *core.CPT
 
-	// inc is the lazily-attached incremental ε engine (incremental.go):
-	// Watch checks and MetricSubsets drain per-shard dirty-cell logs
-	// into a running aggregate instead of re-merging every shard. incMu
-	// guards the attachment only; inc.mu guards its state (lock order:
-	// incMu → inc.mu → shard mutexes).
+	// inc is the lazily-attached incremental ε engine of a window
+	// monitor (incremental.go): Watch checks and MetricSubsets drain
+	// per-shard dirty-cell logs into a running aggregate instead of
+	// re-merging every shard. It stays nil under the exponential policy.
+	// incMu guards the attachment only; inc.mu guards its state (lock
+	// order: incMu → inc.mu → shard mutexes).
 	incMu sync.Mutex
 	inc   *incEngine
 }
@@ -285,16 +289,21 @@ func estimate(c *core.Counts, dst *core.CPT, alpha float64) error {
 	return c.EmpiricalInto(dst)
 }
 
-// ensureInc attaches the incremental ε engine, enabling the per-shard
-// dirty-cell logs. The engine starts invalid, so its first sync rebuilds
-// from the authoritative shard state (covering anything ingested before
-// the logs existed).
+// ensureInc attaches the incremental ε engine to a window monitor,
+// enabling the per-shard dirty-cell logs, and returns it. The engine
+// starts invalid, so its first sync rebuilds from the authoritative
+// shard state (covering anything ingested before the logs existed). An
+// exponential monitor gets no engine: ensureInc returns nil.
 func (m *Monitor) ensureInc() *incEngine {
 	m.incMu.Lock()
 	defer m.incMu.Unlock()
 	if m.inc == nil {
-		m.inc = newIncEngine(m, defaultDirtyLogCap, defaultRebuildEvery)
-		m.eng.enableDirty(m.inc.logCap)
+		eng, ok := m.eng.(*winEngine)
+		if !ok {
+			return nil
+		}
+		m.inc = newIncEngine(m, eng, defaultDirtyLogCap)
+		eng.enableDirty(defaultDirtyLogCap)
 	}
 	return m.inc
 }
@@ -316,11 +325,10 @@ func (m *Monitor) ensureInc() *incEngine {
 // under the same lock hold as the ladders, so a report built from both
 // describes one state even while writers ingest concurrently; for the
 // window policies the aggregate equals a merged snapshot cell for cell.
-// The exponential policy (its smoothed estimator is not invariant under
-// decay's uniform rescale) and spaces of more than maxIncAttrs attributes
-// return ErrIncrementalUnavailable before the incremental engine is
-// attached, so declining costs nothing and leaves ingest unlogged;
-// callers walk a snapshot instead. A subset with fewer than two
+// The exponential policy (it has no incremental engine) and spaces of
+// more than maxIncAttrs attributes return ErrIncrementalUnavailable
+// before anything is attached, so declining costs nothing and leaves
+// ingest unlogged; callers walk a snapshot instead. A subset with fewer than two
 // supported groups returns an error wrapping core.ErrDegenerateSupport.
 func (m *Monitor) MetricSubsets(ms []core.Metric) (*core.Counts, [][]core.SubsetMetric, error) {
 	if _, exp := m.policy.(Exponential); exp || m.space.NumAttrs() > maxIncAttrs {
@@ -351,7 +359,7 @@ func (m *Monitor) MetricSubsets(ms []core.Metric) (*core.Counts, [][]core.Subset
 // Alert describes a threshold crossing.
 type Alert struct {
 	// Metric is the key of the fairness metric that breached; empty for
-	// the primary incremental ε threshold.
+	// the primary ε threshold.
 	Metric string
 	// Epsilon is the estimate that crossed the threshold — the breaching
 	// metric's value when Metric is non-empty.
@@ -386,18 +394,22 @@ type Watch struct {
 	Metrics []MetricThreshold
 }
 
-// NewWatch builds a threshold watch around a monitor. Building a watch
-// attaches the monitor's incremental ε engine: every check drains the
-// cells ingested since the last one instead of re-merging all shards, so
-// per-batch checked ingest stays within a small factor of unchecked.
+// NewWatch builds a threshold watch around a monitor. On a window
+// monitor, building a watch attaches the incremental ε engine: every
+// check drains the cells ingested since the last one instead of
+// re-merging all shards, so per-batch checked ingest stays within a
+// small factor of unchecked. Additional metric thresholds ride on the
+// same engine: metrics with an extrema form (core.ExtremaMetric — every
+// registry metric but subgroup) are judged from the cached rate extrema
+// at no extra scan, and any other metric costs one O(cells) CPT fill
+// from the aggregate per check plus its Eval.
 //
-// Additional metric thresholds are optional and ride on the same engine.
-// Metrics with an extrema form (core.ExtremaMetric — every registry
-// metric but subgroup) are judged from the cached rate extrema at no
-// extra scan; any other metric costs one O(cells) CPT fill from the
-// aggregate per check plus its Eval, never a shard merge. threshold may
-// be 0 (disabling the ε check) only when at least one metric threshold
-// is configured. minEffective must be finite and non-negative, and no
+// On an exponential monitor NewWatch attaches nothing and every check is
+// CheckFull: one O(shards × cells) merge, the one its Epsilon,
+// EffectiveCount and reports read, so a check agrees with them and with
+// a WriteState/ReadState restore bit for bit. threshold may be 0
+// (disabling the ε check) only when at least one metric threshold is
+// configured. minEffective must be finite and non-negative, and no
 // metric threshold may be NaN: a comparison with NaN is always false, so
 // the gate or the limit would silently never act.
 func NewWatch(m *Monitor, threshold, minEffective float64, metrics ...MetricThreshold) (*Watch, error) {
@@ -452,32 +464,38 @@ func (w *Watch) ObserveBatchChecked(groups, outcomes []int) (*Alert, float64, er
 // services that need the breach state outside an observe call (e.g.
 // when deciding whether to install a repair plan). It returns the alert
 // (nil when under threshold or below MinEffective) and the effective
-// mass of the snapshot it measured.
+// mass of the state it measured: the incremental aggregate of a window
+// monitor, the merged shards of an exponential one.
 func (w *Watch) Check() (*Alert, float64, error) { return w.check() }
 
-// check judges the thresholds against the incrementally-maintained
-// aggregate: the shards' dirty-cell logs are drained (O(cells touched
-// since the last check)), evictions/decay applied, and the per-outcome
-// rate extrema refreshed for the groups the drain touched. ε and every
-// metric limit with an extrema form (core.ExtremaMetric) are judged from
-// those extrema; any other metric is evaluated on a CPT filled from the
-// aggregate (O(cells), still no shard merge). All of them see the same
-// synced state. The MinEffective gate runs on the incrementally-
-// maintained mass before any estimator work, so a cold-start
-// ObserveChecked loop pays only the tiny drain per observation. For the
-// integer-count window policies the result is bit-identical to
-// CheckFull; the property suite pins that equivalence.
+// check judges a window monitor's thresholds against the incrementally-
+// maintained aggregate: the shards' dirty-cell logs are drained
+// (O(cells touched since the last check)), evictions applied, and the
+// per-outcome rate extrema refreshed for the groups the drain touched.
+// ε and every metric limit with an extrema form (core.ExtremaMetric) are
+// judged from those extrema; any other metric is evaluated on a CPT
+// filled from the aggregate (O(cells), still no shard merge). All of
+// them see the same synced state. The MinEffective gate runs on the
+// incrementally-maintained mass before any estimator work, so a
+// cold-start ObserveChecked loop pays only the tiny drain per
+// observation. The result is bit-identical to CheckFull; the property
+// suite pins that equivalence. An exponential monitor has no engine and
+// checks with CheckFull.
 func (w *Watch) check() (*Alert, float64, error) {
 	inc := w.ensureInc()
+	if inc == nil {
+		return w.CheckFull()
+	}
 	now := w.ticket.Load()
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	inc.sync(now)
-	effective := inc.effectiveAt(now)
+	effective := inc.full.total
 	if effective < w.MinEffective {
 		return nil, effective, nil
 	}
-	x := inc.extremaLocked(now)
+	inc.full.refresh()
+	x := &inc.full.ext
 	if w.Threshold > 0 {
 		res, err := x.Epsilon()
 		if alert, err := w.epsilonBreach(res, err); alert != nil || err != nil {
@@ -492,7 +510,7 @@ func (w *Watch) check() (*Alert, float64, error) {
 			res, err = em.EvalExtrema(x)
 		} else {
 			if cpt == nil {
-				if cpt, err = inc.cptLocked(now); err != nil {
+				if cpt, err = inc.cptLocked(); err != nil {
 					return nil, effective, fmt.Errorf("stream: metric check: %w", err)
 				}
 			}
@@ -551,13 +569,13 @@ func (w *Watch) metricBreach(mt MetricThreshold, res core.MetricResult, err erro
 	return nil, false, nil
 }
 
-// CheckFull evaluates the thresholds the pre-incremental way: one full
-// shard merge into the reporting snapshot, a from-scratch estimator
-// conversion, core.Epsilon, and Eval for every metric limit. It is
-// retained as the authoritative recompute — the oracle the incremental
-// property tests compare against and the baseline
-// BenchmarkWatchObserveBatchChecked measures the incremental path's
-// speedup over. Semantics match Check exactly.
+// CheckFull evaluates the thresholds from a full shard merge into the
+// reporting snapshot, a from-scratch estimator conversion, core.Epsilon,
+// and Eval for every metric limit. It is how an exponential monitor's
+// Watch checks, and for the window policies it is the independent
+// recompute that the incremental property tests compare Check against
+// bit for bit and that BenchmarkWatchObserveBatchChecked measures the
+// incremental path's speedup over. Semantics match Check exactly.
 func (w *Watch) CheckFull() (*Alert, float64, error) {
 	w.repMu.Lock()
 	defer w.repMu.Unlock()

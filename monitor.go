@@ -116,8 +116,8 @@ func (m *Monitor) Snapshot() (*Counts, error) { return m.inner.Snapshot() }
 func (m *Monitor) SnapshotInto(dst *Counts) error { return m.inner.SnapshotInto(dst) }
 
 // Alert describes a threshold crossing reported by a Watch. Its Metric
-// field names the breaching metric's key; it is empty for the primary
-// incremental ε threshold.
+// field names the breaching metric's key; it is empty for the primary ε
+// threshold.
 type Alert = stream.Alert
 
 // MetricThreshold pairs a fairness metric with its alert limit for
@@ -140,11 +140,14 @@ type Watch struct {
 // positive and minEffective finite and non-negative. Optional per-metric
 // thresholds (never NaN) extend alerting beyond ε, and threshold may be
 // 0 — disabling the ε check — when at least one metric threshold is
-// given. Metric limits ride on the same incremental engine as ε: every
-// registry metric but subgroup is judged from the per-outcome rate
-// extrema the engine already keeps, and any other metric from a CPT the
-// engine fills from its aggregate in O(cells) — no check merges the
-// shards.
+// given. On a tumbling or sliding monitor, checks run on the incremental
+// ε engine and metric limits ride on it too: every registry metric but
+// subgroup is judged from the per-outcome rate extrema the engine
+// already keeps, and any other metric from a CPT the engine fills from
+// its aggregate in O(cells), with no shard merge. On an exponential
+// monitor every check is CheckFull, one merge of the shards, so a check
+// agrees bit for bit with Epsilon, EffectiveCount and a restored
+// monitor.
 func NewWatch(m *Monitor, threshold, minEffective float64, metrics ...MetricThreshold) (*Watch, error) {
 	if m == nil {
 		return nil, fmt.Errorf("fairness: NewWatch: nil monitor")
@@ -176,15 +179,15 @@ func (w *Watch) ObserveBatchChecked(groups, outcomes []int) (*Alert, float64, er
 // reporting state outside an observe call (e.g. confirming the ε breach
 // that motivated a repair-plan request). Returns the alert (nil when
 // under threshold or below the minimum effective mass) and the measured
-// effective mass. Like every Watch check it runs on the incremental ε
-// engine — O(cells changed since the last check), not O(shards × cells).
+// effective mass. On a window monitor it runs on the incremental ε
+// engine — O(cells changed since the last check), not O(shards × cells);
+// on an exponential monitor it is CheckFull.
 func (w *Watch) Check() (*Alert, float64, error) { return w.inner.Check() }
 
-// CheckFull is Check computed the pre-incremental way, from a full shard
-// merge, a from-scratch ε scan and an Eval per metric limit: the
-// authoritative recompute retained for verification and benchmarking.
-// For the integer-count window policies its result is bit-identical to
-// Check.
+// CheckFull is Check computed from a full shard merge, a from-scratch ε
+// scan and an Eval per metric limit. It is how an exponential monitor's
+// watch checks; for the window policies it is the independent recompute
+// that Check equals bit for bit, kept for verification and benchmarking.
 func (w *Watch) CheckFull() (*Alert, float64, error) { return w.inner.CheckFull() }
 
 // WriteState serializes the monitor's full engine state — tickets,

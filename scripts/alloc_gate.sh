@@ -13,9 +13,12 @@
 #
 # Usage:
 #   scripts/alloc_gate.sh                  # run the benchmarks, then gate
-#   scripts/alloc_gate.sh bench_smoke.txt  # gate an existing -benchmem log
+#   scripts/alloc_gate.sh bench.txt        # gate an existing -benchmem log
 #
-# The second form lets CI reuse the bench smoke step's output.
+# CI runs the first form. A -benchtime 1x log (the bench smoke step's)
+# is not fit for the second: there one op's allocs/op also counts what
+# other goroutines of the test process allocate meanwhile, so a hot path
+# that allocates nothing can read 1 or 5.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -17,10 +17,11 @@
 # (sharded-parallel vs sharded-serial ns/op on a multi-core host;
 # single-core hosts show no parallel win) and
 # BenchmarkWatchObserveBatchChecked, whose incremental checked-ingest
-# path this script gates three ways: ≥ 5× faster than the retained
-# snapshot-recompute baseline (ε only, batch 64); with four metric
-# limits armed, at most 2× the ε-only check (batch 64); and with the
-# limits, faster than CheckFull with the same limits (batch 1,024).
+# path (window monitors) this script gates three ways: ≥ 5× faster than
+# the snapshot-recompute check, Watch.CheckFull, which exponential
+# monitors use (ε only, batch 64); with four metric limits armed, at
+# most 2× the ε-only check (batch 64); and with the limits, faster than
+# CheckFull with the same limits (batch 1,024).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,7 +36,7 @@ scripts/bench_json.sh "$out" "$pattern" . ${input:+"$input"}
 # times, and compare the median ns/op of each case (a single
 # few-millisecond pass of a ~3 µs op swings by ±50% on a shared host).
 #   1. speedup: the ε-only per-batch checked ingest must be at least 5×
-#      faster than the retained full-recompute baseline.
+#      faster than the full-recompute check (CheckFull).
 #   2. limits: arming perfbench's four metric limits may at most double
 #      the cost of the ε-only incremental check at batch 64 — the limits
 #      are judged from the extrema the ε check already keeps.
