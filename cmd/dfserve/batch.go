@@ -454,6 +454,14 @@ func unescapeKey(raw, buf []byte) (int, bool) {
 
 // scanIndices decodes the index array (or null) at b[i:] into dst and
 // returns its length and the offset just past it.
+//
+// The common element, 1–18 digits without a leading zero (a lone 0 has
+// none) directly followed by ',' or ']', is decoded inline: it is a
+// valid JSON integer below 10^18, so it needs neither scanIndex's syntax
+// checks nor its range check. Every other element (a sign, a leading
+// zero, a fraction or exponent, whitespace before the separator, 19 or
+// more digits, null, a truncated body) falls through to scanIndex, so
+// the accepted bodies and decoded values are the same either way.
 func scanIndices(b []byte, i int, dst []int) (int, int, error) {
 	if hasLiteral(b, i, "null") {
 		return 0, i + 4, nil
@@ -466,6 +474,26 @@ func scanIndices(b []byte, i int, dst []int) (int, int, error) {
 		return 0, i + 1, nil
 	}
 	for n := 0; ; {
+		if i < len(b) && b[i]-'0' <= 9 {
+			v := int(b[i] - '0')
+			j := i + 1
+			for v != 0 && j < len(b) && b[j]-'0' <= 9 && j-i < 18 {
+				v = v*10 + int(b[j]-'0')
+				j++
+			}
+			if j < len(b) {
+				switch b[j] {
+				case ',':
+					dst[n] = v
+					n++
+					i = skipSpace(b, j+1)
+					continue
+				case ']':
+					dst[n] = v
+					return n + 1, j + 1, nil
+				}
+			}
+		}
 		v, j, err := scanIndex(b, i)
 		if err != nil {
 			return 0, j, err

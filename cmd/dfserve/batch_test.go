@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -289,7 +290,11 @@ func BenchmarkHotPathBatchDecode(b *testing.B) {
 // ingestBody is one JSON observe body in the shape of perfbench's
 // ingest workload: 1,024 decisions over nine binary attributes (512
 // groups) with a zipf population skew.
-func ingestBody(tb testing.TB) []byte {
+func ingestBody(tb testing.TB) []byte { return observeBody(tb, 1024, 1) }
+
+// observeBody synthesizes one JSON observe body of batch decisions in
+// the shape of perfbench's ingest workload from the given seed.
+func observeBody(tb testing.TB, batch int, seed uint64) []byte {
 	tb.Helper()
 	attrs := make([]fairness.Attr, 9)
 	for i := range attrs {
@@ -297,7 +302,7 @@ func ingestBody(tb testing.TB) []byte {
 	}
 	synth, err := loadgen.NewSynth(loadgen.WorkloadConfig{
 		Space: fairness.MustSpace(attrs...), Outcomes: 2, Monitors: 1, GroupSkew: 0.5,
-		BatchSize: 1024, Mix: loadgen.Mix{Observe: 1}, BaseRate: 0.2, RateSpread: 0.5, Seed: 1,
+		BatchSize: batch, Mix: loadgen.Mix{Observe: 1}, BaseRate: 0.2, RateSpread: 0.5, Seed: seed,
 	}, 0)
 	if err != nil {
 		tb.Fatal(err)
@@ -305,6 +310,97 @@ func ingestBody(tb testing.TB) []byte {
 	var req loadgen.Request
 	synth.Next(&req)
 	return loadgen.AppendJSONObserve(nil, req.Groups, req.Outcomes)
+}
+
+// BenchmarkObserveHandler is the server's share of one perfbench ingest
+// request, in process: the flag defaults' mux, one monitor with
+// perfbench's ingest spec (nine binary attributes, a tumbling window of
+// 2^30, α = 1, threshold 25, min_effective 2,048 and the four metric
+// limits) warmed with 4,096 decisions, then one ingestBody POST per op
+// through ServeHTTP into a ResponseRecorder. It times body read, JSON
+// decode, validation, sharded ingest, the Watch check and the response
+// together, without the network and the client.
+func BenchmarkObserveHandler(b *testing.B) {
+	mux := newMux(serverConfig{
+		maxBody: 32 << 20, maxResamples: 100_000, maxMonitors: 1024, maxMonitorCells: 1 << 20,
+	})
+	attrs := make([]string, 9)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf(`{"name": "a%d", "values": ["0", "1"]}`, i+1)
+	}
+	spec := `{"space": [` + strings.Join(attrs, ", ") + `], "outcomes": ["y0", "y1"],
+		"window": {"size": 1073741824}, "alpha": 1, "threshold": 25, "min_effective": 2048,
+		"metrics": [{"key": "worst_gap", "threshold": 1}, {"key": "worst_ratio", "threshold": 0},
+			{"key": "alpha_if", "threshold": 1}, {"key": "demographic_parity", "threshold": 1}]}`
+	serve := func(method, path string, body []byte, want int) {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(method, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		mux.ServeHTTP(rec, req)
+		if rec.Code != want {
+			b.Fatalf("%s %s: status %d, want %d: %s", method, path, rec.Code, want, rec.Body)
+		}
+	}
+	serve(http.MethodPut, "/v1/monitors/m", []byte(spec), http.StatusCreated)
+	serve(http.MethodPost, "/v1/monitors/m/observe", observeBody(b, 4096, 2), http.StatusOK)
+	// One request, its body rewound each op, keeps the harness's own
+	// request parsing out of the measurement.
+	body := bytes.NewReader(ingestBody(b))
+	req := httptest.NewRequest(http.MethodPost, "/v1/monitors/m/observe", body)
+	req.Header.Set("Content-Type", "application/json")
+	b.SetBytes(body.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body.Seek(0, io.SeekStart)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("observe: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// BenchmarkObserveRecord times the two ways the observe handler builds
+// its WAL record for one batch in scripts/bench_serve.sh's shape
+// (dfload's default space, batch 128, seed 42): "splice" copies a
+// binary body behind the record header (encodeObserveRecordFromBatch),
+// and "encode" encodes the index arrays a JSON body decodes to
+// (encodeObserveRecord). Each case reports its wire form's body size as
+// body-bytes. bench_serve.sh gates on both: binary must send fewer
+// bytes and splice in at most half the time of the encode.
+func BenchmarkObserveRecord(b *testing.B) {
+	space := fairness.MustSpace(
+		fairness.Attr{Name: "gender", Values: []string{"0", "1"}},
+		fairness.Attr{Name: "race", Values: []string{"0", "1", "2", "3", "4"}},
+		fairness.Attr{Name: "income", Values: []string{"0", "1", "2"}},
+	)
+	synth, err := loadgen.NewSynth(loadgen.WorkloadConfig{
+		Space: space, Outcomes: 2, Monitors: 4, GroupSkew: 0.5,
+		BatchSize: 128, Mix: loadgen.Mix{Observe: 1}, BaseRate: 0.2, RateSpread: 0.5, Seed: 42,
+	}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var req loadgen.Request
+	synth.Next(&req)
+	binaryBody := loadgen.AppendBinaryBatch(nil, req.Groups, req.Outcomes)
+	jsonBody := loadgen.AppendJSONObserve(nil, req.Groups, req.Outcomes)
+	if !bytes.Equal(encodeObserveRecordFromBatch("m", binaryBody), encodeObserveRecord("m", req.Groups, req.Outcomes)) {
+		b.Fatal("spliced and encoded records differ")
+	}
+	b.Run("splice", func(b *testing.B) {
+		b.ReportMetric(float64(len(binaryBody)), "body-bytes")
+		for i := 0; i < b.N; i++ {
+			encodeObserveRecordFromBatch("m", binaryBody)
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		b.ReportMetric(float64(len(jsonBody)), "body-bytes")
+		for i := 0; i < b.N; i++ {
+			encodeObserveRecord("m", req.Groups, req.Outcomes)
+		}
+	})
 }
 
 // BenchmarkHotPathJSONBatchDecode asserts the //df:hotpath contract on

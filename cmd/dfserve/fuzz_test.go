@@ -186,6 +186,24 @@ func FuzzJSONBatch(f *testing.F) {
 		`{"groups": [-9223372036854775809], "outcomes": [1]}`,
 		`{"groups": [99999999999999999999], "outcomes": [1]}`,
 		`{"groups": [-], "outcomes": [1]}`,
+		// The fast path's edges: 17, 18 and 19 digits before ',' and
+		// ']', zeros, signs, fractions, exponents, a space before the
+		// separator, a digit as the last byte, and whitespace after a
+		// comma and before ']'.
+		`{"groups": [12345678901234567,123456789012345678], "outcomes": [1,0]}`,
+		`{"groups": [123456789012345678,12345678901234567], "outcomes": [0,1]}`,
+		`{"groups": [1234567890123456789,1], "outcomes": [0,1234567890123456789]}`,
+		`{"groups": [999999999999999999,9999999999999999999], "outcomes": [0,1]}`,
+		`{"groups": [0,1], "outcomes": [0,0]}`,
+		`{"groups": [00], "outcomes": [1]}`,
+		`{"groups": [01,1], "outcomes": [1,1]}`,
+		`{"groups": [-1,1], "outcomes": [1,1]}`,
+		`{"groups": [1.5,1], "outcomes": [1,1]}`,
+		`{"groups": [1], "outcomes": [1e2]}`,
+		`{"groups": [1 ,2], "outcomes": [1 ,0]}`,
+		`{"groups": [1,2], "outcomes": [0,1`,
+		`{"groups": [12`,
+		"{\"groups\": [1, 2 ], \"outcomes\": [0,\t1\n]}",
 		// Strings and nested values.
 		`{"groups": ["1"], "outcomes": [0]}`,
 		`{"groups": [[1]], "outcomes": [0]}`,

@@ -80,7 +80,7 @@ func main() {
 	maxBody := flag.Int64("max-body-bytes", 32<<20, "maximum request body bytes; oversized bodies get 413")
 	maxResamples := flag.Int("max-resamples", 100_000, "maximum bootstrap replicates / posterior samples per request")
 	maxMonitors := flag.Int("max-monitors", 1024, "maximum registered monitors")
-	maxMonitorCells := flag.Int("max-monitor-cells", 1<<20, "maximum stored cells per monitor stream: groups × outcomes × ingest shards (× buckets for sliding windows); a monitor with an installed repair plan stores two streams (raw + served)")
+	maxMonitorCells := flag.Int("max-monitor-cells", 1<<20, "maximum stored cells per monitor stream: groups × outcomes × ingest shards (× buckets for sliding windows); a monitor with an installed repair plan stores two streams (raw + served). Also caps the groups × outcomes table of an observations-form /v1/audit or /v1/repair body")
 	writeTimeout := flag.Duration("write-timeout", 2*time.Minute, "per-response write deadline")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive connection idle deadline")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
@@ -183,7 +183,8 @@ type serverConfig struct {
 	// subset lattice a monitor's first report attaches (3^p marginal
 	// groups over p binary attributes), so neither bounds the
 	// registry's memory; ROADMAP.md's subset-lattice item tracks that
-	// cap.
+	// cap. The cell cap also bounds the table of an observations-form
+	// /v1/audit or /v1/repair body (a counts-form body bounds its own).
 	maxMonitors     int
 	maxMonitorCells int
 	// dataDir, when set, arms the durability layer (persist.go): the
@@ -334,7 +335,7 @@ func handleAudit(w http.ResponseWriter, r *http.Request, cfg serverConfig) {
 		return
 	}
 
-	counts, err := req.buildCounts()
+	counts, err := req.buildCounts(cfg.maxMonitorCells)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -369,8 +370,12 @@ func handleAudit(w http.ResponseWriter, r *http.Request, cfg serverConfig) {
 	}
 }
 
-// buildCounts materializes the request's contingency table.
-func (req *auditRequest) buildCounts() (*core.Counts, error) {
+// buildCounts materializes the request's contingency table. The body
+// bounds the table before it is allocated: the counts form must hold a
+// row per group of a cell per outcome, and the observations form's
+// groups × outcomes may not pass maxCells (-max-monitor-cells; 0 means
+// no cap).
+func (req *auditRequest) buildCounts(maxCells int) (*core.Counts, error) {
 	if len(req.Space) == 0 {
 		return nil, fmt.Errorf("space: need at least one protected attribute")
 	}
@@ -379,10 +384,6 @@ func (req *auditRequest) buildCounts() (*core.Counts, error) {
 		attrs[i] = core.Attr{Name: a.Name, Values: a.Values}
 	}
 	space, err := core.NewSpace(attrs...)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := core.NewCounts(space, req.Outcomes)
 	if err != nil {
 		return nil, err
 	}
@@ -397,6 +398,20 @@ func (req *auditRequest) buildCounts() (*core.Counts, error) {
 			if len(row) != len(req.Outcomes) {
 				return nil, fmt.Errorf("counts: group %d has %d cells, want %d outcomes", g, len(row), len(req.Outcomes))
 			}
+		}
+	case len(req.Observations) > 0:
+		if k := max(len(req.Outcomes), 1); maxCells > 0 && space.Size() > maxCells/k {
+			return nil, fmt.Errorf("observations: %d groups × %d outcomes is more cells than this server's limit of %d", space.Size(), k, maxCells)
+		}
+	default:
+		return nil, fmt.Errorf("one of counts or observations is required")
+	}
+	counts, err := core.NewCounts(space, req.Outcomes)
+	if err != nil {
+		return nil, err
+	}
+	if len(req.Counts) > 0 {
+		for g, row := range req.Counts {
 			for y, v := range row {
 				if v == 0 {
 					continue
@@ -406,26 +421,24 @@ func (req *auditRequest) buildCounts() (*core.Counts, error) {
 				}
 			}
 		}
-	case len(req.Observations) > 0:
-		outIndex := make(map[string]int, len(req.Outcomes))
-		for i, o := range req.Outcomes {
-			outIndex[o] = i
+		return counts, nil
+	}
+	outIndex := make(map[string]int, len(req.Outcomes))
+	for i, o := range req.Outcomes {
+		outIndex[o] = i
+	}
+	for i, obs := range req.Observations {
+		g, err := space.IndexByValues(obs.Group)
+		if err != nil {
+			return nil, fmt.Errorf("observations[%d]: %w", i, err)
 		}
-		for i, obs := range req.Observations {
-			g, err := space.IndexByValues(obs.Group)
-			if err != nil {
-				return nil, fmt.Errorf("observations[%d]: %w", i, err)
-			}
-			y, ok := outIndex[obs.Outcome]
-			if !ok {
-				return nil, fmt.Errorf("observations[%d]: unknown outcome %q", i, obs.Outcome)
-			}
-			if err := counts.Observe(g, y); err != nil {
-				return nil, fmt.Errorf("observations[%d]: %w", i, err)
-			}
+		y, ok := outIndex[obs.Outcome]
+		if !ok {
+			return nil, fmt.Errorf("observations[%d]: unknown outcome %q", i, obs.Outcome)
 		}
-	default:
-		return nil, fmt.Errorf("one of counts or observations is required")
+		if err := counts.Observe(g, y); err != nil {
+			return nil, fmt.Errorf("observations[%d]: %w", i, err)
+		}
 	}
 	return counts, nil
 }

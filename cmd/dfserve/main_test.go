@@ -595,6 +595,50 @@ func TestOversizedSpacesAreBadRequests(t *testing.T) {
 	}
 }
 
+// TestAuditTableBoundedByBody: /v1/audit and /v1/repair check a body's
+// table against the body before allocating it, with the flag defaults'
+// caps. A counts body over 61 binary attributes (2^62 cells, which fit
+// an int) used to reach core.NewCounts and panic the handler in
+// makeslice; an observations body over 21 attributes (2^22 cells) is
+// above -max-monitor-cells.
+func TestAuditTableBoundedByBody(t *testing.T) {
+	srv := httptest.NewServer(newMux(serverConfig{
+		workers: 1, maxBody: 32 << 20, maxResamples: 100_000,
+		maxMonitors: 1024, maxMonitorCells: 1 << 20,
+	}))
+	defer srv.Close()
+	binarySpace := func(p int) string {
+		attrs := make([]string, p)
+		for i := range attrs {
+			attrs[i] = fmt.Sprintf(`{"name": "a%d", "values": ["0", "1"]}`, i)
+		}
+		return "[" + strings.Join(attrs, ", ") + "]"
+	}
+	group := func(p int) string {
+		vals := make([]string, p)
+		for i := range vals {
+			vals[i] = fmt.Sprintf(`"a%d": "0"`, i)
+		}
+		return "{" + strings.Join(vals, ", ") + "}"
+	}
+	bodies := map[string]string{
+		"counts, 61 attributes":       `"space": ` + binarySpace(61) + `, "outcomes": ["x", "y"], "counts": [[1, 1], [1, 1]]`,
+		"observations, 21 attributes": `"space": ` + binarySpace(21) + `, "outcomes": ["x", "y"], "observations": [{"group": ` + group(21) + `, "outcome": "x"}]`,
+	}
+	for name, body := range bodies {
+		for _, path := range []string{"/v1/audit", "/v1/repair"} {
+			opts := ""
+			if path == "/v1/repair" {
+				opts = `, "options": {"target_epsilon": 0.5}`
+			}
+			code, b := doReq(t, srv, http.MethodPost, path, "{"+body+opts+"}")
+			if code != http.StatusBadRequest {
+				t.Errorf("%s to %s: status = %d, want 400: %s", name, path, code, b)
+			}
+		}
+	}
+}
+
 func TestMonitorObserveForms(t *testing.T) {
 	srv := testServer(t)
 	resp := putMonitor(t, srv, "m", `{"space": [{"name": "g", "values": ["a", "b"]}],

@@ -93,7 +93,7 @@ func handleRepair(w http.ResponseWriter, r *http.Request, cfg serverConfig) {
 	}
 	ar := auditRequest{Space: req.Space, Outcomes: req.Outcomes,
 		Counts: req.Counts, Observations: req.Observations}
-	counts, err := ar.buildCounts()
+	counts, err := ar.buildCounts(cfg.maxMonitorCells)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

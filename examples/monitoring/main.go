@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strconv"
 	"sync"
 
 	fairness "repro"
@@ -120,13 +121,16 @@ func main() {
 		// threshold, a registry key for a metric threshold (Epsilon then
 		// holds that metric's value). The direction-aware worst_ratio
 		// check fires first here: the ratio sinks below 0.8 while the
-		// long fair history still holds the decayed ε under 1.0.
+		// long fair history still holds the decayed ε under 1.0. The
+		// value prints in its shortest exact form: rounded to a few
+		// digits, a ratio just under its limit would read as equal to it.
+		value := strconv.FormatFloat(alert.Epsilon, 'g', -1, 64)
 		if alert.Metric != "" {
-			fmt.Printf("  ALERT after %d post-deploy decisions: %s = %.3f breached %.1f\n",
-				(i+1)*50, alert.Metric, alert.Epsilon, alert.Threshold)
+			fmt.Printf("  ALERT after %d post-deploy decisions: %s = %s breached %.1f\n",
+				(i+1)*50, alert.Metric, value, alert.Threshold)
 		} else {
-			fmt.Printf("  ALERT after %d post-deploy decisions: eps = %.3f > %.1f\n",
-				(i+1)*50, alert.Epsilon, alert.Threshold)
+			fmt.Printf("  ALERT after %d post-deploy decisions: eps = %s > %.1f\n",
+				(i+1)*50, value, alert.Threshold)
 		}
 		fmt.Printf("  witness: %q favors %s over %s\n",
 			outcomes[alert.Witness.Outcome],

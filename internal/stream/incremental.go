@@ -15,7 +15,8 @@ package stream
 //     evictions emit negative deltas.
 //  3. The table caches each outcome's rate extrema over the supported
 //     groups (core.RateExtrema, with core.Epsilon's min-index
-//     tie-breaks); a refresh folds in only the groups the drain touched.
+//     tie-breaks); a refresh folds in only the groups the drain touched,
+//     or rescans once when they are at least half of the groups.
 //     ε and every metric limit with an extrema form
 //     (core.ExtremaMetric) are judged from those extrema. Other metrics
 //     are evaluated on a CPT filled from the aggregate — O(cells), but
@@ -47,6 +48,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -65,7 +67,7 @@ var ErrIncrementalUnavailable = errors.New("stream: incremental subset ladder no
 const maxIncAttrs = 16
 
 // defaultDirtyLogCap is the per-shard dirty-log capacity: 4096 entries
-// (~48 KiB/shard) absorbs dozens of max-size batches between checks;
+// (~80 KiB/shard) absorbs dozens of max-size batches between checks;
 // checked ingest drains every batch, so overflow only happens when a
 // monitor ingests heavily *without* checking, and then the rebuild it
 // triggers is no worse than the snapshot the caller would have paid
@@ -73,25 +75,34 @@ const maxIncAttrs = 16
 const defaultDirtyLogCap = 4096
 
 // dirtyLog is one shard's append-only delta record: the cells its engine
-// touched and the tickets that touched them, recorded under the shard
-// lock the writer already holds. cells == nil means logging is disabled
-// (no incremental consumer attached). A full log sets overflow and drops
-// further entries; the consumer rebuilds from shard state instead of
-// trusting an incomplete log.
+// touched, in ticket order, and the runs of consecutive tickets that
+// touched them, recorded under the shard lock the writer already holds.
+// A batch logs one run per epoch it spans, so a run's tickets all fall
+// in one epoch. cells == nil means logging is disabled (no incremental
+// consumer attached). A run that does not fit sets overflow, and
+// nothing more is logged; the consumer rebuilds from shard state instead
+// of trusting an incomplete log.
 type dirtyLog struct {
 	cells    []int32
-	tickets  []int64
-	n        int
+	runs     []logRun
+	n, nRuns int
 	overflow bool
 }
 
-// init (re)allocates the log at the given capacity. The shard lock must
-// be held.
+// logRun is one run of a dirty log: its n cells, the ones logged after
+// the previous run's, were touched by tickets first, first+1, ….
+type logRun struct {
+	first int64
+	n     int
+}
+
+// init (re)allocates the log at the given capacity. Every run holds at
+// least one cell, so runs never outnumber cells. The shard lock must be
+// held.
 func (l *dirtyLog) init(capacity int) {
 	l.cells = make([]int32, capacity)
-	l.tickets = make([]int64, capacity)
-	l.n = 0
-	l.overflow = false
+	l.runs = make([]logRun, capacity)
+	l.reset()
 }
 
 // enabled reports whether a consumer has attached a log.
@@ -100,35 +111,40 @@ func (l *dirtyLog) enabled() bool { return l.cells != nil }
 // reset empties the log after a rebuild consumed the shard's full state.
 // The shard lock must be held.
 func (l *dirtyLog) reset() {
-	l.n = 0
+	l.n, l.nRuns = 0, 0
 	l.overflow = false
 }
 
-// record appends one (cell, ticket) entry. The shard lock must be held.
+// claim appends a run of n cells touched by tickets first … first+n−1
+// and returns the slots the caller fills with those cells, in ticket
+// order. It returns nil, and sets overflow, when the run does not fit or
+// the log has already overflowed. The shard lock must be held.
 //
 //df:hotpath
-func (l *dirtyLog) record(cell int, t int64) {
-	if l.n == len(l.cells) {
+func (l *dirtyLog) claim(first int64, n int) []int32 {
+	if l.overflow || len(l.cells)-l.n < n {
 		l.overflow = true
-		return
+		return nil
 	}
-	l.cells[l.n] = int32(cell)
-	l.tickets[l.n] = t
-	l.n++
+	l.runs[l.nRuns] = logRun{first: first, n: n}
+	l.nRuns++
+	l.n += n
+	return l.cells[l.n-n : l.n]
 }
 
 // incTable is a running contingency aggregate with cached per-outcome
 // rate extrema: the state from which ε and the extrema-form metrics are
 // re-derived after a delta drain without rescanning the whole table.
-// All mutation goes through addCell, which maintains group totals, the
-// supported-group count, and a generation-stamped dirty-group set;
-// refresh then updates the cached extrema for exactly the dirty groups,
-// replicating core.Epsilon's scan semantics (strict replace, so HiG/LoG
+// All mutation goes through addCell (or addOnes), which maintains group
+// totals, the supported-group count, and a generation-stamped
+// dirty-group set; refresh then updates the cached extrema from the
+// dirty groups, replicating core.Epsilon's scan semantics (strict replace, so HiG/LoG
 // are the minimum index among argmax/argmin — witness-identical to a
 // full scan).
 type incTable struct {
-	size  int // groups
-	k     int // outcomes
+	size  int    // groups
+	k     int    // outcomes
+	kInv  uint64 // ⌈2^64/k⌉, for groupOf
 	kf    float64
 	alpha float64
 
@@ -153,6 +169,7 @@ func newIncTable(size, k int, alpha float64) *incTable {
 	return &incTable{
 		size:  size,
 		k:     k,
+		kInv:  ^uint64(0)/uint64(k) + 1,
 		kf:    float64(k),
 		alpha: alpha,
 		agg:   make([]float64, size*k),
@@ -175,13 +192,24 @@ func (t *incTable) reset() {
 	t.ext.Reset()
 }
 
+// groupOf returns the group of a cell, cell / k, without a division:
+// for kInv = ⌈2^64/k⌉ (incTable.kInv) the high word of kInv·cell is the
+// exact quotient for every cell and k below 2^32 (Lemire, Kaser & Kurz,
+// "Faster remainder by direct computation", 2019). A window monitor's
+// table has fewer than 2^31 cells (newWinEngine), and k ≥ 2 keeps kInv
+// in 64 bits.
+func groupOf(kInv uint64, cell int) int {
+	g, _ := bits.Mul64(kInv, uint64(cell))
+	return int(g)
+}
+
 // addCell applies one delta to a cell, maintaining group totals, the
 // supported count and the dirty-group set. Deltas are ±integers: entries
 // and bucket evictions.
 //
 //df:hotpath
 func (t *incTable) addCell(cell int, d float64) {
-	g := cell / t.k
+	g := groupOf(t.kInv, cell)
 	old := t.ns[g]
 	t.agg[cell] += d
 	t.ns[g] += d
@@ -200,6 +228,33 @@ func (t *incTable) addCell(cell int, d float64) {
 	}
 }
 
+// addOnes is addCell(c, 1) for each of cells in turn, with the table's
+// fields held in locals across the run and the total advanced once by
+// the run's length: window counts are integers below 2^53, so the total
+// is exact in any order.
+//
+//df:hotpath
+func (t *incTable) addOnes(cells []int32) {
+	agg, ns, stamp, dirty := t.agg, t.ns, t.stamp, t.dirty
+	kInv, gen, nDirty, supported := t.kInv, t.gen, t.nDirty, t.ext.Supported
+	for _, c := range cells {
+		g := groupOf(kInv, int(c))
+		agg[c]++
+		old := ns[g]
+		ns[g] = old + 1
+		if old <= 0 && old+1 > 0 {
+			supported++
+		}
+		if stamp[g] != gen {
+			stamp[g] = gen
+			dirty[nDirty] = int32(g)
+			nDirty++
+		}
+	}
+	t.total += float64(len(cells))
+	t.nDirty, t.ext.Supported = nDirty, supported
+}
+
 // prob is the estimator core's SmoothedInto/EmpiricalInto would compute
 // for a supported group — identical expressions, so identical bits.
 func (t *incTable) prob(g, y int) float64 {
@@ -212,10 +267,18 @@ func (t *incTable) prob(g, y int) float64 {
 // refresh folds the dirty-group set into the cached extrema. Cost is
 // O(dirty × outcomes) plus a full rescan of any outcome whose cached
 // extremum moved against itself (its group's value dropped from the top,
-// rose from the bottom, or lost support).
+// rose from the bottom, or lost support). When at least half of the
+// groups are dirty, one ascending rescan of every outcome costs less
+// than that and yields the same extrema and witnesses.
 func (t *incTable) refresh() {
-	for i := 0; i < t.nDirty; i++ {
-		t.updateGroup(int(t.dirty[i]))
+	if 2*t.nDirty >= t.size {
+		for y := 0; y < t.k; y++ {
+			t.rescan(y)
+		}
+	} else {
+		for i := 0; i < t.nDirty; i++ {
+			t.updateGroup(int(t.dirty[i]))
+		}
 	}
 	t.nDirty = 0
 	t.gen++
@@ -271,15 +334,27 @@ func (t *incTable) updateGroup(g int) {
 }
 
 // rescan recomputes one outcome's extrema from scratch, mirroring
-// core.Epsilon's per-outcome scan exactly.
+// core.Epsilon's per-outcome scan exactly: ascending groups and strict
+// replacement (RateExtrema.Observe), so each witness is the lowest index
+// at its extremum. The running extrema stay in locals, off the table's
+// memory.
 func (t *incTable) rescan(y int) {
-	x := &t.ext
-	x.ResetOutcome(y)
-	for g := 0; g < t.size; g++ {
-		if t.ns[g] > 0 {
-			x.Observe(y, g, t.prob(g, y))
+	hi, lo := math.Inf(-1), math.Inf(1)
+	hiG, loG := -1, -1
+	for g, n := range t.ns {
+		if n <= 0 {
+			continue
+		}
+		p := t.prob(g, y)
+		if p > hi {
+			hi, hiG = p, g
+		}
+		if p < lo {
+			lo, loG = p, g
 		}
 	}
+	x := &t.ext
+	x.Hi[y], x.HiG[y], x.Lo[y], x.LoG[y] = hi, hiG, lo, loG
 }
 
 // cellDelta accumulates pending cell deltas for the subset lattice: a
@@ -363,7 +438,7 @@ type incEngine struct {
 
 	// scratch for draining one shard's log outside its lock
 	scCells []int32
-	scTicks []int64
+	scRuns  []logRun
 
 	full *incTable
 
@@ -390,7 +465,7 @@ func newIncEngine(m *Monitor, eng *winEngine, logCap int) *incEngine {
 		m:       m,
 		logCap:  logCap,
 		scCells: make([]int32, logCap),
-		scTicks: make([]int64, logCap),
+		scRuns:  make([]logRun, logCap),
 		full:    newIncTable(m.space.Size(), len(m.outcomes), m.alpha),
 	}
 	inc.bind(eng)
@@ -443,57 +518,48 @@ func (inc *incEngine) drain() bool {
 			s.mu.Unlock()
 			return false
 		}
-		n := s.log.n
+		n, nr := s.log.n, s.log.nRuns
 		copy(inc.scCells[:n], s.log.cells[:n])
-		copy(inc.scTicks[:n], s.log.tickets[:n])
-		s.log.n = 0
+		copy(inc.scRuns[:nr], s.log.runs[:nr])
+		s.log.n, s.log.nRuns = 0, 0
 		s.mu.Unlock()
-		inc.applyWin(inc.scCells[:n], inc.scTicks[:n])
+		inc.applyWin(inc.scCells[:n], inc.scRuns[:nr])
 	}
 	return true
 }
 
-// applyWin folds drained entries into the windowed aggregate via the
-// epoch ring: a new epoch colliding with an old ring slot evicts the old
-// epoch first (negative deltas), and a straggler entry whose epoch was
-// already recycled is provably outside the reporting window (its epoch
-// is ≤ slotEpoch − win) and is skipped, matching the engine's own
-// snapshot filter. The epoch and ring slot are decoded once per run of
-// consecutive tickets inside one epoch — a drained batch is one such
-// run per epoch it spans — as winEngine.ingest does.
+// applyWin folds drained runs into the windowed aggregate via the epoch
+// ring: a new epoch colliding with an old ring slot evicts the old epoch
+// first (negative deltas), and a straggler run whose epoch was already
+// recycled is provably outside the reporting window (its epoch is
+// ≤ slotEpoch − win) and is skipped, matching the engine's own snapshot
+// filter. A run lies in one epoch, so its epoch and ring slot are
+// decoded once.
 //
 //df:hotpath
-func (inc *incEngine) applyWin(cells []int32, ticks []int64) {
+func (inc *incEngine) applyWin(cells []int32, runs []logRun) {
 	t := inc.full
-	i := 0
-	for i < len(cells) {
-		tk := ticks[i]
-		epoch := (tk - 1) / inc.span
-		end := len(cells)
-		if left := (epoch+1)*inc.span - tk + 1; left < int64(end-i) {
-			end = i + int(left)
-		}
-		j := i + 1
-		for j < end && ticks[j] == tk+int64(j-i) {
-			j++
-		}
+	for _, r := range runs {
+		run := cells[:r.n]
+		cells = cells[r.n:]
+		epoch := (r.first - 1) / inc.span
 		b := &inc.ring[int(epoch%int64(inc.win))]
 		if b.epoch > epoch {
-			i = j
 			continue
 		}
 		if b.epoch < epoch {
 			inc.evictBucket(b)
 			b.epoch = epoch
 		}
-		for _, c := range cells[i:j] {
+		for _, c := range run {
 			b.cells[c]++
-			t.addCell(int(c), 1)
-			if inc.pend != nil {
+		}
+		t.addOnes(run)
+		if inc.pend != nil {
+			for _, c := range run {
 				inc.pend.add(int(c), 1)
 			}
 		}
-		i = j
 	}
 }
 

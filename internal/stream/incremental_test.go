@@ -897,3 +897,174 @@ func TestExponentialWatchRepeatsAfterRestore(t *testing.T) {
 		t.Fatal("no alert fired after the restore; the alert comparison exercised nothing")
 	}
 }
+
+// TestIncrementalRefreshPaths pins both ways a check refreshes the
+// cached extrema — per dirty group when fewer than half of the groups
+// changed, one ascending rescan when at least half did — against the
+// full recompute. After every check the engine's extrema equal a scan
+// of the merged snapshot's CPT field for field (values, min-index
+// witnesses, support), Check equals CheckFull bit for bit, and every
+// few rounds the subset ladders, whose marginal tables refresh the same
+// way, equal core's walk. Rows cover two and three outcomes, sparse
+// batches under windows that never roll, dense batches, and dense
+// refreshes forced by tumbling rollovers and sliding evictions, whose
+// negative deltas take groups out of support. Small counts keep ties
+// between groups common, so a witness that is not the lowest tied
+// index shows.
+func TestIncrementalRefreshPaths(t *testing.T) {
+	space := core.MustSpace(
+		core.Attr{Name: "a", Values: []string{"0", "1"}},
+		core.Attr{Name: "b", Values: []string{"x", "y", "z"}},
+		core.Attr{Name: "c", Values: []string{"p", "q", "r", "s"}},
+	)
+	two, three := []string{"no", "yes"}, []string{"no", "maybe", "yes"}
+	const never = 1 << 20
+	rows := []struct {
+		name      string
+		outcomes  []string
+		pol       Policy
+		minBatch  int
+		maxBatch  int
+		wantDense bool // some refresh covers at least half of the groups
+		wantLost  bool // some group drops out of support
+	}{
+		{"sparse/tumbling", two, Tumbling{Window: never}, 1, 11, false, false},
+		{"sparse/sliding/three-outcomes", three, Sliding{Window: never, Buckets: 4}, 1, 11, false, false},
+		{"dense/tumbling", two, Tumbling{Window: never}, 40, 96, true, false},
+		{"dense/sliding/three-outcomes", three, Sliding{Window: never, Buckets: 4}, 40, 96, true, false},
+		{"rollover/tumbling", two, Tumbling{Window: 40}, 1, 11, true, true},
+		{"rollover/tumbling/three-outcomes", three, Tumbling{Window: 40}, 1, 11, true, true},
+		{"eviction/sliding", two, Sliding{Window: 60, Buckets: 6}, 1, 11, true, true},
+		{"eviction/sliding/three-outcomes", three, Sliding{Window: 60, Buckets: 6}, 1, 11, true, true},
+	}
+	seed := uint64(700)
+	for _, row := range rows {
+		for _, alpha := range []float64{0, 1} {
+			for _, shards := range []int{1, 4} {
+				seed++
+				name := fmt.Sprintf("%s/alpha=%g/shards=%d", row.name, alpha, shards)
+				t.Run(name, func(t *testing.T) {
+					m, err := New(space, row.outcomes, Config{Policy: row.pol, Alpha: alpha, Shards: shards})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var limits []MetricThreshold
+					for _, mt := range limitSets()[len(limitSets())-1].metrics {
+						if mt.Metric.Applicable(space, row.outcomes) == nil {
+							limits = append(limits, mt)
+						}
+					}
+					w, err := NewWatch(m, 2, 0, limits...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					inc := m.ensureInc()
+					r := rng.New(seed)
+					sparse, dense, lost := 0, 0, false
+					for round := 0; round < 120; round++ {
+						n := row.minBatch + r.Intn(row.maxBatch-row.minBatch+1)
+						groups := make([]int, n)
+						outcomes := make([]int, n)
+						for i := range groups {
+							groups[i] = r.Intn(space.Size())
+							if groups[i] != 0 { // group 0 never draws the last outcome
+								outcomes[i] = r.Intn(len(row.outcomes))
+							}
+						}
+						if err := w.ObserveBatch(groups, outcomes); err != nil {
+							t.Fatal(err)
+						}
+						// Sync ahead of the check to see the refresh it will
+						// run; the check's own sync then has nothing to add.
+						inc.mu.Lock()
+						supported := inc.full.ext.Supported
+						inc.sync(m.ticket.Load())
+						lost = lost || inc.full.ext.Supported < supported
+						if 2*inc.full.nDirty >= inc.full.size {
+							dense++
+						} else {
+							sparse++
+						}
+						inc.mu.Unlock()
+						ctx := fmt.Sprintf("round %d", round)
+						checkBoth(t, ctx, w)
+						sameExtrema(t, ctx, m, alpha)
+						if round%10 == 9 {
+							matchLadders(t, ctx, m, alpha)
+						}
+					}
+					if sparse == 0 || (dense > 0) != row.wantDense {
+						t.Fatalf("%d sparse and %d dense refreshes; this row wants dense refreshes = %v", sparse, dense, row.wantDense)
+					}
+					if lost != row.wantLost {
+						t.Fatalf("a group lost support = %v; this row wants %v", lost, row.wantLost)
+					}
+				})
+			}
+		}
+	}
+}
+
+// sameExtrema asserts that the engine's cached extrema, as the last
+// check left them, equal core's ascending scan of the merged snapshot
+// under the monitor's estimator, field for field.
+func sameExtrema(t *testing.T, ctx string, m *Monitor, alpha float64) {
+	t.Helper()
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpt, err := core.NewCPT(m.space, m.outcomes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := estimate(snap, cpt, alpha); err != nil {
+		t.Fatal(err)
+	}
+	want := core.NewRateExtrema(len(m.outcomes))
+	want.Scan(cpt)
+	inc := m.ensureInc()
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	got := &inc.full.ext
+	if got.Supported != want.Supported {
+		t.Fatalf("%s: %d supported groups, full scan %d", ctx, got.Supported, want.Supported)
+	}
+	for y := range want.Hi {
+		if math.Float64bits(got.Hi[y]) != math.Float64bits(want.Hi[y]) || got.HiG[y] != want.HiG[y] ||
+			math.Float64bits(got.Lo[y]) != math.Float64bits(want.Lo[y]) || got.LoG[y] != want.LoG[y] {
+			t.Fatalf("%s: outcome %d extrema: incremental hi %v@%d lo %v@%d, full scan hi %v@%d lo %v@%d", ctx, y,
+				got.Hi[y], got.HiG[y], got.Lo[y], got.LoG[y], want.Hi[y], want.HiG[y], want.Lo[y], want.LoG[y])
+		}
+	}
+}
+
+// matchLadders compares MetricSubsets with core's walk over a snapshot,
+// including the degenerate subsets a young window has: both fail, or
+// both return the same ladders.
+func matchLadders(t *testing.T, ctx string, m *Monitor, alpha float64) {
+	t.Helper()
+	ms := ladderMetrics()
+	counts, ladders, err := m.MetricSubsets(ms)
+	snap, serr := m.Snapshot()
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	want, werr := core.MetricSubsetsCounts(ms, snap, alpha)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("%s: MetricSubsets error %v, core walk error %v", ctx, err, werr)
+	}
+	if err != nil {
+		return
+	}
+	for i, v := range snap.Cells() {
+		if math.Float64bits(counts.Cells()[i]) != math.Float64bits(v) {
+			t.Fatalf("%s: cell %d: MetricSubsets counts %v, snapshot %v", ctx, i, counts.Cells()[i], v)
+		}
+	}
+	for j, mt := range ms {
+		if _, ok := mt.(core.ExtremaMetric); ok {
+			compareLadders(t, mt.Key(), ladders[j], want[j])
+		}
+	}
+}

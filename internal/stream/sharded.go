@@ -291,6 +291,11 @@ type winBucket struct {
 }
 
 func newWinEngine(space *core.Space, outcomes []string, shards int, span int64, win int) (engine, error) {
+	// The dirty log stores cells as int32, and the incremental engine
+	// divides them by the outcome count with a 32-bit reciprocal.
+	if space.Size() > math.MaxInt32/len(outcomes) {
+		return nil, fmt.Errorf("stream: %d groups × %d outcomes exceed a window monitor's %d cells", space.Size(), len(outcomes), math.MaxInt32)
+	}
 	e := &winEngine{
 		k:    len(outcomes),
 		span: span,
@@ -344,7 +349,9 @@ func (e *winEngine) ingestOne(t int64, group, outcome int) {
 		cell := group*e.k + outcome
 		b.counts.Cells()[cell]++
 		if s.log.enabled() {
-			s.log.record(cell, t)
+			if dst := s.log.claim(t, 1); dst != nil {
+				dst[0] = int32(cell)
+			}
 		}
 	}
 	s.mu.Unlock()
@@ -364,12 +371,16 @@ func (e *winEngine) ingest(t0 int64, groups, outcomes []int) {
 			run = rem
 		}
 		if b := s.bucketFor(epoch); b != nil {
+			gs, ys := groups[i:i+run], outcomes[i:i+run]
 			cells := b.counts.Cells()
-			for j := 0; j < run; j++ {
-				cell := groups[i+j]*e.k + outcomes[i+j]
-				cells[cell]++
-				if logOn {
-					s.log.record(cell, t+int64(j))
+			for j, g := range gs {
+				cells[g*e.k+ys[j]]++
+			}
+			if logOn {
+				if dst := s.log.claim(t, run); dst != nil {
+					for j, g := range gs {
+						dst[j] = int32(g*e.k + ys[j])
+					}
 				}
 			}
 		}
