@@ -13,6 +13,7 @@ import (
 	"repro/internal/repair"
 	"repro/internal/resample"
 	"repro/internal/rng"
+	"repro/internal/stream"
 )
 
 // auditConfig is the resolved option set of an Auditor. Options validate
@@ -299,6 +300,59 @@ func (a *Auditor) Run(ctx context.Context, counts *Counts) (*Report, error) {
 	return a.run(ctx, counts, nil, "", nil)
 }
 
+// RunMonitor audits a streaming monitor's current state, the audit twin
+// of Repairer.PlanMonitor. The monitor must be over the auditor's space
+// and outcomes; ctx is used as in Run.
+//
+// When the report includes the subset ladders under the monitor's own
+// estimator (the auditor's alpha equals the monitor's, and subsets are
+// on), window-policy monitors take them from the incremental subset
+// marginals — O(cells changed since the last report) for a warm
+// monitor, independent of the lattice size, and bit-identical to the
+// snapshot recompute they replace. That covers ε and every metric with
+// an extrema form (core.ExtremaMetric: every registry metric but
+// subgroup); only the others walk the snapshot lattice. The whole report
+// is computed from one state: the counts it audits are read from the
+// incremental engine under the same lock hold as its ladders, so the
+// full-intersection ladder rows match the headline values even while
+// writers ingest concurrently. Exponential-decay monitors, spaces of
+// more than 16 attributes, other alphas, and WithSubsets(false) audit a
+// merged snapshot with snapshot ladders; the report's ladder_source
+// says which path ran.
+//
+// A monitor keeps the bootstrap and credible sections of its last
+// report that drew any. A report with the same draw options (replicate
+// and sample counts, levels, prior, seed, estimator alpha and metric
+// values; WithWorkers does not matter) over bit-identical cells reuses
+// them instead of drawing again. The draws are a deterministic function
+// of exactly those inputs, so the reused sections are the ones a fresh
+// draw would produce, and the report stays byte-identical; an idle
+// monitor polled with one query draws once. The cost is one copy of the
+// monitor's cells plus a few summaries, allocated by the first report
+// that asks for intervals. The memo holds intervals rather than
+// rendered bytes: the draws are most of a report's CPU and their
+// summaries take a few KB whatever the lattice size, while a report's
+// bytes grow with the lattice. Run never memoizes.
+func (a *Auditor) RunMonitor(ctx context.Context, m *Monitor) (*Report, error) {
+	if m == nil {
+		return nil, fmt.Errorf("fairness: Auditor.RunMonitor: nil monitor")
+	}
+	if a.cfg.subsets && a.cfg.alpha == m.alpha {
+		counts, ladders, err := m.inner.MetricSubsets(a.metrics())
+		if err == nil {
+			return a.run(ctx, counts, ladders, LadderSourceIncremental, &m.memo)
+		}
+		if !errors.Is(err, stream.ErrIncrementalUnavailable) {
+			return nil, err
+		}
+	}
+	snap, err := m.inner.Snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("fairness: Auditor.RunMonitor: %w", err)
+	}
+	return a.run(ctx, snap, nil, LadderSourceSnapshot, &m.memo)
+}
+
 // metrics is the list every engine of a report scores: ε first, then
 // the requested metrics in request order.
 func (a *Auditor) metrics() []core.Metric {
@@ -310,7 +364,7 @@ func (a *Auditor) metrics() []core.Metric {
 // them incrementally; a nil entry, and every entry when ladders is nil,
 // is measured by one lattice walk over counts. A precomputed ladder must
 // have been measured over the same counts and estimator alpha —
-// Monitor.Audit reads both under one lock hold. ladderSource fills the
+// RunMonitor reads both under one lock hold. ladderSource fills the
 // report field of the same name. memo, when non-nil, is the calling
 // monitor's interval memo: a report whose draw inputs it holds reuses
 // its sections, and a report that draws stores them once it succeeds.

@@ -17,7 +17,13 @@ package main
 //     count × (uvarint group, uvarint outcome). That framing is exactly
 //     the WAL observe record's tail after its [kind][id] header
 //     (persist.go), so the observe handler splices a binary body straight
-//     into its durability record instead of re-encoding it.
+//     into its durability record instead of re-encoding it, and replay
+//     decodes that tail with the same decoder.
+//
+// The decoders check the framing only. Whether the indices fit the
+// monitor is the monitor's own check (fairness.Monitor.ValidateBatch),
+// which each handler runs once on the decoded batch before its WAL
+// append.
 //
 // Both decoders are //df:hotpath functions, asserted at 0 allocs/op by
 // scripts/alloc_gate.sh: their loops only index and compare.
@@ -132,13 +138,11 @@ func (s *batchScratch) size(n int) {
 }
 
 // readBatch reads one observe or decide body, in either wire form, and
-// decodes it, validating every index against the monitor's shape: a
-// record must never be committed unless replaying it will succeed. On
-// failure it writes the error response (413 for an oversized body, 400
-// otherwise) and returns ok=false; on success the caller owns the
-// scratch and must putBatchScratch it when done with the slices and
-// body.
-func readBatch(w http.ResponseWriter, req *http.Request, maxBody int64, form *batchForm, numGroups, numOutcomes int) (*batchScratch, bool) {
+// decodes it. On failure it writes the error response (413 for an
+// oversized body, 400 otherwise) and returns ok=false; on success the
+// caller owns the scratch and must putBatchScratch it when done with the
+// slices and body.
+func readBatch(w http.ResponseWriter, req *http.Request, maxBody int64, form *batchForm) (*batchScratch, bool) {
 	s := batchPool.Get().(*batchScratch)
 	body, err := readAllInto(s.body[:0], http.MaxBytesReader(w, req.Body, maxBody))
 	s.body = body
@@ -147,7 +151,7 @@ func readBatch(w http.ResponseWriter, req *http.Request, maxBody int64, form *ba
 		writeError(w, bodyErrStatus(err), fmt.Errorf("reading %s body: %w", form.name, err))
 		return nil, false
 	}
-	if err := s.decode(isBinaryBatch(req), form, numGroups, numOutcomes); err != nil {
+	if err := s.decode(isBinaryBatch(req), form); err != nil {
 		putBatchScratch(s)
 		writeError(w, http.StatusBadRequest, err)
 		return nil, false
@@ -155,11 +159,10 @@ func readBatch(w http.ResponseWriter, req *http.Request, maxBody int64, form *ba
 	return s, true
 }
 
-// decode decodes s.body in the given wire form into the index arrays
-// and validates them against the monitor's shape. The binary decode
-// bounds-checks inline; the JSON one decodes what encoding/json would
-// and leaves the shape to validateBatch.
-func (s *batchScratch) decode(binary bool, form *batchForm, numGroups, numOutcomes int) error {
+// decode decodes s.body in the given wire form into the index arrays:
+// the binary form's framing, or what encoding/json would decode from a
+// JSON body.
+func (s *batchScratch) decode(binary bool, form *batchForm) error {
 	s.binary, s.named, s.observations = binary, false, nil
 	if binary {
 		n, off, err := binaryBatchLen(s.body)
@@ -167,7 +170,7 @@ func (s *batchScratch) decode(binary bool, form *batchForm, numGroups, numOutcom
 			return err
 		}
 		s.size(n)
-		if err := decodeBinaryBatch(s.body, off, s.groups, s.outcomes, numGroups, numOutcomes); err != nil {
+		if err := decodeBinaryBatch(s.body, off, s.groups, s.outcomes); err != nil {
 			return fmt.Errorf("invalid batch body: %w", err)
 		}
 		return nil
@@ -179,24 +182,6 @@ func (s *batchScratch) decode(binary bool, form *batchForm, numGroups, numOutcom
 	if s.named {
 		if err := s.decodeNamed(); err != nil {
 			return fmt.Errorf("invalid %s body: %w", form.name, err)
-		}
-	}
-	return validateBatch(s.groups, s.outcomes, form, numGroups, numOutcomes)
-}
-
-// validateBatch bounds-checks decoded index arrays against the
-// monitor's shape, before anything is committed to the WAL.
-func validateBatch(groups, outcomes []int, form *batchForm, numGroups, numOutcomes int) error {
-	if len(groups) != len(outcomes) {
-		return fmt.Errorf("groups and %s arrays differ in length (%d vs %d)",
-			form.values, len(groups), len(outcomes))
-	}
-	for i := range groups {
-		if groups[i] < 0 || groups[i] >= numGroups {
-			return fmt.Errorf("groups[%d] = %d outside space of %d groups", i, groups[i], numGroups)
-		}
-		if outcomes[i] < 0 || outcomes[i] >= numOutcomes {
-			return fmt.Errorf("%s[%d] = %d outside %d outcomes", form.values, i, outcomes[i], numOutcomes)
 		}
 	}
 	return nil
@@ -250,10 +235,9 @@ func binaryBatchLen(body []byte) (n, off int, err error) {
 // Sentinel decode errors, allocated once: the hot decode loops must not
 // format (fmt allocates; see the hotpath analyzer).
 var (
-	errBatchTruncated    = errors.New("truncated pair")
-	errBatchTrailing     = errors.New("trailing bytes after batch")
-	errBatchGroupRange   = errors.New("group index outside the monitor's space")
-	errBatchOutcomeRange = errors.New("outcome index outside the monitor's outcomes")
+	errBatchTruncated  = errors.New("truncated pair")
+	errBatchTrailing   = errors.New("trailing bytes after batch")
+	errBatchIndexRange = errors.New("index outside the int range")
 
 	errJSONSyntax       = errors.New("malformed JSON")
 	errJSONTrailing     = errors.New("trailing data after the JSON value")
@@ -265,12 +249,12 @@ var (
 )
 
 // decodeBinaryBatch decodes len(groups) (group, outcome) uvarint pairs
-// from body starting at off into the preallocated index arrays,
-// bounds-checking every index inline — by the time it returns nil the
-// batch is fully validated against the monitor's shape.
+// from body starting at off into the preallocated index arrays, and
+// refuses a truncated pair, an index past the int range, or bytes after
+// the last pair.
 //
 //df:hotpath
-func decodeBinaryBatch(body []byte, off int, groups, outcomes []int, numGroups, numOutcomes int) error {
+func decodeBinaryBatch(body []byte, off int, groups, outcomes []int) error {
 	for i := range groups {
 		g, n := binary.Uvarint(body[off:])
 		if n <= 0 {
@@ -282,11 +266,8 @@ func decodeBinaryBatch(body []byte, off int, groups, outcomes []int, numGroups, 
 			return errBatchTruncated
 		}
 		off += n
-		if g >= uint64(numGroups) {
-			return errBatchGroupRange
-		}
-		if y >= uint64(numOutcomes) {
-			return errBatchOutcomeRange
+		if g|y > math.MaxInt {
+			return errBatchIndexRange
 		}
 		groups[i] = int(g)
 		outcomes[i] = int(y)

@@ -281,7 +281,7 @@ func BenchmarkHotPathBatchDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := decodeBinaryBatch(body, off, groups, outcomes, 4, 2); err != nil {
+		if err := decodeBinaryBatch(body, off, groups, outcomes); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -376,14 +376,7 @@ func handleAudit(w http.ResponseWriter, r *http.Request, cfg serverConfig) {
 // groups × outcomes may not pass maxCells (-max-monitor-cells; 0 means
 // no cap).
 func (req *auditRequest) buildCounts(maxCells int) (*core.Counts, error) {
-	if len(req.Space) == 0 {
-		return nil, fmt.Errorf("space: need at least one protected attribute")
-	}
-	attrs := make([]core.Attr, len(req.Space))
-	for i, a := range req.Space {
-		attrs[i] = core.Attr{Name: a.Name, Values: a.Values}
-	}
-	space, err := core.NewSpace(attrs...)
+	space, err := newSpace(req.Space)
 	if err != nil {
 		return nil, err
 	}
@@ -423,24 +416,50 @@ func (req *auditRequest) buildCounts(maxCells int) (*core.Counts, error) {
 		}
 		return counts, nil
 	}
-	outIndex := make(map[string]int, len(req.Outcomes))
-	for i, o := range req.Outcomes {
-		outIndex[o] = i
+	groups, outcomes, err := lowerObservations(space, req.Outcomes, req.Observations)
+	if err != nil {
+		return nil, err
 	}
-	for i, obs := range req.Observations {
-		g, err := space.IndexByValues(obs.Group)
-		if err != nil {
-			return nil, fmt.Errorf("observations[%d]: %w", i, err)
-		}
-		y, ok := outIndex[obs.Outcome]
-		if !ok {
-			return nil, fmt.Errorf("observations[%d]: unknown outcome %q", i, obs.Outcome)
-		}
-		if err := counts.Observe(g, y); err != nil {
+	for i := range groups {
+		if err := counts.Observe(groups[i], outcomes[i]); err != nil {
 			return nil, fmt.Errorf("observations[%d]: %w", i, err)
 		}
 	}
 	return counts, nil
+}
+
+// newSpace builds the protected-attribute space of a request's or a
+// monitor spec's attribute list.
+func newSpace(specs []attrSpec) (*core.Space, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("space: need at least one protected attribute")
+	}
+	attrs := make([]core.Attr, len(specs))
+	for i, a := range specs {
+		attrs[i] = core.Attr{Name: a.Name, Values: a.Values}
+	}
+	return core.NewSpace(attrs...)
+}
+
+// lowerObservations maps named observations to group and outcome
+// indices over the space and outcome labels.
+func lowerObservations(space *core.Space, labels []string, obs []observation) (groups, outcomes []int, err error) {
+	index := make(map[string]int, len(labels))
+	for i, o := range labels {
+		index[o] = i
+	}
+	groups, outcomes = make([]int, len(obs)), make([]int, len(obs))
+	for i, o := range obs {
+		if groups[i], err = space.IndexByValues(o.Group); err != nil {
+			return nil, nil, fmt.Errorf("observations[%d]: %w", i, err)
+		}
+		y, ok := index[o.Outcome]
+		if !ok {
+			return nil, nil, fmt.Errorf("observations[%d]: unknown outcome %q", i, o.Outcome)
+		}
+		outcomes[i] = y
+	}
+	return groups, outcomes, nil
 }
 
 // checkLimits enforces the server's resource ceiling on the

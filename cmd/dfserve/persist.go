@@ -19,11 +19,12 @@ package main
 // recovery (snapshot + wal.Replay), so a broken disk demotes the node
 // instead of silently dropping acknowledged observations.
 //
-// Locking protocol: observe/decide/plan-install hold persistMu.RLock
-// around append+apply; PUT/DELETE hold it exclusively (they swap whole
-// entries and must not interleave with in-flight observes on the old
-// entry); snapshot capture holds it exclusively so the captured
-// (walSeq, state) pair is consistent. WAL order is apply order on
+// Locking protocol: observe, decide and plan install all write through
+// registry.commit, which holds persistMu.RLock around append+apply;
+// PUT/DELETE hold it exclusively (they swap whole entries and must not
+// interleave with in-flight observes on the old entry); snapshot capture
+// holds it exclusively so the captured (walSeq, state) pair is
+// consistent. WAL order is apply order on
 // replay: under concurrent ingest the live ticket order may differ from
 // WAL order within the racing batches' reorder window — the same
 // documented tolerance as live concurrency itself; sequential clients
@@ -97,37 +98,78 @@ func (d *durability) degrade(reason string) {
 }
 
 // commit appends one record and makes it durable under the configured
-// fsync policy. Any failure degrades the server.
+// fsync policy. It refuses once the server is degraded, and any failure
+// degrades it; either way the error is the 503 text every mutation
+// answers, so the client does not believe the write stuck.
 func (d *durability) commit(payload []byte) error {
+	if reason := d.degraded(); reason != "" {
+		return degradedError(reason)
+	}
 	if _, err := d.log.Append(payload); err != nil {
 		d.degrade(fmt.Sprintf("wal append failed: %v", err))
-		return err
+		return degradedError(d.degraded())
 	}
 	if err := d.log.Sync(); err != nil {
 		d.degrade(fmt.Sprintf("wal sync failed: %v", err))
-		return err
+		return degradedError(d.degraded())
 	}
 	return nil
 }
 
-// writeDegraded is the mutating endpoints' 503 when the store is
-// read-only: the client must not believe the write stuck.
-func writeDegraded(w http.ResponseWriter, reason string) {
-	writeError(w, http.StatusServiceUnavailable,
-		fmt.Errorf("server is in degraded read-only mode: %s", reason))
+func degradedError(reason string) error {
+	return fmt.Errorf("server is in degraded read-only mode: %s", reason)
 }
 
 // guardMutation returns false (and writes the 503) when the registry
 // has a store that can no longer accept writes.
 func (r *registry) guardMutation(w http.ResponseWriter) bool {
-	if r.store == nil {
-		return true
-	}
 	if reason := r.store.degraded(); reason != "" {
-		writeDegraded(w, reason)
+		writeError(w, http.StatusServiceUnavailable, degradedError(reason))
 		return false
 	}
 	return true
+}
+
+// commit is the one write path of observe, decide and plan install.
+// Under persistMu held shared, so that a snapshot sees both or neither,
+// it checks that e is still the registered entry (409), commits the
+// record to the WAL (503 once degraded), and then applies the mutation
+// in memory (422 if that fails). Without a store it only applies, and
+// record is never called. It returns 0, or the HTTP status for the
+// error; a record that cannot be encoded is a 500.
+func (r *registry) commit(e *monitorEntry, record func() ([]byte, error), apply func() error) (int, error) {
+	if r.store != nil {
+		rec, err := record()
+		if err != nil {
+			return http.StatusInternalServerError, err
+		}
+		r.persistMu.RLock()
+		defer r.persistMu.RUnlock()
+		if cur, still := r.lookup(e.id); !still || cur != e {
+			return http.StatusConflict, fmt.Errorf("monitor %q was concurrently replaced; retry", e.id)
+		}
+		if err := r.store.commit(rec); err != nil {
+			return http.StatusServiceUnavailable, err
+		}
+	}
+	if err := apply(); err != nil {
+		return http.StatusUnprocessableEntity, err
+	}
+	return 0, nil
+}
+
+// commitSwap commits the record of a PUT or DELETE, which swap whole
+// entries and so call it with persistMu held exclusively. It shares
+// commit's WAL step and 503 error; without a store it does nothing.
+func (r *registry) commitSwap(kind byte, v any) error {
+	if r.store == nil {
+		return nil
+	}
+	rec, err := encodeJSONRecord(kind, v)
+	if err != nil {
+		return err
+	}
+	return r.store.commit(rec)
 }
 
 // ---- record encoding ----
@@ -160,6 +202,23 @@ func encodeJSONRecord(kind byte, v any) ([]byte, error) {
 	return append([]byte{kind}, body...), nil
 }
 
+// record renders the plan as a planRecord's JSON: the body of a
+// plan-install WAL record and of a snapshot's plan entry.
+func (lp *livePlan) record(id string) ([]byte, error) {
+	planJSON, err := json.Marshal(lp.plan)
+	if err != nil {
+		return nil, fmt.Errorf("encoding plan: %w", err)
+	}
+	return json.Marshal(planRecord{
+		ID:          id,
+		Version:     lp.version,
+		AutoRefresh: lp.autoRefresh,
+		Spec:        lp.spec,
+		Plan:        planJSON,
+		Tickets:     lp.tickets.Load(),
+	})
+}
+
 func encodeObserveRecord(id string, groups, outcomes []int) []byte {
 	buf := make([]byte, 0, 16+len(id)+4*len(groups))
 	buf = append(buf, recObserve)
@@ -178,7 +237,7 @@ func encodeObserveRecord(id string, groups, outcomes []int) []byte {
 // body: the wire framing after the record's [kind][id] header IS the
 // batch framing, so the client's bytes are spliced in verbatim — the
 // binary observe path commits to the WAL without re-encoding. The
-// caller must have validated the batch first (readBatch does).
+// caller must have validated the batch first.
 func encodeObserveRecordFromBatch(id string, batch []byte) []byte {
 	buf := make([]byte, 0, 16+len(id)+len(batch))
 	buf = append(buf, recObserve)
@@ -215,6 +274,15 @@ func (r *recReader) uvarint() (uint64, error) {
 	}
 	r.off += n
 	return v, nil
+}
+
+// id decodes a record's uvarint-length-prefixed monitor id.
+func (r *recReader) id() (string, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return "", err
+	}
+	return r.str(n)
 }
 
 func (r *recReader) str(n uint64) (string, error) {
@@ -271,33 +339,18 @@ func (r *registry) applyRecord(payload []byte) error {
 		return nil
 	case recObserve:
 		rr := &recReader{buf: body}
-		idLen, err := rr.uvarint()
+		id, err := rr.id()
 		if err != nil {
 			return fmt.Errorf("observe record: %w", err)
 		}
-		id, err := rr.str(idLen)
+		tail := body[rr.off:]
+		n, off, err := binaryBatchLen(tail)
 		if err != nil {
 			return fmt.Errorf("observe record: %w", err)
 		}
-		n, err := rr.uvarint()
-		if err != nil {
+		groups, outcomes := make([]int, n), make([]int, n)
+		if err := decodeBinaryBatch(tail, off, groups, outcomes); err != nil {
 			return fmt.Errorf("observe record: %w", err)
-		}
-		if err := rr.pairs(n); err != nil {
-			return fmt.Errorf("observe record: %w", err)
-		}
-		groups := make([]int, n)
-		outcomes := make([]int, n)
-		for i := range groups {
-			g, err := rr.uvarint()
-			if err != nil {
-				return fmt.Errorf("observe record: %w", err)
-			}
-			y, err := rr.uvarint()
-			if err != nil {
-				return fmt.Errorf("observe record: %w", err)
-			}
-			groups[i], outcomes[i] = int(g), int(y)
 		}
 		e, ok := r.monitors[id]
 		if !ok {
@@ -319,11 +372,7 @@ func (r *registry) applyRecord(payload []byte) error {
 		return e.installPlanFromRecord(&rec, r.cfg.maxMonitorCells)
 	case recDecide:
 		rr := &recReader{buf: body}
-		idLen, err := rr.uvarint()
-		if err != nil {
-			return fmt.Errorf("decide record: %w", err)
-		}
-		id, err := rr.str(idLen)
+		id, err := rr.id()
 		if err != nil {
 			return fmt.Errorf("decide record: %w", err)
 		}
@@ -367,11 +416,20 @@ func (r *registry) applyRecord(payload []byte) error {
 		}
 		// The record carries both streams' decisions, so replay does
 		// not re-run the applier — only the counts and ticket clocks
-		// move, exactly as the live handler moved them.
-		if err := e.mon.ObserveBatch(groups, raw); err != nil {
+		// move, exactly as the live handler moved them. Both columns are
+		// checked before either stream moves.
+		rawBatch, err := e.mon.ValidateBatch(groups, raw)
+		if err != nil {
 			return fmt.Errorf("decide record raw stream: %w", err)
 		}
-		if err := served.ObserveBatch(groups, repaired); err != nil {
+		servedBatch, err := served.ValidateBatch(groups, repaired)
+		if err != nil {
+			return fmt.Errorf("decide record served stream: %w", err)
+		}
+		if err := e.mon.ObserveValidated(rawBatch); err != nil {
+			return fmt.Errorf("decide record raw stream: %w", err)
+		}
+		if err := served.ObserveValidated(servedBatch); err != nil {
 			return fmt.Errorf("decide record served stream: %w", err)
 		}
 		if end := ticket + n; end > lp.tickets.Load() {
@@ -474,18 +532,7 @@ func (r *registry) captureLocked() ([]byte, error) {
 		}
 
 		if lp := e.live.Load(); lp != nil {
-			planJSON, err := json.Marshal(lp.plan)
-			if err != nil {
-				return nil, fmt.Errorf("capturing %q plan: %w", e.id, err)
-			}
-			rec, err := json.Marshal(planRecord{
-				ID:          e.id,
-				Version:     lp.version,
-				AutoRefresh: lp.autoRefresh,
-				Spec:        lp.spec,
-				Plan:        planJSON,
-				Tickets:     lp.tickets.Load(),
-			})
+			rec, err := lp.record(e.id)
 			if err != nil {
 				return nil, fmt.Errorf("capturing %q plan record: %w", e.id, err)
 			}
@@ -608,30 +655,45 @@ func (r *registry) restoreSnapshot(payload []byte) error {
 	return nil
 }
 
-// maybeSnapshot writes a snapshot when enough records accumulated since
-// the last one. Called after mutations, outside persistMu.
+// maybeSnapshot writes a snapshot once -snapshot-interval records
+// arrived since the last one. Called after mutations, outside persistMu.
 func (r *registry) maybeSnapshot() {
-	d := r.store
-	if d == nil || d.log == nil || d.degraded() != "" {
-		return
+	if d := r.store; d != nil && d.degraded() == "" {
+		r.snapshot(d.snapInterval)
 	}
-	if d.log.Seq()-d.lastSnap.Load() < d.snapInterval {
-		return
-	}
-	r.snapshotNow()
 }
 
-// snapshotNow captures and persists one snapshot, then prunes fully-
-// covered WAL segments. Capture stops the world (persistMu exclusive);
-// the file write happens outside the lock.
-func (r *registry) snapshotNow() {
+// closeStore runs the clean-shutdown sequence: a final snapshot when
+// any record arrived since the last one (so the next boot replays
+// nothing) and a synced WAL close. A degraded server writes no final
+// snapshot: its memory can hold what its log never recorded, such as
+// the decide tickets a batch refused with a 503 claimed, so its next
+// boot recovers from the log alone, as after an abrupt stop.
+func (r *registry) closeStore() {
 	d := r.store
 	if d == nil || d.log == nil {
 		return
 	}
+	if d.degraded() == "" {
+		r.snapshot(1)
+	}
+	if err := d.log.Close(); err != nil {
+		log.Printf("dfserve: wal close: %v", err)
+	}
+}
+
+// snapshot captures and persists one snapshot when at least min
+// records arrived since the last one, then prunes the WAL segments it
+// covers. Capture stops the world (persistMu exclusive); the file write
+// happens outside that lock, under snapMu.
+func (r *registry) snapshot(min uint64) {
+	d := r.store
+	if d.log.Seq()-d.lastSnap.Load() < min {
+		return
+	}
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
-	if d.log.Seq()-d.lastSnap.Load() < d.snapInterval {
+	if d.log.Seq()-d.lastSnap.Load() < min {
 		return // another goroutine snapshotted while we waited
 	}
 
@@ -651,49 +713,6 @@ func (r *registry) snapshotNow() {
 	if err := d.log.PruneTo(seq); err != nil {
 		log.Printf("dfserve: wal prune failed: %v", err)
 	}
-}
-
-// closeStore runs the clean-shutdown sequence: a final snapshot (so the
-// next boot replays nothing) and a synced WAL close. A degraded server
-// writes no final snapshot: its memory can hold what its log never
-// recorded, such as the decide tickets a batch refused with a 503
-// claimed, so its next boot recovers from the log alone, as after an
-// abrupt stop.
-func (r *registry) closeStore() {
-	d := r.store
-	if d == nil || d.log == nil {
-		return
-	}
-	if d.degraded() == "" {
-		r.finalSnapshot()
-	}
-	if err := d.log.Close(); err != nil {
-		log.Printf("dfserve: wal close: %v", err)
-	}
-}
-
-// finalSnapshot writes the clean-shutdown snapshot when records arrived
-// since the last one.
-func (r *registry) finalSnapshot() {
-	d := r.store
-	d.snapMu.Lock()
-	r.persistMu.Lock()
-	seq := d.log.Seq()
-	payload, err := r.captureLocked()
-	r.persistMu.Unlock()
-	if err == nil && seq > d.lastSnap.Load() {
-		if err := wal.WriteSnapshot(d.dir, seq, payload); err != nil {
-			log.Printf("dfserve: final snapshot failed: %v", err)
-		} else {
-			d.lastSnap.Store(seq)
-			if err := d.log.PruneTo(seq); err != nil {
-				log.Printf("dfserve: wal prune failed: %v", err)
-			}
-		}
-	} else if err != nil {
-		log.Printf("dfserve: final snapshot capture failed: %v", err)
-	}
-	d.snapMu.Unlock()
 }
 
 // ---- boot ----

@@ -499,7 +499,9 @@ func TestApplyRecordRejectsCorruptRecords(t *testing.T) {
 		"observe torn id":     {recObserve, 5, 'm'},
 		"observe huge n":      append([]byte{recObserve, 1, 'm'}, hugeN...),
 		"observe torn pairs":  {recObserve, 1, 'm', 2, 0, 1},
-		"observe unknown id":  {recObserve, 1, 'x', 0},
+		"observe unknown id":  {recObserve, 1, 'x', 1, 0, 0},
+		"observe zero pairs":  {recObserve, 1, 'm', 0},
+		"observe trailing":    {recObserve, 1, 'm', 1, 0, 1, 7},
 		"observe bad group":   {recObserve, 1, 'm', 1, 9, 0},
 		"observe bad outcome": {recObserve, 1, 'm', 1, 0, 9},
 		"decide empty body":   {recDecide},

@@ -129,14 +129,7 @@ func (s *monitorSpec) build(maxCells int) (*fairness.Monitor, *fairness.Watch, e
 	if s.Window != nil && s.Window.Buckets < 0 {
 		return nil, nil, fmt.Errorf("window.buckets must be non-negative, got %d", s.Window.Buckets)
 	}
-	if len(s.Space) == 0 {
-		return nil, nil, fmt.Errorf("space: need at least one protected attribute")
-	}
-	attrs := make([]fairness.Attr, len(s.Space))
-	for i, a := range s.Space {
-		attrs[i] = fairness.Attr{Name: a.Name, Values: a.Values}
-	}
-	space, err := fairness.NewSpace(attrs...)
+	space, err := newSpace(s.Space)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -237,17 +230,11 @@ func (r *registry) handlePut(w http.ResponseWriter, req *http.Request) {
 			fmt.Errorf("monitor count limit %d reached", r.cfg.maxMonitors))
 		return
 	}
-	if r.store != nil {
-		rec, err := encodeJSONRecord(recMonitorPut, putRecord{ID: id, Spec: spec})
-		if err == nil {
-			err = r.store.commit(rec)
-		}
-		if err != nil {
-			r.mu.Unlock()
-			r.persistMu.Unlock()
-			writeDegraded(w, r.store.degraded())
-			return
-		}
+	if err := r.commitSwap(recMonitorPut, putRecord{ID: id, Spec: spec}); err != nil {
+		r.mu.Unlock()
+		r.persistMu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
 	}
 	r.monitors[id] = entry
 	r.mu.Unlock()
@@ -292,17 +279,11 @@ func (r *registry) handleDelete(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no monitor %q", id))
 		return
 	}
-	if r.store != nil {
-		rec, err := encodeJSONRecord(recMonitorDelete, deleteRecord{ID: id})
-		if err == nil {
-			err = r.store.commit(rec)
-		}
-		if err != nil {
-			r.mu.Unlock()
-			r.persistMu.Unlock()
-			writeDegraded(w, r.store.degraded())
-			return
-		}
+	if err := r.commitSwap(recMonitorDelete, deleteRecord{ID: id}); err != nil {
+		r.mu.Unlock()
+		r.persistMu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
 	}
 	delete(r.monitors, id)
 	r.mu.Unlock()
@@ -419,29 +400,32 @@ type alertReport struct {
 }
 
 // handleObserve ingests one batch of decisions — the hot path. The batch
-// is decoded and fully validated before anything else: a record must
-// never reach the WAL unless replaying it will succeed, so the bounds
-// check that ObserveBatch would do runs up front, then the durable
-// append happens (under the shared persist lock) before the in-memory
-// apply and the acknowledgment. When the monitor has a threshold, one ε
-// check runs per batch (not per observation). readBatch (batch.go) reads
-// the body once and decodes either wire form, JSON or the compact
-// application/x-df-batch, into pooled scratch; a binary body's bytes
-// double as the WAL record tail, so the durable path never re-encodes
-// them.
+// is decoded and checked against the monitor's shape before anything
+// else: a record must never reach the WAL unless replaying it will
+// succeed, so the one shape check runs up front, and the checked batch
+// is then committed and applied through registry.commit. When the
+// monitor has a threshold, one ε check runs per batch (not per
+// observation). readBatch (batch.go) reads the body once and decodes
+// either wire form, JSON or the compact application/x-df-batch, into
+// pooled scratch; a binary body's bytes double as the WAL record tail,
+// so the durable path never re-encodes them.
 func (r *registry) handleObserve(w http.ResponseWriter, req *http.Request) {
 	e, ok := r.lookup(req.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no monitor %q", req.PathValue("id")))
 		return
 	}
-	batch, ok := readBatch(w, req, r.cfg.maxBody, &observeForm,
-		e.mon.Space().Size(), len(e.cfg.Outcomes))
+	batch, ok := readBatch(w, req, r.cfg.maxBody, &observeForm)
 	if !ok {
 		return
 	}
 	defer putBatchScratch(batch)
 	groups, outcomes, err := e.encode(batch)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	checked, err := e.mon.ValidateBatch(groups, outcomes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -453,41 +437,20 @@ func (r *registry) handleObserve(w http.ResponseWriter, req *http.Request) {
 	// shard merge — whose effective mass the response reuses.
 	var alert *fairness.Alert
 	var effective *float64
-	ingest := func() error {
-		if e.watch != nil {
-			var eff float64
-			var err error
-			alert, eff, err = e.watch.ObserveBatchChecked(groups, outcomes)
-			effective = &eff
-			return err
+	status, err := r.commit(e, func() ([]byte, error) {
+		return batch.observeRecord(e.id, groups, outcomes), nil
+	}, func() error {
+		if e.watch == nil {
+			return e.mon.ObserveValidated(checked)
 		}
-		return e.mon.ObserveBatch(groups, outcomes)
-	}
-	if r.store != nil {
-		if !r.guardMutation(w) {
-			return
-		}
-		r.persistMu.RLock()
-		if cur, still := r.lookup(e.id); !still || cur != e {
-			r.persistMu.RUnlock()
-			writeError(w, http.StatusConflict,
-				fmt.Errorf("monitor %q was concurrently replaced; retry", e.id))
-			return
-		}
-		if err := r.store.commit(batch.observeRecord(e.id, groups, outcomes)); err != nil {
-			r.persistMu.RUnlock()
-			writeDegraded(w, r.store.degraded())
-			return
-		}
-		err = ingest()
-		r.persistMu.RUnlock()
-	} else {
-		err = ingest()
-	}
+		var eff float64
+		var err error
+		alert, eff, err = e.watch.ObserveValidatedChecked(checked)
+		effective = &eff
+		return err
+	})
 	if err != nil {
-		// The batch was bounds-checked above, so this is a server-side
-		// inconsistency, not client input.
-		writeError(w, http.StatusUnprocessableEntity, err)
+		writeError(w, status, err)
 		return
 	}
 	resp := observeResponse{
@@ -519,35 +482,16 @@ func (e *monitorEntry) alertReport(alert *fairness.Alert) *alertReport {
 }
 
 // encode resolves a decoded observe body to index arrays: the compact
-// form as readBatch decoded and validated it, or the named form lowered
-// through the space.
+// form as readBatch decoded it, or the named form lowered through the
+// space.
 func (e *monitorEntry) encode(s *batchScratch) ([]int, []int, error) {
 	named := len(s.observations) > 0
-	indexed := len(s.groups) > 0 // readBatch matched the two lengths
+	indexed := len(s.groups) > 0 || len(s.outcomes) > 0
 	switch {
 	case named && indexed:
 		return nil, nil, fmt.Errorf("provide observations or groups/outcomes arrays, not both")
 	case named:
-		space := e.mon.Space()
-		outIdx := make(map[string]int, len(e.cfg.Outcomes))
-		for i, o := range e.cfg.Outcomes {
-			outIdx[o] = i
-		}
-		groups := make([]int, len(s.observations))
-		outcomes := make([]int, len(s.observations))
-		for i, obs := range s.observations {
-			g, err := space.IndexByValues(obs.Group)
-			if err != nil {
-				return nil, nil, fmt.Errorf("observations[%d]: %w", i, err)
-			}
-			y, ok := outIdx[obs.Outcome]
-			if !ok {
-				return nil, nil, fmt.Errorf("observations[%d]: unknown outcome %q", i, obs.Outcome)
-			}
-			groups[i] = g
-			outcomes[i] = y
-		}
-		return groups, outcomes, nil
+		return lowerObservations(e.mon.Space(), e.cfg.Outcomes, s.observations)
 	case indexed:
 		return s.groups, s.outcomes, nil
 	default:
@@ -590,19 +534,19 @@ func (r *registry) handleReport(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Distinguish bad option arguments (a client mistake, 400) from audit
-	// failures on the snapshot (422): Monitor.Audit surfaces both through
-	// one error, so validate the configuration separately first.
-	if _, err := fairness.NewAuditor(e.mon.Space(), e.cfg.Outcomes,
-		append([]fairness.Option{fairness.WithAlpha(e.cfg.Alpha)}, opts...)...); err != nil {
+	// Bad option arguments are a client mistake (400); failures of the
+	// audit itself are not (422, or 499/504 for the context).
+	auditor, err := fairness.NewAuditor(e.mon.Space(), e.cfg.Outcomes,
+		append([]fairness.Option{fairness.WithAlpha(e.cfg.Alpha)}, opts...)...)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Audit's subset ladders (report?subsets=true, the default) come from
+	// The subset ladders (report?subsets=true, the default) come from
 	// the monitor's incrementally-maintained subset marginals on the
 	// window policies, so their latency is independent of the lattice
 	// size once warm; exponential monitors walk the snapshot ladder.
-	report, err := mon.Audit(req.Context(), opts...)
+	report, err := auditor.RunMonitor(req.Context(), mon)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.Canceled):

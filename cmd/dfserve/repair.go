@@ -16,7 +16,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
@@ -229,7 +228,7 @@ func (r *registry) handleMonitorRepair(w http.ResponseWriter, req *http.Request)
 		plan:        plan,
 		app:         app,
 	}
-	if status, err := r.persistPlan(e, lp); err != nil {
+	if status, err := r.installPlan(e, lp); err != nil {
 		e.refreshMu.Unlock()
 		writeError(w, status, err)
 		return
@@ -254,43 +253,20 @@ func (r *registry) handleMonitorRepair(w http.ResponseWriter, req *http.Request)
 	r.maybeSnapshot()
 }
 
-// persistPlan commits a plan-install record (when durable) and installs
-// the plan as the entry's live plan. The WAL append happens before
-// e.live.Store: any decide batch that sees this plan must append after
-// it in the log, so replay always installs the plan before applying the
-// decides that used it. The caller must hold e.refreshMu. The int
-// return is the HTTP status for a non-nil error.
-func (r *registry) persistPlan(e *monitorEntry, lp *livePlan) (int, error) {
-	if r.store == nil {
+// installPlan commits a plan-install record (when durable) and installs
+// the plan as the entry's live plan, through registry.commit. The WAL
+// append happens before e.live.Store: any decide batch that sees this
+// plan must append after it in the log, so replay always installs the
+// plan before applying the decides that used it. The caller must hold
+// e.refreshMu. The int return is the HTTP status for a non-nil error.
+func (r *registry) installPlan(e *monitorEntry, lp *livePlan) (int, error) {
+	return r.commit(e, func() ([]byte, error) {
+		rec, err := lp.record(e.id)
+		return append([]byte{recPlanInstall}, rec...), err
+	}, func() error {
 		e.live.Store(lp)
-		return 0, nil
-	}
-	planJSON, err := json.Marshal(lp.plan)
-	if err != nil {
-		return http.StatusInternalServerError, fmt.Errorf("encoding plan: %w", err)
-	}
-	rec, err := encodeJSONRecord(recPlanInstall, planRecord{
-		ID:          e.id,
-		Version:     lp.version,
-		AutoRefresh: lp.autoRefresh,
-		Spec:        lp.spec,
-		Plan:        planJSON,
-		Tickets:     lp.tickets.Load(),
+		return nil
 	})
-	if err != nil {
-		return http.StatusInternalServerError, fmt.Errorf("encoding plan record: %w", err)
-	}
-	r.persistMu.RLock()
-	defer r.persistMu.RUnlock()
-	if cur, still := r.lookup(e.id); !still || cur != e {
-		return http.StatusConflict, fmt.Errorf("monitor %q was concurrently replaced; retry", e.id)
-	}
-	if err := r.store.commit(rec); err != nil {
-		return http.StatusServiceUnavailable,
-			fmt.Errorf("server is in degraded read-only mode: %s", r.store.degraded())
-	}
-	e.live.Store(lp)
-	return 0, nil
 }
 
 // decideResponse carries the repaired decisions and the closed-loop
@@ -345,13 +321,17 @@ func (r *registry) handleDecide(w http.ResponseWriter, req *http.Request) {
 	// The served monitor is stored before any plan, so it is visible
 	// whenever a plan is.
 	served := e.served.Load()
-	batch, ok := readBatch(w, req, r.cfg.maxBody, &decideForm,
-		e.mon.Space().Size(), len(e.cfg.Outcomes))
+	batch, ok := readBatch(w, req, r.cfg.maxBody, &decideForm)
 	if !ok {
 		return
 	}
 	defer putBatchScratch(batch)
 	groups, decisions := batch.groups, batch.outcomes
+	raw, err := e.mon.ValidateBatch(groups, decisions)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	if len(groups) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("empty decide batch"))
 		return
@@ -359,17 +339,20 @@ func (r *registry) handleDecide(w http.ResponseWriter, req *http.Request) {
 	// The ticket base is claimed from the plan's own clock (not the
 	// applier's) so it can be written to the WAL: the record carries
 	// everything replay needs — ticket base, raw and repaired decisions —
-	// without re-running the applier. The batch is validated (group
-	// coverage, binary decisions) before the claim: a rejected batch
-	// writes no record, so a claim it made would be lost on an abrupt
-	// restart and every later batch would draw from other substreams
-	// than on a server that never restarted. The two later refusals keep
-	// their claim safely. A 409 means the entry was replaced, so its plan
-	// and clock are unreachable. A 503 means the commit failed and the
-	// server is degraded for good: this process serves no later decide
-	// from the clock, and a degraded server writes no final snapshot
-	// (closeStore), so a restart resumes the clock from the log alone.
-	// ApplyAt repairs a copy so the raw proposals remain for the monitor.
+	// without re-running the applier. The batch is validated (the
+	// monitor's shape above, then group coverage and binary decisions)
+	// before the claim: a rejected batch writes no record, so a claim it
+	// made would be lost on an abrupt restart and every later batch would
+	// draw from other substreams than on a server that never restarted.
+	// After the claim, ApplyAt and the repaired column's shape check
+	// cannot fail on a validated batch, and the commit's two refusals
+	// keep their claim safely. A 409 means the entry was replaced, so its
+	// plan and clock are unreachable. A 503 means the commit failed and
+	// the server is degraded for good: this process serves no later
+	// decide from the clock, and a degraded server writes no final
+	// snapshot (closeStore), so a restart resumes the clock from the log
+	// alone. ApplyAt repairs a copy so the raw proposals remain for the
+	// monitor.
 	repaired := make([]int, len(decisions))
 	copy(repaired, decisions)
 	if err := lp.app.Validate(groups, repaired); err != nil {
@@ -384,47 +367,36 @@ func (r *registry) handleDecide(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
+	// The repaired column is checked against the served stream's shape
+	// before the commit, as replay checks it.
+	servedBatch, err := served.ValidateBatch(groups, repaired)
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, err)
+		return
+	}
+
 	// Close the loop: raw proposals into the watched monitor, served
 	// decisions into the shadow stream.
 	var alert *fairness.Alert
 	var effective *float64
-	ingest := func() error {
+	status, err := r.commit(e, func() ([]byte, error) {
+		return encodeDecideRecord(e.id, ticket, groups, decisions, repaired), nil
+	}, func() error {
 		var err error
 		if e.watch != nil {
 			var eff float64
-			alert, eff, err = e.watch.ObserveBatchChecked(groups, decisions)
+			alert, eff, err = e.watch.ObserveValidatedChecked(raw)
 			effective = &eff
 		} else {
-			err = e.mon.ObserveBatch(groups, decisions)
+			err = e.mon.ObserveValidated(raw)
 		}
 		if err == nil {
-			err = served.ObserveBatch(groups, repaired)
+			err = served.ObserveValidated(servedBatch)
 		}
 		return err
-	}
-	if r.store != nil {
-		r.persistMu.RLock()
-		if cur, still := r.lookup(e.id); !still || cur != e {
-			r.persistMu.RUnlock()
-			writeError(w, http.StatusConflict,
-				fmt.Errorf("monitor %q was concurrently replaced; retry", e.id))
-			return
-		}
-		rec := encodeDecideRecord(e.id, ticket, groups, decisions, repaired)
-		if err := r.store.commit(rec); err != nil {
-			r.persistMu.RUnlock()
-			writeDegraded(w, r.store.degraded())
-			return
-		}
-		err = ingest()
-		r.persistMu.RUnlock()
-	} else {
-		err = ingest()
-	}
+	})
 	if err != nil {
-		// ApplyAt already validated indices against the same space, so
-		// this is a server-side inconsistency, not client input.
-		writeError(w, http.StatusUnprocessableEntity, err)
+		writeError(w, status, err)
 		return
 	}
 
@@ -476,7 +448,7 @@ func (r *registry) refreshPlan(ctx context.Context, e *monitorEntry, lp *livePla
 		plan:        plan,
 		app:         app,
 	}
-	if _, err := r.persistPlan(e, nl); err != nil {
+	if _, err := r.installPlan(e, nl); err != nil {
 		// Same stance as a failed recompute: keep serving the old plan
 		// and surface the problem instead of failing the batch.
 		resp.RefreshError = err.Error()

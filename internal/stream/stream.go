@@ -166,46 +166,81 @@ func (m *Monitor) Observe(group, outcome int) error {
 	return nil
 }
 
-// ObserveBatch records len(groups) decisions in one call: the hot
-// ingest path. The whole batch draws a single ticket range (one shared
-// atomic add) and lands in a single shard, amortizing the decay
-// multiply and lock traffic across the batch. Indices are validated
-// up front; an invalid element rejects the entire batch before any
-// state changes. The success path performs no allocations (the dfvet
+// ValidBatch is a batch of (group, outcome) index pairs that
+// Monitor.ValidateBatch found inside a monitor's shape: its two columns
+// have one length, every group index is below the space's size and
+// every outcome index below the outcome count. It records that shape,
+// so ObserveValidated on any monitor of the same shape ingests it after
+// an O(1) comparison instead of a second walk over the pairs. A
+// ValidBatch shares the slices it was checked over: writing to them
+// before it is ingested voids the check. The zero value fits no
+// monitor.
+type ValidBatch struct {
+	groups, outcomes       []int
+	numGroups, numOutcomes int
+}
+
+// errBatchShape is ObserveValidated's refusal of a batch checked
+// against another shape, allocated once so the hot path never formats.
+var errBatchShape = errors.New("stream: batch was validated against another monitor shape")
+
+// ValidateBatch checks a batch against the monitor's shape, the one
+// check every batch ingest runs, and returns it as a ValidBatch. It
+// allocates only to report an invalid batch.
+func (m *Monitor) ValidateBatch(groups, outcomes []int) (ValidBatch, error) {
+	size, k := m.space.Size(), len(m.outcomes)
+	if len(groups) != len(outcomes) {
+		return ValidBatch{}, fmt.Errorf("stream: batch has %d groups but %d outcomes", len(groups), len(outcomes))
+	}
+	for i := range groups {
+		if uint(groups[i]) >= uint(size) || uint(outcomes[i]) >= uint(k) {
+			return ValidBatch{}, elementError(i, groups[i], outcomes[i], size)
+		}
+	}
+	return ValidBatch{groups: groups, outcomes: outcomes, numGroups: size, numOutcomes: k}, nil
+}
+
+// elementError words ValidateBatch's refusal of element i.
+func elementError(i, group, outcome, size int) error {
+	if group < 0 || group >= size {
+		return fmt.Errorf("stream: batch element %d: group %d out of range", i, group)
+	}
+	return fmt.Errorf("stream: batch element %d: outcome %d out of range", i, outcome)
+}
+
+// ObserveValidated records a checked batch in one call: the hot ingest
+// path. It compares the batch's shape with the monitor's and nothing
+// else. The whole batch draws a single ticket range (one shared atomic
+// add) and lands in a single shard, amortizing the decay multiply and
+// lock traffic across the batch. It performs no allocations (the dfvet
 // hotpath analyzer and the BenchmarkHotPath 0 allocs/op gate both
 // enforce this).
 //
 //df:hotpath
-func (m *Monitor) ObserveBatch(groups, outcomes []int) error {
-	if err := m.validateBatch(groups, outcomes); err != nil {
-		return err
+func (m *Monitor) ObserveValidated(b ValidBatch) error {
+	if b.numGroups != m.space.Size() || b.numOutcomes != len(m.outcomes) {
+		return errBatchShape
 	}
-	if len(groups) == 0 {
+	if len(b.groups) == 0 {
 		return nil
 	}
-	n := int64(len(groups))
+	n := int64(len(b.groups))
 	t0 := m.ticket.Add(n) - n
-	m.eng.ingest(t0, groups, outcomes)
+	m.eng.ingest(t0, b.groups, b.outcomes)
 	return nil
 }
 
-// validateBatch is ObserveBatch's cold prologue, kept out of the
-// annotated hot function so its error formatting never costs the
-// success path an allocation.
-func (m *Monitor) validateBatch(groups, outcomes []int) error {
-	if len(groups) != len(outcomes) {
-		return fmt.Errorf("stream: ObserveBatch got %d groups vs %d outcomes", len(groups), len(outcomes))
+// ObserveBatch records len(groups) decisions in one call: ValidateBatch
+// then ObserveValidated, so an invalid element rejects the entire batch
+// before any state changes, and the success path allocates nothing.
+//
+//df:hotpath
+func (m *Monitor) ObserveBatch(groups, outcomes []int) error {
+	b, err := m.ValidateBatch(groups, outcomes)
+	if err != nil {
+		return err
 	}
-	size := m.space.Size()
-	for i := range groups {
-		if groups[i] < 0 || groups[i] >= size {
-			return fmt.Errorf("stream: batch element %d: group %d out of range", i, groups[i])
-		}
-		if outcomes[i] < 0 || outcomes[i] >= len(m.outcomes) {
-			return fmt.Errorf("stream: batch element %d: outcome %d out of range", i, outcomes[i])
-		}
-	}
-	return nil
+	return m.ObserveValidated(b)
 }
 
 // ObserveValues records one decision by attribute value names (in
@@ -453,7 +488,17 @@ func (w *Watch) ObserveChecked(group, outcome int) (*Alert, error) {
 // snapshot, so service responses don't pay a second shard merge to
 // report it.
 func (w *Watch) ObserveBatchChecked(groups, outcomes []int) (*Alert, float64, error) {
-	if err := w.ObserveBatch(groups, outcomes); err != nil {
+	b, err := w.ValidateBatch(groups, outcomes)
+	if err != nil {
+		return nil, 0, err
+	}
+	return w.ObserveValidatedChecked(b)
+}
+
+// ObserveValidatedChecked is ObserveBatchChecked for a batch that
+// ValidateBatch already checked: ObserveValidated, then one check.
+func (w *Watch) ObserveValidatedChecked(b ValidBatch) (*Alert, float64, error) {
+	if err := w.ObserveValidated(b); err != nil {
 		return nil, 0, err
 	}
 	return w.check()

@@ -2,7 +2,6 @@ package fairness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 
@@ -83,11 +82,35 @@ func (m *Monitor) Observe(group, outcome int) error { return m.inner.Observe(gro
 // ObserveBatch records len(groups) decisions in one call — the hot
 // ingest path. The batch draws a single ticket range and lands in a
 // single shard, amortizing lock and decay work; an invalid element
-// rejects the whole batch before any state changes. Safe for concurrent
-// use.
+// rejects the whole batch before any state changes. It is ValidateBatch
+// then ObserveValidated. Safe for concurrent use.
 func (m *Monitor) ObserveBatch(groups, outcomes []int) error {
 	return m.inner.ObserveBatch(groups, outcomes)
 }
+
+// ValidBatch is a batch of (group, outcome) index pairs checked against
+// a monitor's shape by Monitor.ValidateBatch. It records the shape it
+// was checked against (the group and outcome counts), so it can be
+// checked once, before a caller commits it anywhere, and then ingested
+// by ObserveValidated or Watch.ObserveValidatedChecked into any monitor
+// of that shape at the cost of one comparison. It shares the slices it
+// was checked over: writing to them before it is ingested voids the
+// check. The zero value fits no monitor.
+type ValidBatch = stream.ValidBatch
+
+// ValidateBatch checks a batch against the monitor's shape: both
+// columns of one length, every group index inside the space and every
+// outcome index inside the outcomes. It is the check ObserveBatch runs,
+// and it allocates only to report an invalid batch.
+func (m *Monitor) ValidateBatch(groups, outcomes []int) (ValidBatch, error) {
+	return m.inner.ValidateBatch(groups, outcomes)
+}
+
+// ObserveValidated records a batch that ValidateBatch checked against a
+// monitor of this one's shape; it refuses one checked against another
+// shape. It is ObserveBatch without the walk over the pairs, and
+// allocates nothing. Safe for concurrent use.
+func (m *Monitor) ObserveValidated(b ValidBatch) error { return m.inner.ObserveValidated(b) }
 
 // ObserveValues records one decision by attribute value names (in
 // attribute order) and outcome name, so callers don't hand-encode group
@@ -174,6 +197,13 @@ func (w *Watch) ObserveBatchChecked(groups, outcomes []int) (*Alert, float64, er
 	return w.inner.ObserveBatchChecked(groups, outcomes)
 }
 
+// ObserveValidatedChecked is ObserveBatchChecked for a batch that
+// ValidateBatch already checked: ObserveValidated, then one threshold
+// check.
+func (w *Watch) ObserveValidatedChecked(b ValidBatch) (*Alert, float64, error) {
+	return w.inner.ObserveValidatedChecked(b)
+}
+
 // Check evaluates the threshold against the current state without
 // recording any decision: the on-demand breach probe services use when
 // reporting state outside an observe call (e.g. confirming the ε breach
@@ -210,60 +240,20 @@ func (m *Monitor) ReadState(r io.Reader) error { return m.inner.ReadState(r) }
 func MonitorShards() int { return stream.DefaultShards() }
 
 // Audit snapshots the effective counts and runs the full audit pipeline
-// over them, producing the same versioned Report as Auditor.Run. The
-// monitor's smoothing alpha is applied by default; additional options
-// are appended and may override it.
-//
-// When the report includes the subset ladders under the monitor's own
-// estimator (the default), window-policy monitors take them from the
-// incremental subset marginals — O(cells changed since the last report)
-// for a warm monitor, independent of the lattice size, and bit-identical
-// to the snapshot recompute they replace. That covers ε and every metric
-// with an extrema form (core.ExtremaMetric: every registry metric but
-// subgroup); only the others walk the snapshot lattice. The whole report
-// is computed from one state: the counts it audits are read from the
-// incremental engine under the same lock hold as its ladders, so the
-// full-intersection ladder rows match the headline values even while
-// writers ingest concurrently. Exponential-decay monitors, spaces of
-// more than 16 attributes, overridden alphas, and WithSubsets(false)
-// audit a merged snapshot with snapshot ladders; the report's
-// ladder_source says which path ran.
+// over them, producing the same versioned Report as Auditor.Run. It is
+// NewAuditor over the monitor's space and outcomes, with the monitor's
+// smoothing alpha applied first and opts appended (they may override
+// it), followed by Auditor.RunMonitor, whose doc says which ladder path
+// runs and when a report reuses the last one's interval draws.
 //
 // Exponentially-decayed counts are non-integral, so WithBootstrap is not
 // applicable to those snapshots (the bootstrap requires integer counts
 // and will reject it) — use WithCredible there. Tumbling and sliding
 // windows hold integral counts, and the bootstrap applies.
-//
-// A monitor keeps the bootstrap and credible sections of its last report
-// that drew any. A report with the same draw options (replicate and
-// sample counts, levels, prior, seed, estimator alpha and metric values;
-// WithWorkers does not matter) over bit-identical cells reuses them
-// instead of drawing again. The draws are a deterministic function of
-// exactly those inputs, so the reused sections are the ones a fresh draw
-// would produce, and the report stays byte-identical; an idle monitor
-// polled with one query draws once. The cost is one copy of the
-// monitor's cells plus a few summaries, allocated by the first report
-// that asks for intervals. The memo holds intervals rather than rendered
-// bytes: the draws are most of a report's CPU and their summaries take a
-// few KB whatever the lattice size, while a report's bytes grow with the
-// lattice. Auditor.Run never memoizes.
 func (m *Monitor) Audit(ctx context.Context, opts ...Option) (*Report, error) {
 	auditor, err := NewAuditor(m.space, m.outcomes, append([]Option{WithAlpha(m.alpha)}, opts...)...)
 	if err != nil {
 		return nil, err
 	}
-	if auditor.cfg.subsets && auditor.cfg.alpha == m.alpha {
-		counts, ladders, err := m.inner.MetricSubsets(auditor.metrics())
-		if err == nil {
-			return auditor.run(ctx, counts, ladders, LadderSourceIncremental, &m.memo)
-		}
-		if !errors.Is(err, stream.ErrIncrementalUnavailable) {
-			return nil, err
-		}
-	}
-	snap, err := m.inner.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("fairness: Monitor.Audit: %w", err)
-	}
-	return auditor.run(ctx, snap, nil, LadderSourceSnapshot, &m.memo)
+	return auditor.RunMonitor(ctx, m)
 }
