@@ -236,31 +236,6 @@ func BenchmarkSmoothedVsEmpirical(b *testing.B) {
 	})
 }
 
-// BenchmarkBayesPosterior measures posterior sampling for the credible-
-// interval analysis (100 Θ samples per iteration).
-func BenchmarkBayesPosterior(b *testing.B) {
-	train, _, err := census.Generate(census.SmallConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	counts, err := census.IncomeCounts(census.Space(), train)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model, err := bayes.NewDirichletMultinomial(counts, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := model.SamplePosterior(context.Background(), 100, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkLaplaceSweep measures the §3.2 noise-route ablation (numeric
 // integration of the noisy threshold).
 func BenchmarkLaplaceSweep(b *testing.B) {

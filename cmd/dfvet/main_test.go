@@ -127,20 +127,21 @@ func TestRunFlagsSeededViolation(t *testing.T) {
 }
 
 // TestRunFlagsTestOnlyExports runs dfvet inside the deadexport fixture
-// module, whose internal package declares three exported symbols that
-// no non-test code references: dfvet must exit 1 and name each of them.
+// module, whose internal package declares three exported symbols and
+// two exported methods that no non-test code references: dfvet must
+// exit 1 and name each of them.
 func TestRunFlagsTestOnlyExports(t *testing.T) {
 	t.Chdir(filepath.Join("..", "..", "internal", "analysis", "deadexport", "testdata", "src", "mod"))
 	var out, errOut bytes.Buffer
 	if code := run([]string{"./..."}, &out, &errOut); code != 1 {
 		t.Fatalf("exited %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
 	}
-	for _, name := range []string{"OnlyTests", "SelfOnly", "Node"} {
+	for _, name := range []string{"OnlyTests", "SelfOnly", "Node", "Node.Next", "Box.OnlyTests"} {
 		if !strings.Contains(out.String(), "[deadexport] "+name+" ") {
 			t.Errorf("no deadexport finding for %s:\n%s", name, out.String())
 		}
 	}
-	if n := strings.Count(out.String(), "\n"); n != 3 {
-		t.Errorf("got %d findings, want 3:\n%s", n, out.String())
+	if n := strings.Count(out.String(), "\n"); n != 5 {
+		t.Errorf("got %d findings, want 5:\n%s", n, out.String())
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestFixtureModule runs the check over testdata/src/mod, a module with
-// one exported symbol per case, and expects exactly the three it must
-// flag.
+// one exported symbol or method per case, and expects exactly the five
+// it must flag.
 func TestFixtureModule(t *testing.T) {
 	dir, err := filepath.Abs(filepath.Join("testdata", "src", "mod"))
 	if err != nil {
@@ -40,13 +40,20 @@ func TestFixtureModule(t *testing.T) {
 		"Generic":   false, // a nested module instantiates it
 		"Helper":    false, // its package is a *test package
 		"Ignored":   false, // suppressed with //df:ignore
+
+		"Node.Next":      true,  // a method nothing calls
+		"Box.OnlyTests":  true,  // a method only a _test.go file calls
+		"Box.Used":       false, // a nested module calls it
+		"Box.Size":       false, // an interface declares its name
+		"Box.Quiet":      false, // suppressed with //df:ignore
+		"Public.Exposed": false, // a public package aliases its type
 	} {
 		if flagged[name] != want {
 			t.Errorf("%s flagged = %v, want %v", name, flagged[name], want)
 		}
 	}
-	if len(diags) != 3 {
-		t.Errorf("got %d findings, want 3: %v", len(diags), diags)
+	if len(diags) != 5 {
+		t.Errorf("got %d findings, want 5: %v", len(diags), diags)
 	}
 }
 

@@ -31,3 +31,34 @@ func (n *Node) Next() *Node { return n.next }
 //
 //df:ignore deadexport — the suppression case of the fixture
 func Ignored() int { return 3 }
+
+// sizer is an interface of the module, so a method named Size is exempt
+// wherever it is declared.
+type sizer interface{ Size() int }
+
+var _ sizer = Box{}
+
+// Box is referenced by tool/, so it is not flagged; its methods are
+// judged one by one.
+type Box struct{}
+
+// Used is called by tool/, so it is not flagged.
+func (Box) Used() int { return 4 }
+
+// OnlyTests is called by lib_test.go alone, so it is flagged.
+func (Box) OnlyTests() int { return 5 }
+
+// Size is named by the sizer interface, so it is not flagged.
+func (Box) Size() int { return 6 }
+
+// Quiet has no caller, and its finding is suppressed.
+//
+//df:ignore deadexport — the suppression case for methods
+func (Box) Quiet() int { return 7 }
+
+// Public is aliased by the public package pub, so its methods are
+// public API and not flagged.
+type Public struct{}
+
+// Exposed has no caller in the module, but pub.Public exposes it.
+func (Public) Exposed() int { return 8 }

@@ -3,4 +3,4 @@ package main
 
 import "fixture/internal/lib"
 
-func main() { println(lib.FromTool(), lib.Generic(2)) }
+func main() { println(lib.FromTool(), lib.Generic(2), lib.Box{}.Used()) }

@@ -92,52 +92,6 @@ func sampleInto(cpt *core.CPT, r *rng.RNG, probs []float64, alphaPost, groupTota
 	return nil
 }
 
-// SamplePosterior draws n CPTs from the posterior: for each supported
-// group, P(·|s) ~ Dirichlet(N_{·,s} + α). The samples form a finite
-// approximation of the credible set Θ; core.FrameworkEpsilon over them is
-// the "Θ as a set of plausible distributions" reading of Definition 3.1.
-// Sample i is drawn from RNG substream (seed, i), so the returned set is
-// deterministic for a fixed r regardless of GOMAXPROCS. ctx must be
-// non-nil and cancels the draw cooperatively.
-func (m *DirichletMultinomial) SamplePosterior(ctx context.Context, n int, r *rng.RNG) ([]*core.CPT, error) {
-	return m.samplePosterior(ctx, n, r, 0)
-}
-
-func (m *DirichletMultinomial) samplePosterior(ctx context.Context, n int, r *rng.RNG, workers int) ([]*core.CPT, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("bayes: need n > 0 samples, got %d", n)
-	}
-	space := m.counts.Space()
-	outcomes := m.counts.Outcomes()
-	k := len(outcomes)
-	alphaPost, groupTotals := m.posteriorParams()
-	base := r.Uint64()
-
-	type scratch struct {
-		rng   *rng.RNG
-		probs []float64
-	}
-	out := make([]*core.CPT, n)
-	err := par.DoCtx(ctx, workers, n, func() *scratch {
-		return &scratch{rng: rng.New(0), probs: make([]float64, k)}
-	}, func(s *scratch, i int) error {
-		cpt, err := core.NewCPT(space, outcomes)
-		if err != nil {
-			return err
-		}
-		s.rng.SeedStream(base, uint64(i))
-		if err := sampleInto(cpt, s.rng, s.probs, alphaPost, groupTotals); err != nil {
-			return err
-		}
-		out[i] = cpt
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // EpsilonPosterior summarizes the posterior distribution of ε: point
 // estimates and a central credible interval.
 type EpsilonPosterior struct {
@@ -158,10 +112,10 @@ type EpsilonPosterior struct {
 }
 
 // EpsilonCredible draws n posterior samples and returns the posterior
-// summary of ε at the given credible level (in (0,1)). Unlike
-// SamplePosterior it never materializes the sampled CPTs: each worker
-// reuses one pooled CPT buffer across all samples it evaluates, so the
-// steady-state loop is allocation-free. Results are deterministic for a
+// summary of ε at the given credible level (in (0,1)). It never
+// materializes the sampled CPTs: each worker reuses one pooled CPT
+// buffer across all samples it evaluates, so the steady-state loop is
+// allocation-free. Results are deterministic for a
 // fixed r regardless of both GOMAXPROCS and workers (0 = one per CPU).
 // ctx must be non-nil: when it is canceled mid-run the workers stop
 // claiming samples and the call returns ctx.Err() promptly instead of a

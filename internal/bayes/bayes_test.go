@@ -3,6 +3,7 @@ package bayes
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -10,8 +11,49 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fairmetrics"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
+
+// samplePosterior draws n CPTs from the posterior: for each supported
+// group, P(·|s) ~ Dirichlet(N_{·,s} + α), sample i from RNG substream
+// (seed, i) on a pool of workers (0 = one per CPU). It materializes the
+// θ set that EpsilonCredible and MetricCredible evaluate without
+// keeping, so it is their oracle.
+func (m *DirichletMultinomial) samplePosterior(ctx context.Context, n int, r *rng.RNG, workers int) ([]*core.CPT, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("bayes: need n > 0 samples, got %d", n)
+	}
+	space := m.counts.Space()
+	outcomes := m.counts.Outcomes()
+	k := len(outcomes)
+	alphaPost, groupTotals := m.posteriorParams()
+	base := r.Uint64()
+
+	type scratch struct {
+		rng   *rng.RNG
+		probs []float64
+	}
+	out := make([]*core.CPT, n)
+	err := par.DoCtx(ctx, workers, n, func() *scratch {
+		return &scratch{rng: rng.New(0), probs: make([]float64, k)}
+	}, func(s *scratch, i int) error {
+		cpt, err := core.NewCPT(space, outcomes)
+		if err != nil {
+			return err
+		}
+		s.rng.SeedStream(base, uint64(i))
+		if err := sampleInto(cpt, s.rng, s.probs, alphaPost, groupTotals); err != nil {
+			return err
+		}
+		out[i] = cpt
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 func demoCounts(t *testing.T) *core.Counts {
 	t.Helper()
@@ -64,11 +106,11 @@ func TestPosteriorPredictiveIsEq7(t *testing.T) {
 func TestSamplePosteriorShapeAndDeterminism(t *testing.T) {
 	c := demoCounts(t)
 	m, _ := NewDirichletMultinomial(c, 1)
-	s1, err := m.SamplePosterior(context.Background(), 5, rng.New(42))
+	s1, err := m.samplePosterior(context.Background(), 5, rng.New(42), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := m.SamplePosterior(context.Background(), 5, rng.New(42))
+	s2, err := m.samplePosterior(context.Background(), 5, rng.New(42), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +126,7 @@ func TestSamplePosteriorShapeAndDeterminism(t *testing.T) {
 			}
 		}
 	}
-	if _, err := m.SamplePosterior(context.Background(), 0, rng.New(1)); err == nil {
+	if _, err := m.samplePosterior(context.Background(), 0, rng.New(1), 0); err == nil {
 		t.Error("n=0 accepted")
 	}
 }
@@ -92,7 +134,7 @@ func TestSamplePosteriorShapeAndDeterminism(t *testing.T) {
 func TestSamplePosteriorRowsAreDistributions(t *testing.T) {
 	c := demoCounts(t)
 	m, _ := NewDirichletMultinomial(c, 0.5)
-	samples, err := m.SamplePosterior(context.Background(), 50, rng.New(7))
+	samples, err := m.samplePosterior(context.Background(), 50, rng.New(7), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +250,7 @@ func TestPosteriorDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 	}
-	// SamplePosterior shares the substream layout, so the materialized
+	// samplePosterior shares the substream layout, so the materialized
 	// CPTs must also be worker-count independent.
 	s1, err := m.samplePosterior(context.Background(), 20, rng.New(33), 1)
 	if err != nil {
@@ -230,13 +272,13 @@ func TestPosteriorDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestEpsilonCredibleMatchesSamplePosterior: EpsilonCredible's pooled-
-// buffer path must evaluate exactly the θ set SamplePosterior returns for
+// buffer path must evaluate exactly the θ set samplePosterior returns for
 // the same seed.
 func TestEpsilonCredibleMatchesSamplePosterior(t *testing.T) {
 	c := demoCounts(t)
 	m, _ := NewDirichletMultinomial(c, 1)
 	const n = 100
-	thetas, err := m.SamplePosterior(context.Background(), n, rng.New(55))
+	thetas, err := m.samplePosterior(context.Background(), n, rng.New(55), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,15 +50,3 @@ func (d Dataset) Width() int {
 	}
 	return len(d.X[0])
 }
-
-// PositiveRate returns the fraction of positive labels.
-func (d Dataset) PositiveRate() float64 {
-	if len(d.Y) == 0 {
-		return 0
-	}
-	var pos int
-	for _, y := range d.Y {
-		pos += y
-	}
-	return float64(pos) / float64(len(d.Y))
-}

@@ -73,12 +73,6 @@ func (d Laplace) Quantile(p float64) float64 {
 // Sample draws one deviate using r.
 func (d Laplace) Sample(r *rng.RNG) float64 { return r.Laplace(d.Mu, d.B) }
 
-// Mean returns Mu.
-func (d Laplace) Mean() float64 { return d.Mu }
-
-// Variance returns 2*B^2.
-func (d Laplace) Variance() float64 { return 2 * d.B * d.B }
-
 // batchPDF is the vectorized density kernel used by BatchPDF.
 func (d Laplace) batchPDF(xs, dst []float64) {
 	inv := 1 / d.B

@@ -68,12 +68,6 @@ func (d Normal) Quantile(p float64) float64 {
 // Sample draws one deviate using r.
 func (d Normal) Sample(r *rng.RNG) float64 { return r.Normal(d.Mu, d.Sigma) }
 
-// Mean returns Mu.
-func (d Normal) Mean() float64 { return d.Mu }
-
-// Variance returns Sigma^2.
-func (d Normal) Variance() float64 { return d.Sigma * d.Sigma }
-
 // batchPDF is the vectorized density kernel used by BatchPDF: the
 // per-point division and normalizing constant are hoisted out of the
 // loop, which is what makes the batch path beat the scalar one.

@@ -74,9 +74,6 @@ func (h *Hist) Merge(o *Hist) {
 	}
 }
 
-// Count returns the number of recorded observations.
-func (h *Hist) Count() uint64 { return h.n }
-
 // Max returns the largest recorded value in nanoseconds.
 func (h *Hist) Max() int64 { return h.max }
 

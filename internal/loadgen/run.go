@@ -108,15 +108,6 @@ type Summary struct {
 	ScheduleLateMax int64 // worst lateness of a scheduled send, ns
 }
 
-// Throughput returns achieved requests/second over the measured span.
-func (s *Summary) Throughput() float64 {
-	d := float64(s.EndNs-s.StartNs) / 1e9
-	if d <= 0 {
-		return 0
-	}
-	return float64(s.TotalRequests) / d
-}
-
 // workerState is one worker's private half of the run: synthesis,
 // encode buffer reuse for the sequential (closed-loop) mode, and a
 // locked recorder shard merged after the pass.

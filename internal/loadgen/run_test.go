@@ -77,8 +77,8 @@ func TestRunClosedLoop(t *testing.T) {
 		}
 		reqs += st.Requests
 		obs += st.Observations
-		if st.Requests > 0 && st.Hist.Count() != st.Requests {
-			t.Errorf("%v: hist count %d != requests %d", op, st.Hist.Count(), st.Requests)
+		if st.Requests > 0 && st.Hist.n != st.Requests {
+			t.Errorf("%v: hist count %d != requests %d", op, st.Hist.n, st.Requests)
 		}
 	}
 	if reqs != 200 {

@@ -304,27 +304,6 @@ func (p Plan) Apply(cpt *core.CPT) (*core.CPT, error) {
 	return out, nil
 }
 
-// PostProcess applies the plan's randomized flips to a stream of
-// decisions: given a group and the mechanism's decision, it returns the
-// repaired decision using u ~ Uniform[0,1) supplied by the caller. It
-// scans the plan's groups linearly; serving paths should compile the
-// plan into an Applier instead.
-func (p Plan) PostProcess(group, decision int, u float64) (int, error) {
-	for _, gp := range p.Groups {
-		if gp.Group != group {
-			continue
-		}
-		if decision == 1 && u < gp.FlipPosToNeg {
-			return 0, nil
-		}
-		if decision == 0 && u < gp.FlipNegToPos {
-			return 1, nil
-		}
-		return decision, nil
-	}
-	return 0, fmt.Errorf("repair: group %d not covered by plan", group)
-}
-
 // Applier is a Plan compiled for the batched serving path: flip
 // probabilities densely indexed by group, plus the seed of the
 // deterministic randomization. ApplyBatch is allocation-free and safe

@@ -2,6 +2,7 @@ package repair
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -223,7 +224,7 @@ func TestRepairFlipProbabilitiesRealizeRates(t *testing.T) {
 			if r.Float64() < gp.OldRate {
 				dec = 1
 			}
-			out, err := plan.PostProcess(gp.Group, dec, r.Float64())
+			out, err := postProcess(plan, gp.Group, dec, r.Float64())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -338,6 +339,26 @@ func TestRepairLevelingDownReported(t *testing.T) {
 	if plan.LevelingDown <= 0 {
 		t.Error("expected some leveling down from the unconstrained band at a tight target")
 	}
+}
+
+// postProcess applies the plan's randomized flips to one decision of a
+// group, using u ~ Uniform[0,1) supplied by the caller: the plan's
+// definition, read off its groups linearly, against which the Applier's
+// dense compiled form is checked.
+func postProcess(p Plan, group, decision int, u float64) (int, error) {
+	for _, gp := range p.Groups {
+		if gp.Group != group {
+			continue
+		}
+		if decision == 1 && u < gp.FlipPosToNeg {
+			return 0, nil
+		}
+		if decision == 0 && u < gp.FlipNegToPos {
+			return 1, nil
+		}
+		return decision, nil
+	}
+	return 0, fmt.Errorf("repair: group %d not covered by plan", group)
 }
 
 func TestApplierMatchesPostProcess(t *testing.T) {
@@ -492,9 +513,6 @@ func TestRepairValidation(t *testing.T) {
 	plan, err := Binary(cpt, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := plan.PostProcess(99, 1, 0.5); err == nil {
-		t.Error("unknown group accepted by PostProcess")
 	}
 	if _, err := plan.Apply(three); err == nil {
 		t.Error("Apply on three-outcome CPT accepted")

@@ -169,17 +169,6 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*r.NormFloat64()
 }
 
-// ExpFloat64 returns an exponential deviate with rate 1 (mean 1) by
-// inversion.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Laplace returns a Laplace(mu, b) deviate by inversion.
 func (r *RNG) Laplace(mu, b float64) float64 {
 	u := r.Float64() - 0.5
@@ -249,26 +238,5 @@ func (r *RNG) Dirichlet(dst, alpha []float64) {
 	}
 	for i := range dst {
 		dst[i] /= sum
-	}
-}
-
-// Perm returns a uniformly random permutation of [0, n) via Fisher-Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle applies a Fisher-Yates shuffle, using swap to exchange elements.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }

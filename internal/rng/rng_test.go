@@ -256,18 +256,6 @@ func TestGammaKS(t *testing.T) {
 	}
 }
 
-func TestExpMoments(t *testing.T) {
-	r := New(17)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean = %v, want about 1", mean)
-	}
-}
-
 func TestLaplaceMoments(t *testing.T) {
 	r := New(19)
 	const n = 200000
@@ -361,40 +349,6 @@ func TestDirichletMean(t *testing.T) {
 		want := alpha[j] / alphaSum
 		if math.Abs(got-want) > 0.01 {
 			t.Errorf("dirichlet mean[%d] = %v, want about %v", j, got, want)
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(37)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShuffleUniformFirstElement(t *testing.T) {
-	r := New(41)
-	const n, draws = 5, 50000
-	counts := make([]int, n)
-	for i := 0; i < draws; i++ {
-		vals := []int{0, 1, 2, 3, 4}
-		r.Shuffle(n, func(a, b int) { vals[a], vals[b] = vals[b], vals[a] })
-		counts[vals[0]]++
-	}
-	want := float64(draws) / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
-			t.Errorf("position-0 value %d count %d deviates from %v", i, c, want)
 		}
 	}
 }

@@ -140,7 +140,7 @@ func checkBoth(t *testing.T, ctx string, w *Watch) (*Alert, float64) {
 func drive(t *testing.T, w *Watch, r *rng.RNG, rounds int) int {
 	t.Helper()
 	fired := 0
-	space := w.Space()
+	space := w.space
 	for round := 0; round < rounds; round++ {
 		n := 1 + r.Intn(96)
 		groups := make([]int, n)
@@ -805,7 +805,7 @@ func TestExponentialWatchAttachesNoEngine(t *testing.T) {
 	w := expWatch(t)
 	r := rng.New(3)
 	for i := 0; i < 5; i++ {
-		groups, outcomes := expBatch(r, w.Space().Size())
+		groups, outcomes := expBatch(r, w.space.Size())
 		if _, _, err := w.ObserveBatchChecked(groups, outcomes); err != nil {
 			t.Fatal(err)
 		}
@@ -830,7 +830,7 @@ func TestExponentialWatchMatchesMonitor(t *testing.T) {
 	r := rng.New(5)
 	alerts := 0
 	for i := 0; i < 60; i++ {
-		groups, outcomes := expBatch(r, w.Space().Size())
+		groups, outcomes := expBatch(r, w.space.Size())
 		alert, effective, err := w.ObserveBatchChecked(groups, outcomes)
 		if err != nil {
 			t.Fatal(err)
@@ -862,7 +862,7 @@ func TestExponentialWatchMatchesMonitor(t *testing.T) {
 func TestExponentialWatchRepeatsAfterRestore(t *testing.T) {
 	w1 := expWatch(t)
 	r := rng.New(9)
-	size := w1.Space().Size()
+	size := w1.space.Size()
 	for i := 0; i < 20; i++ {
 		groups, outcomes := expBatch(r, size)
 		if _, _, err := w1.ObserveBatchChecked(groups, outcomes); err != nil {

@@ -27,8 +27,8 @@ func stateTestSpace(t *testing.T) *core.Space {
 func ingestMixed(t *testing.T, m *Monitor, n int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	size := m.Space().Size()
-	k := len(m.Outcomes())
+	size := m.space.Size()
+	k := len(m.outcomes)
 	i := 0
 	for i < n {
 		if rng.Intn(3) == 0 {

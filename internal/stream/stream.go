@@ -147,12 +147,6 @@ func New(space *core.Space, outcomes []string, cfg Config) (*Monitor, error) {
 	}, nil
 }
 
-// Space returns the protected-attribute space.
-func (m *Monitor) Space() *core.Space { return m.space }
-
-// Outcomes returns a copy of the outcome labels.
-func (m *Monitor) Outcomes() []string { return append([]string(nil), m.outcomes...) }
-
 // Observe records one decision. It is safe to call concurrently with
 // other Observe/ObserveBatch calls and with readers.
 func (m *Monitor) Observe(group, outcome int) error {

@@ -100,12 +100,6 @@ func (c *Column) Levels() []string {
 	return append([]string(nil), c.levels...)
 }
 
-// Code returns the level code at row i of a categorical column.
-func (c *Column) Code(i int) int {
-	c.mustKind(Categorical)
-	return c.codes[i]
-}
-
 // StringAt renders the value at row i as a string.
 func (c *Column) StringAt(i int) string {
 	switch c.Kind {

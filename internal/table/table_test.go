@@ -64,7 +64,7 @@ func TestCategoricalLevels(t *testing.T) {
 	if got := g.Levels(); !reflect.DeepEqual(got, []string{"M", "F"}) {
 		t.Fatalf("Levels = %v", got)
 	}
-	if g.Code(0) != 0 || g.Code(1) != 1 {
+	if g.codes[0] != 0 || g.codes[1] != 1 {
 		t.Fatal("codes wrong")
 	}
 	if g.StringAt(2) != "F" {

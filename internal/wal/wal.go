@@ -313,9 +313,6 @@ func (l *Log) Recovery() RecoveryInfo {
 	return l.rec
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Seq returns the sequence number of the last appended record (the
 // number of records ever appended, including recovered ones).
 func (l *Log) Seq() uint64 {

@@ -52,9 +52,6 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if got := l.Seq(); got != 100 {
 		t.Fatalf("Seq = %d, want 100", got)
 	}
-	if got := l.Dir(); got != dir {
-		t.Fatalf("Dir = %q, want %q", got, dir)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
