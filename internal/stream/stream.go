@@ -187,19 +187,14 @@ func (m *Monitor) ValidateBatch(groups, outcomes []int) (ValidBatch, error) {
 		return ValidBatch{}, fmt.Errorf("stream: batch has %d groups but %d outcomes", len(groups), len(outcomes))
 	}
 	for i := range groups {
-		if uint(groups[i]) >= uint(size) || uint(outcomes[i]) >= uint(k) {
-			return ValidBatch{}, elementError(i, groups[i], outcomes[i], size)
+		if uint(groups[i]) >= uint(size) {
+			return ValidBatch{}, fmt.Errorf("stream: batch element %d: group %d out of range", i, groups[i])
+		}
+		if uint(outcomes[i]) >= uint(k) {
+			return ValidBatch{}, fmt.Errorf("stream: batch element %d: outcome %d out of range", i, outcomes[i])
 		}
 	}
 	return ValidBatch{groups: groups, outcomes: outcomes, numGroups: size, numOutcomes: k}, nil
-}
-
-// elementError words ValidateBatch's refusal of element i.
-func elementError(i, group, outcome, size int) error {
-	if group < 0 || group >= size {
-		return fmt.Errorf("stream: batch element %d: group %d out of range", i, group)
-	}
-	return fmt.Errorf("stream: batch element %d: outcome %d out of range", i, outcome)
 }
 
 // ObserveValidated records a checked batch in one call: the hot ingest

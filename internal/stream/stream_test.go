@@ -358,6 +358,24 @@ func TestObserveBatchValidation(t *testing.T) {
 	if m.Seen() != 3 {
 		t.Fatalf("seen %d after batch of 3", m.Seen())
 	}
+
+	// A checked batch fits any monitor of the shape it was checked
+	// against, and no other; the zero value fits none.
+	b, err := m.ValidateBatch([]int{1, 0}, []int{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, _ := New(s, []string{"x", "y"}, Config{Policy: Tumbling{Window: 10}})
+	if err := twin.ObserveValidated(b); err != nil || twin.Seen() != 2 {
+		t.Fatalf("same-shape monitor: err %v, seen %d", err, twin.Seen())
+	}
+	wider, _ := newMonitor(s, []string{"x", "y", "z"}, 100, 0)
+	if err := wider.ObserveValidated(b); err == nil || wider.Seen() != 0 {
+		t.Errorf("batch checked against 2 outcomes ingested by a 3-outcome monitor: err %v", err)
+	}
+	if err := m.ObserveValidated(ValidBatch{}); err == nil {
+		t.Error("zero ValidBatch ingested")
+	}
 }
 
 func TestObserveValues(t *testing.T) {
