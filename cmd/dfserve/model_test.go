@@ -278,7 +278,7 @@ func (g *generator) spec() (string, *modelMonitor) {
 	r := g.r
 	mm := &modelMonitor{groups: 1}
 	var attrs []string
-	for a := 0; a < 1+r.Intn(2); a++ {
+	for a, n := 0, 1+r.Intn(2); a < n; a++ {
 		vals := []string{"x", "y", "z"}[:2+r.Intn(2)]
 		mm.attrs = append(mm.attrs, vals)
 		mm.groups *= len(vals)
@@ -467,11 +467,11 @@ func FuzzTranscript(f *testing.F) {
 }
 
 // transcriptRegressions holds shrunk transcripts that failed once, or
-// would fail if a fix were undone. The first is seed 1's transcript
-// shrunk against a handleDecide that claimed its tickets before the
-// applier's check: the refused decide at step 3 must claim nothing, or
-// after the abrupt restart the next decide draws from other
-// substreams than on the control.
+// would fail if a fix were undone. The first was shrunk against a
+// handleDecide that claimed its tickets before the applier's check: the
+// refused decide at step 3 must claim nothing, or after the abrupt
+// restart the next decide draws from other substreams than on the
+// control.
 var transcriptRegressions = []transcript{
 	{snapInterval: 3, steps: []step{
 		{"PUT", "/v1/monitors/m0", "", "{\"space\": [{\"name\": \"a0\", \"values\": [\"x\", \"y\"]}, {\"name\": \"a1\", \"values\": [\"x\", \"y\", \"z\"]}], \"outcomes\": [\"deny\", \"approve\"], \"half_life\": 5, \"alpha\": 1}"},

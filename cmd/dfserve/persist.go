@@ -416,20 +416,12 @@ func (r *registry) applyRecord(payload []byte) error {
 		}
 		// The record carries both streams' decisions, so replay does
 		// not re-run the applier — only the counts and ticket clocks
-		// move, exactly as the live handler moved them. Both columns are
-		// checked before either stream moves.
-		rawBatch, err := e.mon.ValidateBatch(groups, raw)
-		if err != nil {
+		// move, exactly as the live handler moved them. ObserveBatch
+		// checks each column against its stream's shape.
+		if err := e.mon.ObserveBatch(groups, raw); err != nil {
 			return fmt.Errorf("decide record raw stream: %w", err)
 		}
-		servedBatch, err := served.ValidateBatch(groups, repaired)
-		if err != nil {
-			return fmt.Errorf("decide record served stream: %w", err)
-		}
-		if err := e.mon.ObserveValidated(rawBatch); err != nil {
-			return fmt.Errorf("decide record raw stream: %w", err)
-		}
-		if err := served.ObserveValidated(servedBatch); err != nil {
+		if err := served.ObserveBatch(groups, repaired); err != nil {
 			return fmt.Errorf("decide record served stream: %w", err)
 		}
 		if end := ticket + n; end > lp.tickets.Load() {

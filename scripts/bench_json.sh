@@ -17,7 +17,7 @@
 # The second form lets CI reuse the smoke step's `go test -bench` output
 # instead of running the benchmarks twice; the package is then unused.
 # The artifacts CI writes:
-#   BENCH_resample.json 'BenchmarkEpsilonBootstrap|BenchmarkMultinomialDraw|BenchmarkEpsilonCredible|BenchmarkBootstrap$|BenchmarkBayesPosterior' .
+#   BENCH_resample.json 'BenchmarkEpsilonBootstrap|BenchmarkMultinomialDraw|BenchmarkEpsilonCredible|BenchmarkBootstrap$' .
 #   BENCH_audit.json    'BenchmarkAuditor|BenchmarkReportRenderJSON' .
 #   BENCH_metrics.json  'BenchmarkMetricAudit' .
 #   BENCH_repair.json   'BenchmarkRepairPlan|BenchmarkApplyBatch' .
