@@ -439,14 +439,8 @@ func (r *registry) handleObserve(w http.ResponseWriter, req *http.Request) {
 	var effective *float64
 	status, err := r.commit(e, func() ([]byte, error) {
 		return batch.observeRecord(e.id, groups, outcomes), nil
-	}, func() error {
-		if e.watch == nil {
-			return e.mon.ObserveValidated(checked)
-		}
-		var eff float64
-		var err error
-		alert, eff, err = e.watch.ObserveValidatedChecked(checked)
-		effective = &eff
+	}, func() (err error) {
+		alert, effective, err = e.ingest(checked)
 		return err
 	})
 	if err != nil {
@@ -461,6 +455,17 @@ func (r *registry) handleObserve(w http.ResponseWriter, req *http.Request) {
 	resp.Alert = e.alertReport(alert)
 	writeJSON(w, http.StatusOK, resp)
 	r.maybeSnapshot()
+}
+
+// ingest records a checked batch on the raw stream: through the watch
+// when the monitor has one, whose single threshold check gives the
+// alert and the effective mass the response reports.
+func (e *monitorEntry) ingest(b fairness.ValidBatch) (*fairness.Alert, *float64, error) {
+	if e.watch == nil {
+		return nil, nil, e.mon.ObserveValidated(b)
+	}
+	alert, eff, err := e.watch.ObserveValidatedChecked(b)
+	return alert, &eff, err
 }
 
 // alertReport renders a threshold crossing with human-readable labels;

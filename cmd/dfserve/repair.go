@@ -381,16 +381,8 @@ func (r *registry) handleDecide(w http.ResponseWriter, req *http.Request) {
 	var effective *float64
 	status, err := r.commit(e, func() ([]byte, error) {
 		return encodeDecideRecord(e.id, ticket, groups, decisions, repaired), nil
-	}, func() error {
-		var err error
-		if e.watch != nil {
-			var eff float64
-			alert, eff, err = e.watch.ObserveValidatedChecked(raw)
-			effective = &eff
-		} else {
-			err = e.mon.ObserveValidated(raw)
-		}
-		if err == nil {
+	}, func() (err error) {
+		if alert, effective, err = e.ingest(raw); err == nil {
 			err = served.ObserveValidated(servedBatch)
 		}
 		return err
