@@ -53,49 +53,42 @@ func (f auditOption) applyAudit(c *auditConfig) error { return f(c) }
 // RepairOption (NewRepairer). WithAlpha, WithSeed and WithWorkers return
 // SharedOptions, so one option vocabulary configures the whole package.
 type SharedOption struct {
-	audit  func(*auditConfig) error
-	repair func(*repairConfig) error
+	set func(sharedFields) error
+}
+
+// sharedFields points at the settings an Auditor and a Repairer both
+// have, in whichever config is being built.
+type sharedFields struct {
+	alpha   *float64
+	seed    *uint64
+	workers *int
 }
 
 func (o SharedOption) applyAudit(c *auditConfig) error {
-	if o.audit == nil {
-		return fmt.Errorf("fairness: zero SharedOption; use WithAlpha/WithSeed/WithWorkers")
-	}
-	return o.audit(c)
+	return o.apply(sharedFields{&c.alpha, &c.seed, &c.workers})
 }
 
 func (o SharedOption) applyRepair(c *repairConfig) error {
-	if o.repair == nil {
+	return o.apply(sharedFields{&c.alpha, &c.seed, &c.workers})
+}
+
+func (o SharedOption) apply(f sharedFields) error {
+	if o.set == nil {
 		return fmt.Errorf("fairness: zero SharedOption; use WithAlpha/WithSeed/WithWorkers")
 	}
-	return o.repair(c)
+	return o.set(f)
 }
 
 // WithAlpha selects the estimator: 0 for the empirical Eq. 6 estimator,
 // alpha > 0 for the Dirichlet-smoothed Eq. 7 estimator.
 func WithAlpha(alpha float64) SharedOption {
-	check := func() error {
+	return SharedOption{set: func(f sharedFields) error {
 		if alpha < 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
 			return fmt.Errorf("fairness: WithAlpha(%v): alpha must be finite and >= 0", alpha)
 		}
+		*f.alpha = alpha
 		return nil
-	}
-	return SharedOption{
-		audit: func(c *auditConfig) error {
-			if err := check(); err != nil {
-				return err
-			}
-			c.alpha = alpha
-			return nil
-		},
-		repair: func(c *repairConfig) error {
-			if err := check(); err != nil {
-				return err
-			}
-			c.alpha = alpha
-			return nil
-		},
-	}
+	}}
 }
 
 // WithSubsets controls whether every nonempty subset of the protected
@@ -171,10 +164,7 @@ func WithRepairTarget(eps float64) Option {
 // (inputs, options, seed) regardless of GOMAXPROCS. The default seed
 // is 1.
 func WithSeed(seed uint64) SharedOption {
-	return SharedOption{
-		audit:  func(c *auditConfig) error { c.seed = seed; return nil },
-		repair: func(c *repairConfig) error { c.seed = seed; return nil },
-	}
+	return SharedOption{set: func(f sharedFields) error { *f.seed = seed; return nil }}
 }
 
 // WithWorkers caps the worker-pool size used by the parallel fan-outs;
@@ -186,28 +176,13 @@ func WithSeed(seed uint64) SharedOption {
 // service handling concurrent requests can use this to bound each
 // request's share of the machine.
 func WithWorkers(n int) SharedOption {
-	check := func() error {
+	return SharedOption{set: func(f sharedFields) error {
 		if n < 0 {
 			return fmt.Errorf("fairness: WithWorkers(%d): worker count must be >= 0", n)
 		}
+		*f.workers = n
 		return nil
-	}
-	return SharedOption{
-		audit: func(c *auditConfig) error {
-			if err := check(); err != nil {
-				return err
-			}
-			c.workers = n
-			return nil
-		},
-		repair: func(c *repairConfig) error {
-			if err := check(); err != nil {
-				return err
-			}
-			c.workers = n
-			return nil
-		},
-	}
+	}}
 }
 
 // WithEqualizedOdds adds the equalized-odds analogue of DF (§7.1) over
@@ -383,16 +358,6 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladders [][]core.Subs
 	}
 
 	cfg := a.cfg
-	toCPT := func(c *core.Counts) (*core.CPT, error) {
-		if cfg.alpha > 0 {
-			return c.Smoothed(cfg.alpha, false)
-		}
-		return c.Empirical(), nil
-	}
-	estimator := "empirical (Eq. 6)"
-	if cfg.alpha > 0 {
-		estimator = fmt.Sprintf("Dirichlet-smoothed, alpha=%g (Eq. 7)", cfg.alpha)
-	}
 	// Marginalization preserves outcome labels, so one copy serves every
 	// ladder row (Counts.Outcomes copies on each call).
 	outcomes := counts.Outcomes()
@@ -400,13 +365,13 @@ func (a *Auditor) run(ctx context.Context, counts *Counts, ladders [][]core.Subs
 
 	rep := &Report{
 		SchemaVersion: ReportSchemaVersion,
-		Estimator:     estimator,
+		Estimator:     core.EstimatorLabel(cfg.alpha),
 		Alpha:         JSONFloat(cfg.alpha),
 		Observations:  JSONFloat(counts.Total()),
 		LadderSource:  ladderSource,
 	}
 
-	fullCPT, err := toCPT(counts)
+	fullCPT, err := core.Estimate(counts, cfg.alpha)
 	if err != nil {
 		return nil, err
 	}

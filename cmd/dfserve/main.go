@@ -352,16 +352,7 @@ func handleAudit(w http.ResponseWriter, r *http.Request, cfg serverConfig) {
 
 	report, err := auditor.Run(r.Context(), counts)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled):
-			// Client went away; 499 mirrors nginx's "client closed
-			// request" and mostly serves logs/tests — nobody is reading.
-			writeError(w, 499, err)
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, err)
-		default:
-			writeError(w, http.StatusUnprocessableEntity, err)
-		}
+		writeAuditError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -526,4 +517,19 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+}
+
+// writeAuditError answers a failed audit: 499 when the client went away
+// (nginx's "client closed request", which mostly serves logs and tests:
+// nobody is reading), 504 past the request's deadline, and 422 for a
+// failure of the audit itself.
+func writeAuditError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, context.Canceled):
+		writeError(w, 499, err)
+	case errors.Is(err, context.DeadlineExceeded):
+		writeError(w, http.StatusGatewayTimeout, err)
+	default:
+		writeError(w, http.StatusUnprocessableEntity, err)
+	}
 }

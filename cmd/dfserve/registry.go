@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -256,10 +254,20 @@ func (r *registry) lookup(id string) (*monitorEntry, bool) {
 	return e, ok
 }
 
-func (r *registry) handleGet(w http.ResponseWriter, req *http.Request) {
-	e, ok := r.lookup(req.PathValue("id"))
+// lookupOr404 fetches the entry the request's {id} names, answering 404
+// when there is none.
+func (r *registry) lookupOr404(w http.ResponseWriter, req *http.Request) (*monitorEntry, bool) {
+	id := req.PathValue("id")
+	e, ok := r.lookup(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no monitor %q", req.PathValue("id")))
+		writeError(w, http.StatusNotFound, fmt.Errorf("no monitor %q", id))
+	}
+	return e, ok
+}
+
+func (r *registry) handleGet(w http.ResponseWriter, req *http.Request) {
+	e, ok := r.lookupOr404(w, req)
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, e.stats())
@@ -410,9 +418,8 @@ type alertReport struct {
 // pooled scratch; a binary body's bytes double as the WAL record tail,
 // so the durable path never re-encodes them.
 func (r *registry) handleObserve(w http.ResponseWriter, req *http.Request) {
-	e, ok := r.lookup(req.PathValue("id"))
+	e, ok := r.lookupOr404(w, req)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no monitor %q", req.PathValue("id")))
 		return
 	}
 	batch, ok := readBatch(w, req, r.cfg.maxBody, &observeForm)
@@ -513,9 +520,8 @@ func (e *monitorEntry) encode(s *batchScratch) ([]int, []int, error) {
 // audits the post-repair served stream instead of the raw proposed
 // decisions.
 func (r *registry) handleReport(w http.ResponseWriter, req *http.Request) {
-	e, ok := r.lookup(req.PathValue("id"))
+	e, ok := r.lookupOr404(w, req)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no monitor %q", req.PathValue("id")))
 		return
 	}
 	mon := e.mon
@@ -553,14 +559,7 @@ func (r *registry) handleReport(w http.ResponseWriter, req *http.Request) {
 	// size once warm; exponential monitors walk the snapshot ladder.
 	report, err := auditor.RunMonitor(req.Context(), mon)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled):
-			writeError(w, 499, err)
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, err)
-		default:
-			writeError(w, http.StatusUnprocessableEntity, err)
-		}
+		writeAuditError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -176,9 +176,8 @@ func (e *monitorEntry) computePlan(ctx context.Context, spec *repairOptionsSpec,
 // handleMonitorRepair computes a plan from the monitor's live window and
 // installs it as the decide path's current plan.
 func (r *registry) handleMonitorRepair(w http.ResponseWriter, req *http.Request) {
-	e, ok := r.lookup(req.PathValue("id"))
+	e, ok := r.lookupOr404(w, req)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no monitor %q", req.PathValue("id")))
 		return
 	}
 	if !r.guardMutation(w) {
@@ -304,9 +303,8 @@ type decideResponse struct {
 // durable record also carries the ticket base and the repaired column,
 // which only exist after ApplyAt.
 func (r *registry) handleDecide(w http.ResponseWriter, req *http.Request) {
-	e, ok := r.lookup(req.PathValue("id"))
+	e, ok := r.lookupOr404(w, req)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no monitor %q", req.PathValue("id")))
 		return
 	}
 	if !r.guardMutation(w) {

@@ -52,10 +52,10 @@ func NewDirichletMultinomial(counts *core.Counts, alpha float64) (*DirichletMult
 }
 
 // PosteriorPredictive returns the posterior-predictive CPT, which equals
-// the Eq. 7 smoothed estimator. Groups with no observations receive the
-// prior predictive (uniform) when includeEmpty is true.
-func (m *DirichletMultinomial) PosteriorPredictive(includeEmpty bool) (*core.CPT, error) {
-	return m.counts.Smoothed(m.alpha, includeEmpty)
+// the Eq. 7 smoothed estimator. Groups with no observations are
+// unsupported.
+func (m *DirichletMultinomial) PosteriorPredictive() (*core.CPT, error) {
+	return m.counts.Smoothed(m.alpha, false)
 }
 
 // posteriorParams precomputes, once per call, the per-group posterior

@@ -86,7 +86,7 @@ func TestPosteriorPredictiveIsEq7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := m.PosteriorPredictive(false)
+	pp, err := m.PosteriorPredictive()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,14 +171,9 @@ func EqualizedOddsEpsilon(c *LabeledCounts, alpha float64) (EqualizedOddsResult,
 		if err != nil {
 			return out, err
 		}
-		var cpt *CPT
-		if alpha > 0 {
-			cpt, err = stratum.Smoothed(alpha, false)
-			if err != nil {
-				return out, err
-			}
-		} else {
-			cpt = stratum.Empirical()
+		cpt, err := Estimate(stratum, alpha)
+		if err != nil {
+			return out, err
 		}
 		if len(cpt.SupportedGroups()) < 2 {
 			continue
@@ -210,14 +205,9 @@ func EqualOpportunityEpsilon(c *LabeledCounts, deservingLabel int, alpha float64
 	if err != nil {
 		return EpsilonResult{}, err
 	}
-	var cpt *CPT
-	if alpha > 0 {
-		cpt, err = stratum.Smoothed(alpha, false)
-		if err != nil {
-			return EpsilonResult{}, err
-		}
-	} else {
-		cpt = stratum.Empirical()
+	cpt, err := Estimate(stratum, alpha)
+	if err != nil {
+		return EpsilonResult{}, err
 	}
 	return Epsilon(cpt)
 }

@@ -164,24 +164,7 @@ func (c *Counts) EmpiricalInto(dst *CPT) error {
 	if err := c.checkShape(dst); err != nil {
 		return err
 	}
-	k := len(c.outcomes)
-	for g := 0; g < c.space.Size(); g++ {
-		row := c.n[g*k : (g+1)*k]
-		var ns float64
-		for _, v := range row {
-			ns += v
-		}
-		out := dst.p[g*k : (g+1)*k]
-		if ns <= 0 {
-			dst.weight[g] = 0
-			clear(out)
-			continue
-		}
-		for y, v := range row {
-			out[y] = v / ns
-		}
-		dst.weight[g] = ns
-	}
+	estimateInto(c, dst, 0, false)
 	return nil
 }
 
@@ -212,6 +195,19 @@ func (c *Counts) SmoothedInto(dst *CPT, alpha float64, includeEmpty bool) error 
 	if err := c.checkShape(dst); err != nil {
 		return err
 	}
+	estimateInto(c, dst, alpha, includeEmpty)
+	return nil
+}
+
+// estimateInto is the one conversion from counts to a CPT, for α ≥ 0:
+// every group with N_s > 0 gets P(y|s) = (N_{y,s} + α) / (N_s + |Y|·α)
+// and weight N_s. At α = 0 that is Eq. 6 bit for bit, because a cell is
+// finite and non-negative, so N_{y,s} + 0 = N_{y,s} and N_s + |Y|·0 =
+// N_s; at α > 0 it is Eq. 7. A group with N_s = 0 is unsupported (zero
+// row and weight) unless includeEmpty is set, which gives it the
+// formula's uniform row and the smallest positive weight. dst's shape
+// must already be checked.
+func estimateInto(c *Counts, dst *CPT, alpha float64, includeEmpty bool) {
 	k := len(c.outcomes)
 	kf := float64(k)
 	for g := 0; g < c.space.Size(); g++ {
@@ -236,7 +232,36 @@ func (c *Counts) SmoothedInto(dst *CPT, alpha float64, includeEmpty bool) error 
 			dst.weight[g] = math.SmallestNonzeroFloat64
 		}
 	}
-	return nil
+}
+
+// EstimateInto converts counts into dst under the estimator alpha
+// selects, the choice every audit, monitor and repair path makes: the
+// Dirichlet-smoothed Eq. 7 (SmoothedInto, empty groups unsupported) when
+// alpha > 0, and the empirical Eq. 6 (EmpiricalInto) for any other
+// alpha. dst must have the counts' group count and number of outcomes.
+func EstimateInto(c *Counts, dst *CPT, alpha float64) error {
+	if alpha > 0 {
+		return c.SmoothedInto(dst, alpha, false)
+	}
+	return c.EmpiricalInto(dst)
+}
+
+// Estimate is EstimateInto into a new CPT.
+func Estimate(c *Counts, alpha float64) (*CPT, error) {
+	out := MustCPT(c.space, c.outcomes)
+	if err := EstimateInto(c, out, alpha); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// EstimatorLabel names the estimator Estimate uses at alpha, as reports
+// and repair plans print it.
+func EstimatorLabel(alpha float64) string {
+	if alpha > 0 {
+		return fmt.Sprintf("Dirichlet-smoothed, alpha=%g (Eq. 7)", alpha)
+	}
+	return "empirical (Eq. 6)"
 }
 
 // checkShape verifies dst can hold a CPT derived from these counts.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -300,6 +301,98 @@ func TestSmoothedIntoMatchesSmoothed(t *testing.T) {
 	tiny := MustSpace(Attr{Name: "z", Values: []string{"only"}})
 	if err := c.EmpiricalInto(MustCPT(tiny, []string{"no", "yes"})); err == nil {
 		t.Error("shape mismatch accepted")
+	}
+}
+
+// TestEstimateMatchesEq6AndEq7: the estimator alpha selects is the
+// paper's formula evaluated cell by cell, bit for bit, on seeded tables
+// with empty groups and non-integral cells: Eq. 6 (and Empirical) at
+// alpha = 0 and at any alpha that is not positive, NaN included, and
+// Eq. 7 (and Smoothed without empty groups) at alpha > 0. Rows,
+// weights and the zeroed rows of unsupported groups are all compared.
+func TestEstimateMatchesEq6AndEq7(t *testing.T) {
+	space := MustSpace(
+		Attr{Name: "a", Values: []string{"0", "1", "2"}},
+		Attr{Name: "b", Values: []string{"0", "1", "2", "3"}},
+	)
+	outcomes := []string{"no", "yes", "maybe"}
+	k := len(outcomes)
+	sameBits := func(t *testing.T, what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s = %v, want %v", what, got, want)
+		}
+	}
+	v := uint64(99)
+	for seed := 0; seed < 20; seed++ {
+		c := MustCounts(space, outcomes)
+		for g := 0; g < space.Size(); g++ {
+			v = v*6364136223846793005 + 1442695040888963407
+			if v>>60 < 4 { // about a quarter of the groups stay empty
+				continue
+			}
+			for y := 0; y < k; y++ {
+				v = v*6364136223846793005 + 1442695040888963407
+				n := float64(v >> 59) // some zero cells in supported rows
+				if seed%2 == 1 {
+					n = math.Ldexp(float64(v>>11), -50) // non-integral
+				}
+				c.MustAdd(g, y, n)
+			}
+		}
+		for _, alpha := range []float64{0, -1, math.NaN(), 0.5, 1, 3} {
+			got, err := Estimate(c, alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lib := c.Empirical()
+			if alpha > 0 {
+				if lib, err = c.Smoothed(alpha, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a := alpha
+			if !(a > 0) {
+				a = 0
+			}
+			for g := 0; g < space.Size(); g++ {
+				var ns float64
+				for y := 0; y < k; y++ {
+					ns += c.N(g, y)
+				}
+				wantW := ns
+				if ns <= 0 {
+					wantW = 0
+				}
+				sameBits(t, fmt.Sprintf("seed %d alpha %v weight[%d]", seed, alpha, g), got.Weight(g), wantW)
+				sameBits(t, fmt.Sprintf("seed %d alpha %v library weight[%d]", seed, alpha, g), lib.Weight(g), wantW)
+				for y := 0; y < k; y++ {
+					var want float64
+					switch {
+					case ns <= 0:
+						want = 0
+					case a > 0:
+						want = (c.N(g, y) + a) / (ns + float64(k)*a)
+					default:
+						want = c.N(g, y) / ns
+					}
+					what := fmt.Sprintf("seed %d alpha %v p[%d][%d]", seed, alpha, g, y)
+					sameBits(t, what, got.Prob(g, y), want)
+					sameBits(t, "library "+what, lib.Prob(g, y), want)
+				}
+			}
+		}
+	}
+
+	c := MustCounts(space, outcomes)
+	c.MustAdd(0, 0, 1)
+	_, err := Estimate(c, math.Inf(1))
+	want := c.SmoothedInto(MustCPT(space, outcomes), math.Inf(1), false)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("alpha=+Inf: error %v, want SmoothedInto's %v", err, want)
+	}
+	if EstimatorLabel(0) != "empirical (Eq. 6)" || EstimatorLabel(1.5) != "Dirichlet-smoothed, alpha=1.5 (Eq. 7)" {
+		t.Fatalf("labels %q, %q", EstimatorLabel(0), EstimatorLabel(1.5))
 	}
 }
 

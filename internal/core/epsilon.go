@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -59,26 +58,39 @@ func Epsilon(c *CPT) (EpsilonResult, error) {
 	for y := 0; y < c.NumOutcomes(); y++ {
 		// For a fixed outcome the maximal |log ratio| over pairs is
 		// log(max) − log(min), so a single scan over the supported groups
-		// suffices (checked inline to avoid the SupportedGroups slice).
-		hiG, loG := -1, -1
-		hiP, loP := math.Inf(-1), math.Inf(1)
-		for g := 0; g < c.space.Size(); g++ {
-			if c.weight[g] <= 0 {
-				continue
-			}
-			p := c.Prob(g, y)
-			if p > hiP {
-				hiP, hiG = p, g
-			}
-			if p < loP {
-				loP, loG = p, g
-			}
-		}
+		// suffices.
+		hiG, loG, hiP, loP := OutcomeExtrema(c, y)
 		if epsilonStep(&res, y, hiG, loG, hiP, loP) {
 			break
 		}
 	}
 	return res, nil
+}
+
+// OutcomeExtrema scans a CPT's supported groups (weight > 0) in
+// ascending order for outcome y's highest and lowest rates and the
+// groups attaining them. Only a strict improvement replaces an
+// extremum, so each group is the lowest index at its extremum. With no
+// supported group it returns groups −1 and rates −Inf, +Inf. It is the
+// scan behind Epsilon and the Eval of every metric with an extrema form;
+// RateExtrema.Scan is its all-outcome, one-pass form. The rows are not
+// checked; validate the table first.
+func OutcomeExtrema(c *CPT, y int) (hiG, loG int, hiP, loP float64) {
+	hiG, loG = -1, -1
+	hiP, loP = math.Inf(-1), math.Inf(1)
+	for g, w := range c.weight {
+		if w <= 0 {
+			continue
+		}
+		p := c.Prob(g, y)
+		if p > hiP {
+			hiP, hiG = p, g
+		}
+		if p < loP {
+			loP, loG = p, g
+		}
+	}
+	return hiG, loG, hiP, loP
 }
 
 // MustEpsilon is Epsilon but panics on error.
@@ -172,65 +184,34 @@ func EpsilonSubsetsCounts(c *Counts, alpha float64) ([]SubsetEpsilon, error) {
 	return out, nil
 }
 
-// subsetMask encodes an attribute-name subset as a bitmask over the
-// space's attribute positions.
-func subsetMask(space *Space, names []string) (int, error) {
-	mask := 0
-	for _, n := range names {
-		i, ok := space.AttrIndex(n)
-		if !ok {
-			return 0, fmt.Errorf("core: unknown attribute %q", n)
+// latticeMarginals builds the counts marginal of every nonempty
+// attribute subset along plan, indexed by mask; marg[plan.Full] is c
+// itself. Each node's table is its parent's projected through the
+// node's DropStride pair in ascending parent-cell order, so every cell
+// is the sum that Counts.Marginalize would form from the parent, added
+// in the same order, bit for bit. The marginals share one backing
+// array, and the total work is the sum of the parent tables' sizes.
+func latticeMarginals(plan *SubsetPlan, c *Counts) []Counts {
+	k := len(c.outcomes)
+	cells := 0
+	for _, nd := range plan.Nodes {
+		cells += nd.Space.Size() * k
+	}
+	buf := make([]float64, cells)
+	marg := make([]Counts, plan.Full+1)
+	marg[plan.Full] = *c
+	for i := range plan.Nodes {
+		nd := &plan.Nodes[i]
+		n := nd.Space.Size() * k
+		dst := buf[:n:n]
+		buf = buf[n:]
+		for pc, v := range marg[nd.Parent].n {
+			g := pc / k
+			dst[nd.Project(g)*k+pc-g*k] += v
 		}
-		mask |= 1 << i
+		marg[nd.Mask] = Counts{space: nd.Space, outcomes: c.outcomes, n: dst}
 	}
-	return mask, nil
-}
-
-// latticeMarginals builds the counts marginal for every nonempty
-// attribute-subset mask, sharing work along the subset lattice: each
-// subset's counts are derived by dropping a single attribute from an
-// already-computed parent marginal (one attribute larger) instead of
-// re-aggregating the full table, so the total work is Σ over subsets of
-// the *parent* table size rather than 2^p × the full table size. The
-// returned slice is indexed by mask; marg[fullMask] is c itself.
-func latticeMarginals(c *Counts) ([]*Counts, error) {
-	space := c.Space()
-	p := space.NumAttrs()
-	attrs := space.Attrs()
-	fullMask := 1<<p - 1
-
-	namesOf := func(mask int) []string {
-		var names []string
-		for i := 0; i < p; i++ {
-			if mask&(1<<i) != 0 {
-				names = append(names, attrs[i].Name)
-			}
-		}
-		return names
-	}
-
-	// Build every marginal from its parent in the lattice, walking masks
-	// by decreasing popcount so parents are always ready.
-	marg := make([]*Counts, fullMask+1)
-	marg[fullMask] = c
-	byPopcount := make([][]int, p+1)
-	for mask := 1; mask < fullMask; mask++ {
-		n := bits.OnesCount(uint(mask))
-		byPopcount[n] = append(byPopcount[n], mask)
-	}
-	for size := p - 1; size >= 1; size-- {
-		for _, mask := range byPopcount[size] {
-			// Parent: this subset plus the lowest missing attribute.
-			missing := fullMask &^ mask
-			parent := mask | (missing & -missing)
-			m, err := marg[parent].Marginalize(namesOf(mask)...)
-			if err != nil {
-				return nil, err
-			}
-			marg[mask] = m
-		}
-	}
-	return marg, nil
+	return marg
 }
 
 // SortSubsetsByEpsilon orders subset results by increasing ε, the

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math"
+	"math/bits"
+	"reflect"
 	"testing"
 )
 
@@ -332,31 +334,80 @@ func TestEpsilonErrorOnInvalidCPT(t *testing.T) {
 }
 
 // TestEpsilonSubsetsCountsLatticeMatchesDirect: the lattice-shared
-// marginalization (each subset derived from a one-attribute-larger
-// parent) must agree with marginalizing every subset directly from the
-// full table.
+// marginalization (each subset projected from a one-attribute-larger
+// parent) must give, bit for bit, the marginals Counts.Marginalize forms
+// from the same parents, on mixed cardinalities and non-integral cells,
+// and ε ladders that agree with marginalizing every subset directly
+// from the full table. The reference restates the parent rule instead
+// of reading the subset plan, so a wrong plan cannot pass by agreeing
+// with itself.
 func TestEpsilonSubsetsCountsLatticeMatchesDirect(t *testing.T) {
 	space := MustSpace(
 		Attr{Name: "a", Values: []string{"0", "1"}},
 		Attr{Name: "b", Values: []string{"0", "1", "2"}},
-		Attr{Name: "c", Values: []string{"0", "1"}},
+		Attr{Name: "c", Values: []string{"0", "1", "2", "3"}},
+		Attr{Name: "d", Values: []string{"0", "1"}},
 	)
-	c := MustCounts(space, []string{"no", "yes"})
-	// Deterministic pseudo-random integer fill with every cell positive.
+	c := MustCounts(space, []string{"no", "yes", "maybe"})
+	// Deterministic pseudo-random non-integral fill, every cell positive.
 	v := uint64(12345)
-	for g := 0; g < space.Size(); g++ {
-		for y := 0; y < 2; y++ {
-			v = v*6364136223846793005 + 1442695040888963407
-			c.MustAdd(g, y, float64(1+v%97))
+	for i := range c.Cells() {
+		v = v*6364136223846793005 + 1442695040888963407
+		c.Cells()[i] = 0.1 + math.Ldexp(float64(v>>11), -47)
+	}
+
+	p := space.NumAttrs()
+	full := 1<<p - 1
+	namesOf := func(mask int) []string {
+		var names []string
+		for i, a := range space.Attrs() {
+			if mask&(1<<i) != 0 {
+				names = append(names, a.Name)
+			}
+		}
+		return names
+	}
+	ref := map[int]*Counts{full: c}
+	for size := p - 1; size >= 1; size-- {
+		for mask := 1; mask < full; mask++ {
+			if bits.OnesCount(uint(mask)) != size {
+				continue
+			}
+			missing := full &^ mask
+			m, err := ref[mask|missing&-missing].Marginalize(namesOf(mask)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref[mask] = m
 		}
 	}
+	plan, err := NewSubsetPlan(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marg := latticeMarginals(plan, c)
+	for mask := 1; mask <= full; mask++ {
+		got, want := &marg[mask], ref[mask]
+		if !reflect.DeepEqual(got.Space().Attrs(), want.Space().Attrs()) {
+			t.Fatalf("mask %b: space %v, want %v", mask, got.Space().Attrs(), want.Space().Attrs())
+		}
+		if len(got.Cells()) != len(want.Cells()) {
+			t.Fatalf("mask %b: %d cells, want %d", mask, len(got.Cells()), len(want.Cells()))
+		}
+		for i, w := range want.Cells() {
+			if math.Float64bits(got.Cells()[i]) != math.Float64bits(w) {
+				t.Fatalf("mask %b cell %d: %v, want %v", mask, i, got.Cells()[i], w)
+			}
+		}
+	}
+
 	for _, alpha := range []float64{0, 1} {
 		got, err := EpsilonSubsetsCounts(c, alpha)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 7 {
-			t.Fatalf("got %d subsets, want 7", len(got))
+		if len(got) != full {
+			t.Fatalf("got %d subsets, want %d", len(got), full)
 		}
 		for _, sub := range got {
 			if sub.Space == nil {
@@ -366,14 +417,9 @@ func TestEpsilonSubsetsCountsLatticeMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var cpt *CPT
-			if alpha > 0 {
-				cpt, err = m.Smoothed(alpha, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				cpt = m.Empirical()
+			cpt, err := Estimate(m, alpha)
+			if err != nil {
+				t.Fatal(err)
 			}
 			want, err := Epsilon(cpt)
 			if err != nil {

@@ -132,11 +132,10 @@ func (s SubsetMetric) Key() string { return strings.Join(s.Attrs, ",") }
 
 // MetricSubsetsCounts measures every metric for every nonempty subset
 // of the protected attributes by aggregating counts — the Table 2
-// ladder generalized beyond ε. It walks the subset lattice once:
-// marginal tables are shared along the lattice (each subset's counts
-// derived from a one-attribute-larger parent, see latticeMarginals),
-// each subset's CPT is built once under the selected estimator (alpha >
-// 0 selects the Eq. 7 smoothed one), and EvalMetrics scores every
+// ladder generalized beyond ε. It walks the subset lattice once along
+// NewSubsetPlan: each subset's counts are projected from its parent's
+// (see latticeMarginals), each subset's CPT is built once under the
+// estimator alpha selects (EstimateInto), and EvalMetrics scores every
 // metric on it with one validated scan. The result holds one ladder per
 // metric, in the order of ms, each listing the subsets in
 // Space.SubsetNames order; with no metrics it is empty and the lattice
@@ -145,24 +144,20 @@ func MetricSubsetsCounts(ms []Metric, c *Counts, alpha float64) ([][]SubsetMetri
 	if len(ms) == 0 {
 		return nil, nil
 	}
-	space := c.Space()
-	marg, err := latticeMarginals(c)
+	plan, err := NewSubsetPlan(c.space)
 	if err != nil {
 		return nil, err
 	}
-	subsets := space.SubsetNames()
+	marg := latticeMarginals(plan, c)
 	out := make([][]SubsetMetric, len(ms))
 	for j := range out {
-		out[j] = make([]SubsetMetric, len(subsets))
+		out[j] = make([]SubsetMetric, len(plan.Names))
 	}
 	x := NewRateExtrema(c.NumOutcomes())
 	res := make([]MetricResult, len(ms))
-	for i, names := range subsets {
-		mask, err := subsetMask(space, names)
-		if err != nil {
-			return nil, err
-		}
-		cpt, err := marginalCPT(marg[mask], alpha)
+	for i, names := range plan.Names {
+		m := &marg[plan.Masks[i]]
+		cpt, err := Estimate(m, alpha)
 		if err != nil {
 			return nil, err
 		}
@@ -170,7 +165,7 @@ func MetricSubsetsCounts(ms []Metric, c *Counts, alpha float64) ([][]SubsetMetri
 			return nil, fmt.Errorf("core: subset %v: %w", names, err)
 		}
 		for j, r := range res {
-			out[j][i] = SubsetMetric{Attrs: names, Result: r, Space: marg[mask].Space()}
+			out[j][i] = SubsetMetric{Attrs: names, Result: r, Space: m.space}
 		}
 	}
 	return out, nil
@@ -188,13 +183,4 @@ func SortSubsetsByMetricValue(m Metric, subs []SubsetMetric) {
 		}
 		return slices.Compare(subs[i].Attrs, subs[j].Attrs) < 0
 	})
-}
-
-// marginalCPT converts one lattice marginal to a CPT under the selected
-// estimator.
-func marginalCPT(c *Counts, alpha float64) (*CPT, error) {
-	if alpha > 0 {
-		return c.Smoothed(alpha, false)
-	}
-	return c.Empirical(), nil
 }

@@ -126,3 +126,29 @@ func TestMetricSubsetsCountsFailsOnAnyMetricError(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkMetricSubsetsCounts times one snapshot walk of the ε ladder
+// over a table of nine binary attributes (512 groups, 511 subsets) under
+// the Eq. 7 estimator at α = 1, the walk behind /v1/audit, Auditor.Run
+// and exponential-monitor reports. Run it with -benchmem: the walk's
+// allocations are most of its cost.
+func BenchmarkMetricSubsetsCounts(b *testing.B) {
+	attrs := make([]core.Attr, 9)
+	for i := range attrs {
+		attrs[i] = core.Attr{Name: string(rune('a' + i)), Values: []string{"0", "1"}}
+	}
+	c := core.MustCounts(core.MustSpace(attrs...), []string{"no", "yes"})
+	v := uint64(7)
+	for i := range c.Cells() {
+		v = v*6364136223846793005 + 1442695040888963407
+		c.Cells()[i] = float64(1 + v>>33%200)
+	}
+	ms := []core.Metric{core.DFEpsilon}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.MetricSubsetsCounts(ms, c, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

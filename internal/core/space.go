@@ -23,6 +23,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -320,4 +321,84 @@ func (s *Space) SubsetNames() [][]string {
 		return strings.Join(out[i], ",") < strings.Join(out[j], ",")
 	})
 	return out
+}
+
+// SubsetPlan is the attribute-subset lattice of a space, the one plan
+// both subset-ladder walks follow: the snapshot walk (MetricSubsetsCounts)
+// and the streaming monitors' incremental ladders. Every nonempty proper
+// subset derives its marginal from its parent, the subset plus its
+// lowest missing attribute, by dropping that one attribute, so each
+// subset costs one projection of its parent's table instead of an
+// aggregation of the full table.
+type SubsetPlan struct {
+	// Names lists every nonempty attribute subset in Space.SubsetNames
+	// order, the full set last.
+	Names [][]string
+	// Masks[i] is the mask of Names[i]: bit j is set when attribute j
+	// of the space is in the subset.
+	Masks []int
+	// Full is the mask of the full attribute set.
+	Full int
+	// Nodes lists the nonempty proper subsets by decreasing size, and by
+	// increasing mask within a size, so every node's parent is the full
+	// set or an earlier node.
+	Nodes []SubsetNode
+}
+
+// SubsetNode is one nonempty proper subset of a SubsetPlan.
+type SubsetNode struct {
+	// Mask is the subset's attribute mask and Parent its parent's: the
+	// subset plus its lowest missing attribute.
+	Mask, Parent int
+	// Space is the marginal space over the subset's attributes, in the
+	// space's order.
+	Space *Space
+	// Div and Stride are the parent space's DropStride pair for the
+	// dropped attribute; Project applies them.
+	Div, Stride int
+}
+
+// Project maps a group of the node's parent space to the group of the
+// node's space that it aggregates into.
+func (n *SubsetNode) Project(parentGroup int) int {
+	return parentGroup/n.Div*n.Stride + parentGroup%n.Stride
+}
+
+// NewSubsetPlan builds the subset lattice of s.
+func NewSubsetPlan(s *Space) (*SubsetPlan, error) {
+	p := len(s.attrs)
+	full := 1<<p - 1
+	plan := &SubsetPlan{Names: s.SubsetNames(), Full: full}
+	plan.Masks = make([]int, len(plan.Names))
+	names := make([][]string, full+1)
+	for i, subset := range plan.Names {
+		mask := 0
+		for _, n := range subset {
+			j, _ := s.AttrIndex(n)
+			mask |= 1 << j
+		}
+		plan.Masks[i] = mask
+		names[mask] = subset
+	}
+	spaces := make([]*Space, full+1)
+	spaces[full] = s
+	plan.Nodes = make([]SubsetNode, 0, full-1)
+	for size := p - 1; size >= 1; size-- {
+		for mask := 1; mask < full; mask++ {
+			if bits.OnesCount(uint(mask)) != size {
+				continue
+			}
+			missing := full &^ mask
+			drop := missing & -missing
+			parent := mask | drop
+			sub, _, err := s.Subset(names[mask]...)
+			if err != nil {
+				return nil, err
+			}
+			spaces[mask] = sub
+			div, stride := spaces[parent].DropStride(bits.OnesCount(uint(parent & (drop - 1))))
+			plan.Nodes = append(plan.Nodes, SubsetNode{Mask: mask, Parent: parent, Space: sub, Div: div, Stride: stride})
+		}
+	}
+	return plan, nil
 }

@@ -86,14 +86,9 @@ func SmoothingSweep(cfg census.Config) (SmoothingSweepResult, error) {
 	}
 	var out SmoothingSweepResult
 	for _, alpha := range []float64{0, 0.1, 0.5, 1, 5, 20} {
-		var cpt *core.CPT
-		if alpha == 0 {
-			cpt = counts.Empirical()
-		} else {
-			cpt, err = counts.Smoothed(alpha, false)
-			if err != nil {
-				return out, err
-			}
+		cpt, err := core.Estimate(counts, alpha)
+		if err != nil {
+			return out, err
 		}
 		res, err := core.Epsilon(cpt)
 		if err != nil {
@@ -155,7 +150,7 @@ func CredibleInterval(ctx context.Context, cfg census.Config, samples int, seed 
 	if err != nil {
 		return CredibleResult{}, err
 	}
-	pp, err := model.PosteriorPredictive(false)
+	pp, err := model.PosteriorPredictive()
 	if err != nil {
 		return CredibleResult{}, err
 	}

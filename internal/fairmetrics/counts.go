@@ -17,7 +17,8 @@ import (
 // versioned Report unchanged.
 //
 // Every Eval scans supported groups in ascending index order with
-// strict comparisons, matching core.Epsilon's min-index tie-breaking,
+// strict comparisons, matching core.Epsilon's min-index tie-breaking
+// (the extrema metrics call core.OutcomeExtrema, Epsilon's own scan),
 // so values AND witnesses are a deterministic function of the table.
 // All but SubgroupParity read only the per-outcome rate extrema and
 // also implement core.ExtremaMetric; Eval and EvalExtrema share each
@@ -33,27 +34,6 @@ func binaryOnly(key string, space *core.Space, outcomes []string) error {
 		return fmt.Errorf("fairmetrics: %s is defined on binary outcomes, got %d", key, len(outcomes))
 	}
 	return nil
-}
-
-// outcomeRates scans a validated CPT for outcome y's extreme rates over
-// supported groups. Ties break toward the lowest group index, like
-// core.Epsilon.
-func outcomeRates(c *core.CPT, y int) (hiG, loG int, hiP, loP float64) {
-	hiG, loG = -1, -1
-	hiP, loP = math.Inf(-1), math.Inf(1)
-	for g := 0; g < c.Space().Size(); g++ {
-		if c.Weight(g) <= 0 {
-			continue
-		}
-		p := c.Prob(g, y)
-		if p > hiP {
-			hiP, hiG = p, g
-		}
-		if p < loP {
-			loP, loG = p, g
-		}
-	}
-	return hiG, loG, hiP, loP
 }
 
 // WorstGap is the worst-case pairwise rate gap of Ghosh et al.: the
@@ -94,7 +74,7 @@ func (WorstGap) Eval(c *core.CPT) (core.MetricResult, error) {
 	}
 	res := core.MetricResult{Finite: true}
 	for y := 0; y < c.NumOutcomes(); y++ {
-		hiG, loG, hiP, loP := outcomeRates(c, y)
+		hiG, loG, hiP, loP := core.OutcomeExtrema(c, y)
 		gapStep(&res, y, hiG, loG, hiP, loP)
 	}
 	return res, nil
@@ -161,7 +141,7 @@ func (WorstRatio) Eval(c *core.CPT) (core.MetricResult, error) {
 	if err := c.Validate(); err != nil {
 		return core.MetricResult{}, err
 	}
-	return worstRatio(outcomeRates(c, 1)), nil
+	return worstRatio(core.OutcomeExtrema(c, 1)), nil
 }
 
 // EvalExtrema implements core.ExtremaMetric.
@@ -228,7 +208,7 @@ func (m AlphaIntersectional) Eval(c *core.CPT) (core.MetricResult, error) {
 	if err := c.Validate(); err != nil {
 		return core.MetricResult{}, err
 	}
-	return m.value(outcomeRates(c, 1)), nil
+	return m.value(core.OutcomeExtrema(c, 1)), nil
 }
 
 // EvalExtrema implements core.ExtremaMetric.
@@ -349,7 +329,7 @@ func (DemographicParity) Eval(c *core.CPT) (core.MetricResult, error) {
 	if err := c.Validate(); err != nil {
 		return core.MetricResult{}, err
 	}
-	return parityGap(outcomeRates(c, 1)), nil
+	return parityGap(core.OutcomeExtrema(c, 1)), nil
 }
 
 // EvalExtrema implements core.ExtremaMetric.

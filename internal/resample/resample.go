@@ -182,16 +182,10 @@ func (bt *Bootstrap) NewScratch() *Scratch {
 func (bt *Bootstrap) Draw(s *Scratch, i int) error {
 	s.rng.SeedStream(bt.base, uint64(i))
 	s.rng.Multinomial(s.boot.Cells(), bt.n, bt.weights)
-	var err error
-	if bt.alpha > 0 {
-		err = s.boot.SmoothedInto(s.cpt, bt.alpha, false)
-	} else {
-		err = s.boot.EmpiricalInto(s.cpt)
-	}
-	if err != nil {
+	if err := core.EstimateInto(s.boot, s.cpt, bt.alpha); err != nil {
 		return fmt.Errorf("resample: replicate failed: %w", err)
 	}
-	err = core.EvalMetrics(bt.ms, s.cpt, &s.x, s.res)
+	err := core.EvalMetrics(bt.ms, s.cpt, &s.x, s.res)
 	if errors.Is(err, core.ErrDegenerateSupport) {
 		// The resample concentrated all mass in fewer than two groups:
 		// legitimately the most-unfair representable value of every
@@ -261,13 +255,9 @@ func validateBootstrap(ms []core.Metric, c *core.Counts, alpha float64, b int, l
 	if math.Abs(total-float64(n)) > 1e-9 {
 		return 0, nil, fmt.Errorf("resample: bootstrap requires integer counts, total is %v", total)
 	}
-	var cpt *core.CPT
-	if alpha > 0 {
-		if cpt, err = c.Smoothed(alpha, false); err != nil {
-			return 0, nil, err
-		}
-	} else {
-		cpt = c.Empirical()
+	cpt, err := core.Estimate(c, alpha)
+	if err != nil {
+		return 0, nil, err
 	}
 	x := core.NewRateExtrema(c.NumOutcomes())
 	res := make([]core.MetricResult, len(ms))

@@ -32,10 +32,11 @@ package stream
 //
 // MetricSubsets extends the same machinery down the attribute-subset
 // lattice: deltas applied to the full table accumulate in a pending set
-// and are folded into each subset marginal along the PR-2
-// parent-derivation order (each subset derived from a one-attribute-
-// larger parent via core.Space.DropStride), so a warm subset ladder
-// costs O(pending deltas × subsets), independent of the lattice size.
+// and are folded into each subset marginal along core.NewSubsetPlan,
+// the plan the snapshot walk follows (each subset derived from a
+// one-attribute-larger parent via core.Space.DropStride), so a warm
+// subset ladder costs O(pending deltas × subsets), independent of the
+// lattice size.
 // Every marginal caches its own rate extrema, from which ε and each
 // extrema-form metric get their ladder.
 //
@@ -255,13 +256,11 @@ func (t *incTable) addOnes(cells []int32) {
 	t.nDirty, t.ext.Supported = nDirty, supported
 }
 
-// prob is the estimator core's SmoothedInto/EmpiricalInto would compute
-// for a supported group — identical expressions, so identical bits.
+// prob is the rate core.EstimateInto gives a supported group, by core's
+// one conversion formula (N_ys + α)/(N_s + |Y|·α) in the same
+// expression, so identical bits; at α = 0 it is Eq. 6.
 func (t *incTable) prob(g, y int) float64 {
-	if t.alpha > 0 {
-		return (t.agg[g*t.k+y] + t.alpha) / (t.ns[g] + t.kf*t.alpha)
-	}
-	return t.agg[g*t.k+y] / t.ns[g]
+	return (t.agg[g*t.k+y] + t.alpha) / (t.ns[g] + t.kf*t.alpha)
 }
 
 // refresh folds the dirty-group set into the cached extrema. Cost is
@@ -403,19 +402,14 @@ func (d *cellDelta) clear() {
 }
 
 // incNode is one tracked subset of the attribute lattice: a marginal
-// incTable plus the projection arithmetic deriving it from its parent
-// (the subset one attribute larger, PR-2 parent order: the lowest
-// missing attribute). out accumulates the deltas applied to this node so
-// its own children can derive theirs; it is nil for nodes no child reads.
+// incTable over a node of core's subset plan, which names the parent it
+// derives from and projects the parent's groups onto it. out
+// accumulates the deltas applied to this node so its own children can
+// derive theirs; it is nil for nodes no child reads.
 type incNode struct {
-	mask       int
-	parent     int
-	sub        *core.Space
-	dropDiv    int // parent-group divisor for the dropped attribute
-	dropStride int // parent-group stride of the dropped attribute
-	tab        *incTable
-	out        *cellDelta
-	needOut    bool
+	core.SubsetNode
+	tab *incTable
+	out *cellDelta
 }
 
 // incBucket mirrors one epoch of the windowed engines, merged across
@@ -453,11 +447,10 @@ type incEngine struct {
 	ring []incBucket
 
 	// subset lattice (built lazily on first MetricSubsets)
-	fullMask    int
-	nodes       []*incNode // indexed by attribute mask
-	nodeOrder   []*incNode // decreasing popcount: parents first
-	subsetOrder [][]string
-	pend        *cellDelta // deltas applied to full since last propagation
+	plan      *core.SubsetPlan
+	nodes     []*incNode // indexed by attribute mask
+	nodeOrder []*incNode // plan.Nodes order: parents first
+	pend      *cellDelta // deltas applied to full since last propagation
 }
 
 func newIncEngine(m *Monitor, eng *winEngine, logCap int) *incEngine {
@@ -691,70 +684,37 @@ func (inc *incEngine) cptLocked() (*core.CPT, error) {
 		inc.counts, inc.cpt = counts, cpt
 	}
 	copy(inc.counts.Cells(), inc.full.agg)
-	return inc.cpt, estimate(inc.counts, inc.cpt, inc.m.alpha)
+	return inc.cpt, core.EstimateInto(inc.counts, inc.cpt, inc.m.alpha)
 }
 
 // buildNodes constructs the subset lattice: one marginal table per
-// nonempty proper attribute subset, each derived from its parent (the
-// subset plus the lowest missing attribute — the same parent order
-// core.EpsilonSubsetsCounts walks) via DropStride index arithmetic.
-// Called lazily on the first MetricSubsets, which has already refused
-// spaces of more than maxIncAttrs attributes; mu must be held.
+// node of core's subset plan, the plan the snapshot walk
+// (core.MetricSubsetsCounts) follows too. Called lazily on the first
+// MetricSubsets, which has already refused spaces of more than
+// maxIncAttrs attributes; mu must be held.
 func (inc *incEngine) buildNodes() error {
-	space := inc.m.space
-	p := space.NumAttrs()
-	attrs := space.Attrs()
+	plan, err := core.NewSubsetPlan(inc.m.space)
+	if err != nil {
+		return err
+	}
 	k := len(inc.m.outcomes)
-	inc.fullMask = 1<<p - 1
-	inc.subsetOrder = space.SubsetNames()
-	inc.nodes = make([]*incNode, inc.fullMask+1)
-	names := make([]string, 0, p)
-	for sz := p - 1; sz >= 1; sz-- {
-		for mask := 1; mask < inc.fullMask; mask++ {
-			if bits.OnesCount(uint(mask)) != sz {
-				continue
-			}
-			names = names[:0]
-			for i := 0; i < p; i++ {
-				if mask&(1<<i) != 0 {
-					names = append(names, attrs[i].Name)
-				}
-			}
-			sub, _, err := space.Subset(names...)
-			if err != nil {
-				return err
-			}
-			missing := inc.fullMask &^ mask
-			dropBit := missing & -missing
-			parent := mask | dropBit
-			parentSpace := space
-			if parent != inc.fullMask {
-				parentSpace = inc.nodes[parent].sub
-			}
-			div, stride := parentSpace.DropStride(bits.OnesCount(uint(parent & (dropBit - 1))))
-			nd := &incNode{
-				mask:       mask,
-				parent:     parent,
-				sub:        sub,
-				dropDiv:    div,
-				dropStride: stride,
-				tab:        newIncTable(sub.Size(), k, inc.m.alpha),
-			}
-			inc.nodes[mask] = nd
-			inc.nodeOrder = append(inc.nodeOrder, nd)
-		}
+	inc.plan = plan
+	inc.nodes = make([]*incNode, plan.Full+1)
+	inc.nodeOrder = make([]*incNode, len(plan.Nodes))
+	for i, sn := range plan.Nodes {
+		nd := &incNode{SubsetNode: sn, tab: newIncTable(sn.Space.Size(), k, inc.m.alpha)}
+		inc.nodes[sn.Mask] = nd
+		inc.nodeOrder[i] = nd
 	}
 	for _, nd := range inc.nodeOrder {
-		if nd.parent != inc.fullMask {
-			inc.nodes[nd.parent].needOut = true
+		if nd.Parent == plan.Full {
+			continue
+		}
+		if p := inc.nodes[nd.Parent]; p.out == nil {
+			p.out = newCellDelta(p.Space.Size() * k)
 		}
 	}
-	for _, nd := range inc.nodeOrder {
-		if nd.needOut {
-			nd.out = newCellDelta(nd.sub.Size() * k)
-		}
-	}
-	inc.pend = newCellDelta(space.Size() * k)
+	inc.pend = newCellDelta(inc.m.space.Size() * k)
 	return nil
 }
 
@@ -764,8 +724,8 @@ func (inc *incEngine) buildNodes() error {
 func (inc *incEngine) rebuildNodes() {
 	for _, nd := range inc.nodeOrder {
 		pt := inc.full
-		if nd.parent != inc.fullMask {
-			pt = inc.nodes[nd.parent].tab
+		if nd.Parent != inc.plan.Full {
+			pt = inc.nodes[nd.Parent].tab
 		}
 		t := nd.tab
 		t.reset()
@@ -776,8 +736,7 @@ func (inc *incEngine) rebuildNodes() {
 			}
 			g := pc / k
 			y := pc - g*k
-			gc := g/nd.dropDiv*nd.dropStride + g%nd.dropStride
-			t.addCell(gc*k+y, v)
+			t.addCell(nd.Project(g)*k+y, v)
 		}
 		t.refresh()
 		if nd.out != nil {
@@ -797,8 +756,8 @@ func (inc *incEngine) laddersLocked(ms []core.Metric) ([][]core.SubsetMetric, er
 	inc.full.refresh()
 	for _, nd := range inc.nodeOrder {
 		src := inc.pend
-		if nd.parent != inc.fullMask {
-			src = inc.nodes[nd.parent].out
+		if nd.Parent != inc.plan.Full {
+			src = inc.nodes[nd.Parent].out
 		}
 		t := nd.tab
 		k := t.k
@@ -810,7 +769,7 @@ func (inc *incEngine) laddersLocked(ms []core.Metric) ([][]core.SubsetMetric, er
 			}
 			g := pc / k
 			y := pc - g*k
-			cc := (g/nd.dropDiv*nd.dropStride+g%nd.dropStride)*k + y
+			cc := nd.Project(g)*k + y
 			t.addCell(cc, d)
 			if nd.out != nil {
 				nd.out.add(cc, d)
@@ -828,19 +787,14 @@ func (inc *incEngine) laddersLocked(ms []core.Metric) ([][]core.SubsetMetric, er
 	out := make([][]core.SubsetMetric, len(ms))
 	for j, m := range ms {
 		if _, ok := m.(core.ExtremaMetric); ok {
-			out[j] = make([]core.SubsetMetric, len(inc.subsetOrder))
+			out[j] = make([]core.SubsetMetric, len(inc.plan.Names))
 		}
 	}
-	for i, names := range inc.subsetOrder {
-		mask := 0
-		for _, n := range names {
-			a, _ := inc.m.space.AttrIndex(n)
-			mask |= 1 << a
-		}
+	for i, names := range inc.plan.Names {
 		t, sp := inc.full, inc.m.space
-		if mask != inc.fullMask {
+		if mask := inc.plan.Masks[i]; mask != inc.plan.Full {
 			nd := inc.nodes[mask]
-			t, sp = nd.tab, nd.sub
+			t, sp = nd.tab, nd.Space
 		}
 		for j, m := range ms {
 			em, ok := m.(core.ExtremaMetric)

@@ -1018,7 +1018,7 @@ func sameExtrema(t *testing.T, ctx string, m *Monitor, alpha float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := estimate(snap, cpt, alpha); err != nil {
+	if err := core.EstimateInto(snap, cpt, alpha); err != nil {
 		t.Fatal(err)
 	}
 	want := core.NewRateExtrema(len(m.outcomes))

@@ -298,19 +298,10 @@ func (m *Monitor) Epsilon() (core.EpsilonResult, error) {
 	if err := m.eng.snapshotInto(m.snap, m.ticket.Load()); err != nil {
 		return core.EpsilonResult{}, err
 	}
-	if err := estimate(m.snap, m.cpt, m.alpha); err != nil {
+	if err := core.EstimateInto(m.snap, m.cpt, m.alpha); err != nil {
 		return core.EpsilonResult{}, err
 	}
 	return core.Epsilon(m.cpt)
-}
-
-// estimate converts counts to dst under the monitor estimator: Eq. 7
-// smoothing when alpha > 0, the empirical Eq. 6 estimator otherwise.
-func estimate(c *core.Counts, dst *core.CPT, alpha float64) error {
-	if alpha > 0 {
-		return c.SmoothedInto(dst, alpha, false)
-	}
-	return c.EmpiricalInto(dst)
 }
 
 // ensureInc attaches the incremental ε engine to a window monitor,
@@ -620,7 +611,7 @@ func (w *Watch) CheckFull() (*Alert, float64, error) {
 	if effective < w.MinEffective {
 		return nil, effective, nil
 	}
-	if err := estimate(w.snap, w.cpt, w.alpha); err != nil {
+	if err := core.EstimateInto(w.snap, w.cpt, w.alpha); err != nil {
 		return nil, effective, fmt.Errorf("stream: threshold check: %w", err)
 	}
 	if w.Threshold > 0 {

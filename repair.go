@@ -326,15 +326,9 @@ func (r *Repairer) Plan(ctx context.Context, counts *Counts) (*RepairPlan, error
 	if !sameAttrs(r.space, counts.Space()) || !sameStrings(r.outcomes, counts.Outcomes()) {
 		return nil, fmt.Errorf("fairness: Repairer.Plan: counts do not match the repairer's space/outcomes")
 	}
-	var cpt *core.CPT
-	var err error
-	if r.cfg.alpha > 0 {
-		cpt, err = counts.Smoothed(r.cfg.alpha, false)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		cpt = counts.Empirical()
+	cpt, err := core.Estimate(counts, r.cfg.alpha)
+	if err != nil {
+		return nil, err
 	}
 	return r.planCPT(ctx, cpt, counts.Total())
 }
@@ -402,16 +396,12 @@ func (r *Repairer) planCPT(ctx context.Context, cpt *core.CPT, observations floa
 		return nil, fmt.Errorf("fairness: repair: %w", err)
 	}
 
-	estimator := "empirical (Eq. 6)"
-	if cfg.alpha > 0 {
-		estimator = fmt.Sprintf("Dirichlet-smoothed, alpha=%g (Eq. 7)", cfg.alpha)
-	}
 	plan := &RepairPlan{
 		SchemaVersion:   RepairPlanSchemaVersion,
 		TargetEpsilon:   JSONFloat(cfg.target),
 		EpsilonBefore:   JSONFloat(before.Epsilon),
 		AchievedEpsilon: JSONFloat(after.Epsilon),
-		Estimator:       estimator,
+		Estimator:       core.EstimatorLabel(cfg.alpha),
 		Alpha:           JSONFloat(cfg.alpha),
 		Observations:    JSONFloat(observations),
 		NumGroups:       r.space.Size(),
